@@ -103,13 +103,25 @@ class InvariantReport:
 
 
 class NormalFormSurface:
-    """A germ stored as its normal-form defining series Q(z, x, t)."""
+    """A germ stored as its normal-form defining series Q(z, x, t).
+
+    Immutable; the identity checks and the invariants are derived from Q
+    once, on first use, and kept.
+    """
+
+    __slots__ = ("q", "order", "_normal", "_reality", "_invariants")
 
     def __init__(self, q: TruncatedSeries):
         if q.variables != SURFACE_VARS:
             raise SurfaceError(f"surface series must use variables {SURFACE_VARS}")
-        self.q = q
-        self.order = q.order
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "order", q.order)
+        object.__setattr__(self, "_normal", None)
+        object.__setattr__(self, "_reality", None)
+        object.__setattr__(self, "_invariants", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NormalFormSurface is immutable")
 
     def __eq__(self, other):
         return isinstance(other, NormalFormSurface) and self.q == other.q
@@ -121,6 +133,11 @@ class NormalFormSurface:
 
     def check_normal(self) -> NormalityReport:
         """Q(z,0,t) = t and Q(0,x,t) = t; lists every violating monomial."""
+        if self._normal is None:
+            object.__setattr__(self, "_normal", self._normality())
+        return self._normal
+
+    def _normality(self) -> NormalityReport:
         t = TruncatedSeries.variable("t", SURFACE_VARS, self.order)
         violations = []
         for name, restricted in (("x", self.q.zero_out("x")), ("z", self.q.zero_out("z"))):
@@ -131,6 +148,11 @@ class NormalFormSurface:
 
     def check_reality(self) -> RealityReport:
         """Residual of Q(z, x, Qbar(x, z, w)) - w; zero iff the germ is real."""
+        if self._reality is None:
+            object.__setattr__(self, "_reality", self._reality_residual())
+        return self._reality
+
+    def _reality_residual(self) -> RealityReport:
         vars_w = ("z", "x", "w")
         zg = TruncatedSeries.variable("z", vars_w, self.order)
         xg = TruncatedSeries.variable("x", vars_w, self.order)
@@ -174,7 +196,12 @@ class NormalFormSurface:
     # ------------------------------------------------------------------
 
     def compute_invariants(self) -> InvariantReport:
-        self.validate()
+        if self._invariants is None:
+            self.validate()
+            object.__setattr__(self, "_invariants", self._vanishing_pattern())
+        return self._invariants
+
+    def _vanishing_pattern(self) -> InvariantReport:
         n = self.order
         m0 = None
         alpha0 = mu0 = None

@@ -535,12 +535,28 @@ def segre_jet_reconstruct(
 # experiments
 
 
+def invariant_mismatches(source: NormalFormSurface, target: NormalFormSurface) -> tuple:
+    """(name, source value, target value) for every invariant that differs;
+    any entry is an obstruction to a map between the two surfaces."""
+    inv = source.compute_invariants()
+    inv2 = target.compute_invariants()
+    return tuple(
+        (name, getattr(inv, name), getattr(inv2, name))
+        for name in ("m0", "alpha0", "mu0", "ell", "beta0")
+        if getattr(inv, name) != getattr(inv2, name)
+    )
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
-    residual_zero: bool
+    residual: TruncatedSeries
     invariants_match: bool
     mismatches: tuple
     beta_identity_holds: bool | None
+
+    @property
+    def residual_zero(self) -> bool:
+        return self.residual.is_zero
 
     @property
     def passed(self) -> bool:
@@ -555,13 +571,8 @@ def invariance_check(
     source: NormalFormSurface, target: NormalFormSurface, h: MapGerm
 ) -> InvarianceReport:
     residual = verify_mapping(source, target, h)
+    mismatches = invariant_mismatches(source, target)
     inv = source.compute_invariants()
-    inv2 = target.compute_invariants()
-    mismatches = []
-    for name in ("m0", "alpha0", "mu0", "ell", "beta0"):
-        a, b = getattr(inv, name), getattr(inv2, name)
-        if a != b:
-            mismatches.append((name, a, b))
     beta_identity = None
     if residual.is_zero and not mismatches and inv.beta0 is not None:
         beta0 = inv.beta0
@@ -580,9 +591,9 @@ def invariance_check(
         order = min(lhs.order, rhs.order)
         beta_identity = lhs.truncate(order) == rhs.truncate(order)
     return InvarianceReport(
-        residual_zero=residual.is_zero,
+        residual=residual,
         invariants_match=not mismatches,
-        mismatches=tuple(mismatches),
+        mismatches=mismatches,
         beta_identity_holds=beta_identity,
     )
 

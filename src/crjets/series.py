@@ -11,9 +11,15 @@ multiplication by an exactly-known monomial.
 Two coefficient backends share one implementation:
 
 * exact: Gaussian rational coefficients, ``tolerance is None``, equality
-  and zero tests are exact;
+  and zero tests are exact; each coefficient is a ``ComplexRational``
+  stored as ``(a + b*i) / d`` over Python ints in lowest terms;
 * float: complex coefficients with a zero-test ``tolerance``; any
   coefficient of magnitude below the tolerance is normalized to absent.
+
+The public constructor checks every multi-index and coerces every
+coefficient.  Ring operations build their results through a trusted path
+that only drops zero coefficients and monomials above the order, since
+their inputs were checked when they were built.
 
 Mixed-backend arithmetic is refused.  Branch-taking operations (k-th roots
 with irrational leading coefficients) exist only on the float backend; the
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .rational import (
@@ -153,7 +160,8 @@ class TruncatedSeries:
         return cls(variables, order, {mi: 1 if tolerance is None else 1.0}, tolerance)
 
     def _make(self, coefficients, order=None):
-        return TruncatedSeries(
+        """Trusted constructor for ring results in this series' space."""
+        return _trusted(
             self.variables,
             self.order if order is None else order,
             coefficients,
@@ -243,29 +251,24 @@ class TruncatedSeries:
             return self._make({mi: c * scal for mi, c in self.coefficients.items()})
         self._check_partner(other)
         order = min(self.order, other.order)
+        right = [(mj, sum(mj), cb) for mj, cb in other.coefficients.items()]
+        # partners of each degree budget, in the partner's own term order
+        partners: dict = {}
         out: dict = {}
         for mi, ca in self.coefficients.items():
-            da = sum(mi)
-            if da > order:
+            room = order - sum(mi)
+            if room < 0:
                 continue
-            for mj, cb in other.coefficients.items():
-                if da + sum(mj) > order:
-                    continue
-                mk = tuple(a + b for a, b in zip(mi, mj))
-                prod = ca * cb
-                if mk in out:
-                    out[mk] = out[mk] + prod
-                else:
-                    out[mk] = prod
+            fits = partners.get(room)
+            if fits is None:
+                fits = partners[room] = [(mj, cb) for mj, db, cb in right if db <= room]
+            for mj, cb in fits:
+                mk = tuple(map(add, mi, mj))
+                prev = out.get(mk)
+                out[mk] = ca * cb if prev is None else prev + ca * cb
         return self._make(out, order)
 
     __rmul__ = __mul__
-
-    def mul(self, other):
-        return self * other
-
-    def add(self, other):
-        return self + other
 
     def pow(self, k: int):
         if k < 0:
@@ -286,12 +289,7 @@ class TruncatedSeries:
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
             raise SeriesError("cannot raise a certification order by truncation")
-        return TruncatedSeries(
-            self.variables,
-            new_order,
-            {mi: c for mi, c in self.coefficients.items() if sum(mi) <= new_order},
-            self.tolerance,
-        )
+        return self._make(self.coefficients, new_order)
 
     # ------------------------------------------------------------------
     # division
@@ -396,8 +394,6 @@ class TruncatedSeries:
 
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugate (same support)."""
-        if self.tolerance is None:
-            return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
         return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
 
     def compose(self, substitutions: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
@@ -419,11 +415,11 @@ class TruncatedSeries:
             if nonzero:
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
-        acc = TruncatedSeries.zero(target.variables, order, target.tolerance)
-        one = TruncatedSeries.constant(
-            target._scalar(1), target.variables, order, target.tolerance
-        )
+        tol = target.tolerance
+        one = TruncatedSeries.constant(target._scalar(1), target.variables, order, tol)
         powers: list[list[TruncatedSeries]] = [[one] for _ in subs]
+        # running sum, updated in place exactly as repeated ``acc + term`` would
+        acc: dict = {}
         for mi, c in sorted(self.coefficients.items(), key=lambda kv: grlex_key(kv[0])):
             if sum(mi) > order:
                 continue
@@ -435,8 +431,17 @@ class TruncatedSeries:
                 while len(cache) <= e:
                     cache.append(cache[-1] * subs[pos])
                 term = term * cache[e]
-            acc = acc + term
-        return acc
+            for mk, v in term.coefficients.items():
+                prev = acc.get(mk)
+                if prev is None:
+                    acc[mk] = v
+                    continue
+                v = prev + v
+                if (not v) if tol is None else abs(v) < tol:
+                    del acc[mk]
+                else:
+                    acc[mk] = v
+        return _trusted(target.variables, order, acc, tol)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -466,7 +471,7 @@ class TruncatedSeries:
         new_variables = tuple(new_variables)
         if len(new_variables) != len(self.variables):
             raise VariableMismatch("arity changed")
-        return TruncatedSeries(new_variables, self.order, dict(self.coefficients), self.tolerance)
+        return _trusted(new_variables, self.order, self.coefficients, self.tolerance)
 
     def lift(self, new_variables, var_map: Mapping[str, str] | None = None) -> "TruncatedSeries":
         """Embed into a larger variable set; absent variables get exponent 0."""
@@ -484,7 +489,7 @@ class TruncatedSeries:
             for i, e in enumerate(mi):
                 mk[pos[self.variables[i]]] += e
             out[tuple(mk)] = c
-        return TruncatedSeries(new_variables, self.order, out, self.tolerance)
+        return _trusted(new_variables, self.order, out, self.tolerance)
 
     def zero_out(self, *names: str) -> "TruncatedSeries":
         """Set the named variables to zero (drop monomials containing them)."""
@@ -514,7 +519,7 @@ class TruncatedSeries:
         for mi, c in self.coefficients.items():
             if all(mi[i] == e for i, e in fixed_idx):
                 out[tuple(mi[i] for i in keep_idx)] = c
-        return TruncatedSeries(keep, new_order, out, self.tolerance)
+        return _trusted(keep, new_order, out, self.tolerance)
 
     def vanishing_order(self, var: str | None = None):
         """Minimal total degree (or minimal exponent of ``var``) in the support.
@@ -556,6 +561,30 @@ class TruncatedSeries:
         return format_series(self)
 
 
+def _trusted(variables, order, coefficients, tolerance) -> TruncatedSeries:
+    """Build a ring result without the public constructor's checks.
+
+    The caller guarantees well-formed multi-indices for ``variables``, no
+    duplicates, and coefficients already on the backend (``ComplexRational``
+    when exact, ``complex`` on floats).  Only zeros and monomials above
+    ``order`` are dropped.
+    """
+    if tolerance is None:
+        clean = {mi: c for mi, c in coefficients.items() if c and sum(mi) <= order}
+    else:
+        clean = {
+            mi: c
+            for mi, c in coefficients.items()
+            if not abs(c) < tolerance and sum(mi) <= order
+        }
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "variables", variables)
+    object.__setattr__(s, "order", order)
+    object.__setattr__(s, "coefficients", clean)
+    object.__setattr__(s, "tolerance", tolerance)
+    return s
+
+
 def format_series(s: TruncatedSeries) -> str:
     """Canonical series-literal text: grlex term order, signs folded."""
     if s.is_zero:
@@ -588,11 +617,6 @@ def format_series(s: TruncatedSeries) -> str:
         else:
             parts.append(("- " if negate else "+ ") + body)
     return " ".join(parts)
-
-
-def float_series(variables, order, coefficients=None, tolerance: float = 1e-12) -> TruncatedSeries:
-    """Series on the float backend: complex coefficients, zero-test tolerance."""
-    return TruncatedSeries(variables, order, coefficients, tolerance)
 
 
 def to_float(s: TruncatedSeries, tolerance: float = 1e-12) -> TruncatedSeries:

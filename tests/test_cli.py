@@ -204,3 +204,38 @@ def test_parse_error_is_input_error(capsys, tmp_path):
 def test_order_flag_cannot_raise(capsys):
     code, _ = run(capsys, "analyze", CORPUS / "heisenberg.surf", "--order", "40")
     assert code == 2
+
+
+def run_err(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("k", ["-1", "20"])
+def test_segre_k_outside_the_stored_jet_is_input_error(capsys, k):
+    heis = CORPUS / "heisenberg.surf"
+    code, out, err = run_err(capsys, "segre", heis, heis, CORPUS / "h_mobius_1.map", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_segre_k_at_the_stored_order_is_input_error(capsys):
+    # K + 1 = 12 is the last order the map stores; K = 11 is the largest K
+    heis = CORPUS / "heisenberg.surf"
+    code, _, err = run_err(capsys, "segre", heis, heis, CORPUS / "h_mobius_1.map", "12")
+    assert code == 2
+    assert "stored order 12" in err
+
+
+def test_segre_on_disagreeing_invariants_reports_obstruction(capsys):
+    code, out, err = run_err(
+        capsys, "segre", CORPUS / "heisenberg.surf", CORPUS / "z4.surf",
+        CORPUS / "identity.map", "1",
+    )
+    assert code == 1
+    assert err == ""
+    assert "invariant_obstruction: m0: 1 != 2" in out
+    assert out.endswith("verdict: fail\n")
