@@ -39,12 +39,7 @@ from .mapjets import (
     verify_mapping,  # noqa: F401  re-exported; perfbench's tracer patches it here
 )
 from .rational import format_fraction
-from .series import (
-    SeriesError,
-    TruncatedSeries,
-    format_series,
-    max_coefficient_difference,
-)
+from .series import SeriesError, TruncatedSeries, format_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -65,9 +60,11 @@ class Report:
     def add(self, key: str, value):
         self.lines.append((key, str(value)))
 
-    def add_input(self, path: str, text: str):
-        digest = sha256(text.encode()).hexdigest()
-        self.add("input", f"{os.path.basename(path)} sha256={digest}")
+    def add_input(self, path: str, text: str, warnings):
+        name = os.path.basename(path)
+        self.add("input", f"{name} sha256={sha256(text.encode()).hexdigest()}")
+        for message in warnings:
+            self.add("warning", f"{name}: {message}")
 
     def render(self) -> str:
         return "".join(f"{k}: {v}\n" for k, v in self.lines)
@@ -160,7 +157,7 @@ def _lowest_witness(series) -> str:
 def cmd_analyze(args) -> int:
     doc, text = _load(args.surface, "surface", args.order)
     report = Report("analyze")
-    report.add_input(args.surface, text)
+    report.add_input(args.surface, text, doc.warnings)
     surface = _surface(doc)
     report.add("order", surface.order)
     normal = surface.check_normal()
@@ -198,9 +195,9 @@ def cmd_verify(args) -> int:
     doc2, text2 = _load(args.surface2, "surface", args.order)
     docm, textm = _load(args.map, "map", args.order)
     report = Report("verify")
-    report.add_input(args.surface, text1)
-    report.add_input(args.surface2, text2)
-    report.add_input(args.map, textm)
+    report.add_input(args.surface, text1, doc1.warnings)
+    report.add_input(args.surface2, text2, doc2.warnings)
+    report.add_input(args.map, textm, docm.warnings)
     source, target, germ = _surface(doc1), _surface(doc2), _map(docm)
     inv_report = invariance_check(source, target, germ)
     residual = inv_report.residual
@@ -239,9 +236,9 @@ def cmd_segre(args) -> int:
     doc2, text2 = _load(args.surface2, "surface", args.order)
     docm, textm = _load(args.map, "map", args.order)
     report = Report("segre")
-    report.add_input(args.surface, text1)
-    report.add_input(args.surface2, text2)
-    report.add_input(args.map, textm)
+    report.add_input(args.surface, text1, doc1.warnings)
+    report.add_input(args.surface2, text2, doc2.warnings)
+    report.add_input(args.map, textm, docm.warnings)
     report.add("k", args.k)
     source, target, germ = _surface(doc1), _surface(doc2), _map(docm)
     if args.k < 0:
@@ -255,15 +252,8 @@ def cmd_segre(args) -> int:
     if mismatches:
         return _fail_with_obstructions(report, mismatches, args.out)
     jet = germ.jet(args.k + 1)
-    recon = segre_jet_reconstruct(
-        source,
-        target,
-        jet,
-        args.k,
-        tolerance=args.tolerance,
-        force_float=args.backend == "float",
-    )
-    report.add("backend", "exact" if recon.f_wk.is_exact else "float")
+    recon = segre_jet_reconstruct(source, target, jet, args.k)
+    report.add("backend", "exact")
     report.add("reconstructed_F", format_series(recon.f_wk))
     report.add("reconstructed_G", format_series(recon.g_wk))
     report.add("certified_order", min(recon.f_wk.order, recon.g_wk.order))
@@ -274,21 +264,8 @@ def cmd_segre(args) -> int:
     direct = segre_restriction_direct(germ, args.k)
     report.add("direct_F", format_series(direct.f_wk))
     report.add("direct_G", format_series(direct.g_wk))
-    if recon.f_wk.is_exact:
-        o_f = min(recon.f_wk.order, direct.f_wk.order)
-        o_g = min(recon.g_wk.order, direct.g_wk.order)
-        match = (
-            recon.f_wk.truncate(o_f) == direct.f_wk.truncate(o_f)
-            and recon.g_wk.truncate(o_g) == direct.g_wk.truncate(o_g)
-        )
-        report.add("comparison", "exact")
-    else:
-        diff = max(
-            max_coefficient_difference(recon.f_wk, direct.f_wk),
-            max_coefficient_difference(recon.g_wk, direct.g_wk),
-        )
-        match = diff < args.tolerance
-        report.add("comparison", f"max coefficient difference {diff!r}")
+    match = recon.agrees_with(direct)
+    report.add("comparison", "exact")
     report.add("verdict", "pass" if match else "fail")
     _emit(report, args.out)
     return EXIT_PASS if match else EXIT_FAIL
@@ -299,9 +276,9 @@ def cmd_determine(args) -> int:
     docm, textm = _load(args.map, "map", args.order)
     docm2, textm2 = _load(args.map2, "map", args.order)
     report = Report("determine")
-    report.add_input(args.surface, text1)
-    report.add_input(args.map, textm)
-    report.add_input(args.map2, textm2)
+    report.add_input(args.surface, text1, doc1.warnings)
+    report.add_input(args.map, textm, docm.warnings)
+    report.add_input(args.map2, textm2, docm2.warnings)
     report.add("k", args.k)
     surface = _surface(doc1)
     verdict = determination_experiment(surface, _map(docm), _map(docm2), args.k)
@@ -323,8 +300,8 @@ def cmd_dynamics(args) -> int:
     doc1, text1 = _load(args.surface, "surface", args.order)
     docm, textm = _load(args.map, "map", args.order)
     report = Report("dynamics")
-    report.add_input(args.surface, text1)
-    report.add_input(args.map, textm)
+    report.add_input(args.surface, text1, doc1.warnings)
+    report.add_input(args.map, textm, docm.warnings)
     verdict = dynamics_check(_surface(doc1), _map(docm))
     report.add(
         "reconstructed_fixes_axis",
@@ -339,7 +316,7 @@ def cmd_dynamics(args) -> int:
 def cmd_ode(args) -> int:
     doc, text = _load(args.ode, "ode", args.order)
     report = Report("ode")
-    report.add_input(args.ode, text)
+    report.add_input(args.ode, text, doc.warnings)
     report.add("mode", args.mode)
     ode = _ode(doc)
     n_target = args.order if args.order is not None else min(ode.order, 24)
@@ -398,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--order", type=int, default=None, help="truncate inputs to this order"
     )
-    common.add_argument(
-        "--backend", choices=("exact", "float"), default="exact",
-        help="force the float backend where a choice exists",
-    )
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--jobs", type=int, default=1, help="accepted; runs sequentially")
     common.add_argument("--out", default=None, help="also write the report to this path")
 
     parser = argparse.ArgumentParser(

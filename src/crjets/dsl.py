@@ -14,6 +14,7 @@ anything but :class:`ParseError`, which always carries line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,7 +158,8 @@ class _SeriesParser:
         degree = sum(exps)
         if degree > self.order:
             self.dropped.append(
-                f"monomial of degree {degree} exceeds declared order {self.order}; dropped"
+                f"monomial of degree {degree} exceeds declared order {self.order}; "
+                f"dropped (line {start.line}, column {start.column})"
             )
             return TruncatedSeries.zero(self.variables, self.order)
         return TruncatedSeries(self.variables, self.order, {tuple(exps): coeff})
@@ -234,6 +236,8 @@ def parse_series(
 
 DOCUMENT_KINDS = ("surface", "map", "ode")
 
+_THETA = re.compile(r"\btheta(\d+)\b")
+
 _REQUIRED_KEYS = {
     "surface": ({"vars", "order"}, {"Q", "phi"}),
     "map": ({"order", "F", "G"}, set()),
@@ -287,7 +291,9 @@ def _split_lines(text: str):
         if ":" not in stripped:
             raise ParseError("expected 'key: value'", lineno, 1)
         key, _, value = stripped.partition(":")
-        yield lineno, key.strip(), value.strip(), stripped.index(":") + 2
+        # 1-based column of the value's first character
+        column = len(stripped) - len(value.lstrip()) + 1
+        yield lineno, key.strip(), value.strip(), column
 
 
 def _parse_fraction_token(text: str, line: int, column: int) -> Fraction:
@@ -379,11 +385,14 @@ def parse_document(text: str) -> Document:
             theta.append(_parse_fraction_token(tok, line, col))
         body["theta"] = theta
 
+    def theta_value(match):
+        j = int(match[1])
+        return f"({theta[j - 1]})" if 1 <= j <= len(theta) else match[0]
+
     def series_value(key, value=None):
         line, col = positions[key]
         text_value = entries[key] if value is None else value
-        for j, t in enumerate(theta, start=1):
-            text_value = text_value.replace(f"theta{j}", f"({t})")
+        text_value = _THETA.sub(theta_value, text_value)
         return parse_series(text_value, variables, order, line, col, warnings)
 
     if kind == "surface":

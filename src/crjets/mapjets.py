@@ -9,10 +9,10 @@ the curve {w = 0} from nothing but the (k+1)-jet of H at the origin and the
 two surfaces.  It runs the recursion order by order in the w-derivative:
 
 * the conjugated F-series along {w = 0} comes first, from the minimal
-  nonvanishing derivative identity: after an ell-th root factorization the
-  branch constant is eliminated through the first-derivative relation, so
-  the result does not depend on the chosen branch (exact arithmetic when
-  ell = 1, float principal branches otherwise);
+  nonvanishing derivative identity.  Its ell-th root is taken after dividing
+  each side by its leading coefficient: both roots then have constant term 1
+  and are binomial series over Q(i), and the root constants, which would
+  need a branch and leave the field, cancel out of the equation;
 * each conjugated G-derivative solves a coefficient equation in which it
   appears with unit coefficient;
 * each conjugated F-derivative appears multiplied by a series vanishing to
@@ -32,14 +32,7 @@ from math import factorial
 
 from .hypersurface import InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
-from .series import (
-    TruncatedSeries,
-    UnknownOrder,
-    kth_root,
-    max_coefficient_difference,
-    solve_composition,
-    to_float,
-)
+from .series import TruncatedSeries, UnknownOrder, kth_root, solve_composition
 
 MAP_VARS = ("z", "w")
 
@@ -191,6 +184,19 @@ class SegreJetResult:
     g_wk: TruncatedSeries
     provenance: str
 
+    def agrees_with(self, other: "SegreJetResult") -> bool:
+        """Same k and equal series through each pair's common certified order."""
+
+        def same(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+            order = min(a.order, b.order)
+            return a.truncate(order) == b.truncate(order)
+
+        return (
+            self.k == other.k
+            and same(self.f_wk, other.f_wk)
+            and same(self.g_wk, other.g_wk)
+        )
+
 
 # ----------------------------------------------------------------------
 # factories
@@ -288,8 +294,7 @@ def segre_restriction_direct(h: MapGerm, k: int) -> SegreJetResult:
 
 
 class _Reconstruction:
-    def __init__(self, source, target, jet, k, tolerance, force_float=False):
-        self.tolerance = tolerance
+    def __init__(self, source, target, jet, k):
         inv = source.compute_invariants()
         inv2 = target.compute_invariants()
         if isinstance(inv.m0, InfiniteUpTo) or isinstance(inv2.m0, InfiniteUpTo):
@@ -311,18 +316,9 @@ class _Reconstruction:
         self.m0, self.alpha0, self.mu0, self.ell = inv.m0, inv.alpha0, inv.mu0, inv.ell
         self.k = k
         self.jet = jet
-        self.exact = self.ell == 1 and not force_float
         self.work = min(source.order, target.order)
-        self.series_tol = None if self.exact else 1e-13
-        if self.exact:
-            self.q_src = source.q
-            self.q_tgt = target.q
-        else:
-            self.q_src = to_float(source.q, self.series_tol)
-            self.q_tgt = to_float(target.q, self.series_tol)
-        self.q_fn_src = self._backendize(source.q_function(self.alpha0, self.mu0))
-        self.q_fn_tgt = self._backendize(target.q_function(self.alpha0, self.mu0))
-        self.q10_src = self._backendize(source.q_function(1, 0))
+        self.source = source
+        self.target = target
         # order-m0 entry of G must vanish for any map between these surfaces
         if self.alpha0 + self.mu0 <= jet.k:
             if not jet.entry("mu", self.alpha0, self.mu0).is_zero:
@@ -332,50 +328,35 @@ class _Reconstruction:
         self.us: list[TruncatedSeries] = []
         self.vs: list[TruncatedSeries] = []
 
-    # -- backend helpers ------------------------------------------------
-
-    def _backendize(self, series):
-        return series if self.exact else to_float(series, self.series_tol)
-
-    def scal(self, value: CR):
-        return value if self.exact else value.to_complex()
-
-    def _is_small(self, value) -> bool:
-        if self.exact:
-            return value.is_zero
-        return abs(value) <= self.tolerance
-
     def lam_taylor(self, i, j):
-        return self.scal(self.jet.entry("lam", i, j)) / (factorial(i) * factorial(j))
+        return self.jet.entry("lam", i, j) / (factorial(i) * factorial(j))
 
     def mu_taylor(self, i, j):
-        return self.scal(self.jet.entry("mu", i, j)) / (factorial(i) * factorial(j))
+        return self.jet.entry("mu", i, j) / (factorial(i) * factorial(j))
 
     # -- step 0: F along the axis ---------------------------------------
 
+    def _monic_root(self, surface) -> TruncatedSeries:
+        """ell-th root of q_{alpha0,mu0} / (its x^ell coefficient): x times a
+        unit with constant term 1, so it stays over Q(i)."""
+        q_fn = surface.q_function(self.alpha0, self.mu0)
+        return kth_root(q_fn / q_fn.coefficient((self.ell,)), self.ell)
+
     def solve_axis_f(self) -> TruncatedSeries:
-        ell = self.ell
-        root_s = self.q_fn_src if ell == 1 else kth_root(self.q_fn_src, ell)
-        root_t = self.q_fn_tgt if ell == 1 else kth_root(self.q_fn_tgt, ell)
-        lin_s = root_s.coefficient((1,))
-        lin_t = root_t.coefficient((1,))
+        """conj F(x, 0) from root_t(g) = root_s * conj(lam10) * gauge."""
         lam10 = self.jet.entry("lam", 1, 0)
-        branch_const = lin_t * self.scal(lam10.conjugate()) / lin_s
+        rhs = self._monic_root(self.source) * lam10.conjugate()
         if self.m0 == 1:
-            lam01 = self.jet.entry("lam", 0, 1)
-            ratio = self.scal(lam01 / lam10)
-            unit = (1 + self.q10_src * ratio).inverse()
-            gauge = unit if ell == 1 else kth_root(unit, ell)
-            rhs = root_s * gauge * branch_const
-        else:
-            rhs = root_s * branch_const
-        return solve_composition(root_t, rhs)
+            ratio = self.jet.entry("lam", 0, 1) / lam10
+            unit = (1 + self.source.q_function(1, 0) * ratio).inverse()
+            rhs = rhs * kth_root(unit, self.ell)
+        return solve_composition(self._monic_root(self.target), rhs)
 
     # -- embeddings ------------------------------------------------------
 
     def _stack(self, entries, variables, t_index):
         """sum_r entries[r] * t^r inside the given variable space."""
-        acc = TruncatedSeries.zero(variables, self.work, self.series_tol)
+        acc = TruncatedSeries.zero(variables, self.work)
         for r, series in enumerate(entries):
             if series is None or series.is_zero:
                 continue
@@ -391,22 +372,19 @@ class _Reconstruction:
             (0, j): self.lam_taylor(0, j)
             for j in range(1, min(t, self.jet.k) + 1)
         }
-        a_fn = TruncatedSeries(variables, self.work, a_coeffs, self.series_tol)
+        a_fn = TruncatedSeries(variables, self.work, a_coeffs)
         u_fn = self._stack(self.us, variables, t_index=1)
         v_fn = self._stack(self.vs, variables, t_index=1)
-        composed = self.q_tgt.compose({"z": a_fn, "x": u_fn, "t": v_fn})
+        composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn})
         rhs = composed.extract({"t": t}, keep=("x",))
-        lhs = TruncatedSeries.constant(
-            self.mu_taylor(0, t), ("x",), rhs.order, self.series_tol
-        )
+        lhs = TruncatedSeries.constant(self.mu_taylor(0, t), ("x",), rhs.order)
         return lhs - rhs
 
     # -- conjugated F derivatives ----------------------------------------
 
     def solve_u(self, s: int) -> TruncatedSeries:
         variables = ("z", "x", "t")
-        zg = TruncatedSeries.variable("z", variables, self.work, self.series_tol)
-        q = self.q_src
+        zg = TruncatedSeries.variable("z", variables, self.work)
         g_hat = TruncatedSeries(
             MAP_VARS,
             self.work,
@@ -416,7 +394,6 @@ class _Reconstruction:
                 for j in range(0, self.jet.k + 1 - i)
                 if i + j >= 1
             },
-            self.series_tol,
         )
         f_hat = TruncatedSeries(
             MAP_VARS,
@@ -427,71 +404,54 @@ class _Reconstruction:
                 for j in range(0, self.jet.k + 1 - i)
                 if i + j >= 1
             },
-            self.series_tol,
         )
         slot = {"z": self.alpha0, "t": self.mu0 + s}
+        q = self.source.q
         w_lhs = g_hat.compose({"z": zg, "w": q}).extract(slot, keep=("x",))
         f_comp = f_hat.compose({"z": zg, "w": q})
         v_fn = self._stack(self.vs, variables, t_index=2)
 
         def rhs_with(u_s):
             u_fn = self._stack(self.us + [u_s], variables, t_index=2)
-            composed = self.q_tgt.compose({"z": f_comp, "x": u_fn, "t": v_fn})
+            composed = self.target.q.compose({"z": f_comp, "x": u_fn, "t": v_fn})
             return composed.extract(slot, keep=("x",))
 
-        zero_u = TruncatedSeries.zero(("x",), self.work, self.series_tol)
-        one_u = TruncatedSeries.constant(
-            self.scal(CR(1)), ("x",), self.work, self.series_tol
-        )
-        r0 = rhs_with(zero_u)
-        r1 = rhs_with(one_u)
+        r0 = rhs_with(TruncatedSeries.zero(("x",), self.work))
+        r1 = rhs_with(TruncatedSeries.constant(1, ("x",), self.work))
         gain = r1 - r0
         if gain.is_zero:
             raise DivisibilityObstruction(
                 f"coefficient of the order-{s} unknown vanishes to working order"
             )
-        ubar = self.scal(self.jet.entry("lam", 0, s).conjugate()) / factorial(s)
-        known = w_lhs - r0
-        if self.m0 + s <= self.jet.k:
-            top = self._zero_scalar()
-        else:
+        ubar = self.jet.entry("lam", 0, s).conjugate() / factorial(s)
+        dividend = w_lhs - r0
+        if self.m0 + s > self.jet.k:
             # the jet does not carry the top coefficient; pin it at the origin
-            top = r0.coefficient((0,)) + gain.coefficient((0,)) * ubar - w_lhs.coefficient((0,))
-        dividend = known + top
+            dividend = dividend + (
+                r0.coefficient((0,)) + gain.coefficient((0,)) * ubar
+                - w_lhs.coefficient((0,))
+            )
         nu = gain.vanishing_order()
         if isinstance(nu, UnknownOrder):
             raise DivisibilityObstruction("unknown coefficient order at truncation")
-        low = {
-            mi: c for mi, c in dividend.coefficients.items() if mi[0] < nu
-        }
-        for mi, c in low.items():
-            if not self._is_small(c):
-                raise DivisibilityObstruction(
-                    f"known side has order-{mi[0]} content below the required "
-                    f"vanishing order {nu}: jet not realizable"
-                )
-        trimmed = TruncatedSeries(
-            ("x",),
-            dividend.order,
-            {mi: c for mi, c in dividend.coefficients.items() if mi[0] >= nu},
-            self.series_tol,
-        )
-        u_s = trimmed / gain
-        u_s0 = u_s.coefficient((0,))
-        if not self._is_small(u_s0 - ubar):
+        low = dividend.vanishing_order()
+        if not isinstance(low, UnknownOrder) and low < nu:
+            raise DivisibilityObstruction(
+                f"known side has order-{low} content below the required "
+                f"vanishing order {nu}: jet not realizable"
+            )
+        u_s = dividend / gain
+        if u_s.coefficient((0,)) != ubar:
             raise InconsistentJet(
                 f"order-{s} value at the origin disagrees with the supplied jet"
             )
         return u_s
 
-    def _zero_scalar(self):
-        return CR(0) if self.exact else 0j
-
     # -- driver -----------------------------------------------------------
 
     def run(self) -> SegreJetResult:
         self.us.append(self.solve_axis_f())
-        self.vs.append(TruncatedSeries.zero(("x",), self.work, self.series_tol))
+        self.vs.append(TruncatedSeries.zero(("x",), self.work))
         ahead = 1 if self.mu0 >= 1 else 0
         for s in range(1, self.k + 1):
             while len(self.vs) <= s + ahead:
@@ -500,7 +460,7 @@ class _Reconstruction:
         k = self.k
         f_wk = self.us[k].conjugate().with_variables(("z",)) * factorial(k)
         if k == 0:
-            g_wk = TruncatedSeries.zero(("z",), self.work, self.series_tol)
+            g_wk = TruncatedSeries.zero(("z",), self.work)
         else:
             while len(self.vs) <= k:
                 self.vs.append(self.solve_v(len(self.vs)))
@@ -513,14 +473,11 @@ def segre_jet_reconstruct(
     target: NormalFormSurface,
     jet: MapJet,
     k: int,
-    tolerance: float = 1e-9,
-    force_float: bool = False,
 ) -> SegreJetResult:
     """Recover H_{w^k}(z, 0) from the (k+1)-jet of H at the origin.
 
-    Exact on the rational backend when no root extraction is needed
-    (ell = 1); otherwise runs on floats with principal branches, with
-    ``tolerance`` governing the realizability checks.
+    Exact over Q(i) for every ell: the ell-th roots along {w = 0} are taken
+    of series normalized to leading coefficient 1, so no branch is chosen.
     """
     if k < 0:
         raise JetArityError("derivative order must be nonnegative")
@@ -528,7 +485,7 @@ def segre_jet_reconstruct(
         raise JetArityError(
             f"reconstructing order {k} consumes a jet of order {k + 1}, got {jet.k}"
         )
-    return _Reconstruction(source, target, jet, k, tolerance, force_float).run()
+    return _Reconstruction(source, target, jet, k).run()
 
 
 # ----------------------------------------------------------------------
@@ -663,12 +620,7 @@ def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
         raise PreconditionError("surface has no nonvanishing derivative data")
     recon = segre_jet_reconstruct(surface, surface, h.jet(1), 0)
     zg = TruncatedSeries.variable("z", ("z",), recon.f_wk.order)
-    if recon.f_wk.is_exact:
-        recon_ok = recon.f_wk == zg and recon.g_wk.is_zero
-    else:
-        recon_ok = (
-            max_coefficient_difference(recon.f_wk, zg) < 1e-9 and recon.g_wk.is_zero
-        )
+    recon_ok = recon.f_wk == zg and recon.g_wk.is_zero
     f_axis, g_axis = h.on_axis()
     zg_full = TruncatedSeries.variable("z", ("z",), f_axis.order)
     stored_ok = f_axis == zg_full and g_axis.is_zero

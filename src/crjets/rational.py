@@ -293,7 +293,7 @@ def gaussian_kth_root(c: ComplexRational, k: int):
     """Principal k-th root when it stays in the field.
 
     Covers positive reals for any k and powers of two via iterated square
-    roots; returns None otherwise (the caller falls back to floats).
+    roots; returns None otherwise.
     """
     if k <= 0:
         raise ValueError("root index must be positive")

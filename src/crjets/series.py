@@ -21,9 +21,11 @@ coefficient.  Ring operations build their results through a trusted path
 that only drops zero coefficients and monomials above the order, since
 their inputs were checked when they were built.
 
-Mixed-backend arithmetic is refused.  Branch-taking operations (k-th roots
-with irrational leading coefficients) exist only on the float backend; the
-exact backend accepts a root only when it stays in the field.
+Mixed-backend arithmetic is refused.  On the exact backend a k-th root is
+taken only when it stays in the field (a leading coefficient of 1 always
+does); the float backend takes the principal branch.  No computation in the
+package runs on the float backend; it stays for callers that build float
+series themselves, such as the benchmark's series oracle.
 """
 
 from __future__ import annotations
@@ -474,7 +476,11 @@ class TruncatedSeries:
         return _trusted(new_variables, self.order, self.coefficients, self.tolerance)
 
     def lift(self, new_variables, var_map: Mapping[str, str] | None = None) -> "TruncatedSeries":
-        """Embed into a larger variable set; absent variables get exponent 0."""
+        """Embed into a larger variable set; absent variables get exponent 0.
+
+        ``var_map[v] = w`` feeds the slot of ``v`` into ``w``; as in
+        :meth:`rename_variables`, merged exponents and coefficients add up.
+        """
         new_variables = tuple(new_variables)
         var_map = var_map or {}
         pos = {}
@@ -488,7 +494,8 @@ class TruncatedSeries:
             mk = [0] * len(new_variables)
             for i, e in enumerate(mi):
                 mk[pos[self.variables[i]]] += e
-            out[tuple(mk)] = c
+            mk = tuple(mk)
+            out[mk] = out[mk] + c if mk in out else c
         return _trusted(new_variables, self.order, out, self.tolerance)
 
     def zero_out(self, *names: str) -> "TruncatedSeries":
@@ -677,7 +684,8 @@ def _binomial_series_root(v: TruncatedSeries, k: int) -> TruncatedSeries:
 def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """Principal k-th root.
 
-    Requires the support to factor as monomial^k * unit (or a unit series).
+    Requires the support to factor as monomial^k * unit (or a unit series);
+    the first root (k = 1) is the series itself.
     On the float backend the leading coefficient's root takes the principal
     branch; the exact backend refuses roots that leave the field.
     """
@@ -685,6 +693,8 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
         raise SeriesError("root index must be positive")
     if s.is_zero:
         raise ZeroSeriesRoot(f"zero series certified to order {s.order}")
+    if k == 1:
+        return s
     d = min(sum(mi) for mi in s.coefficients)
     lowest = [mi for mi in s.coefficients if sum(mi) == d]
     if d > 0 and len(lowest) != 1:

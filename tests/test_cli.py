@@ -114,7 +114,8 @@ def test_verify_pass_and_fail(capsys):
     assert "invariant_obstruction: m0: 1 != 2" in out
 
 
-def test_segre_on_quartic_uses_floats(capsys):
+def test_segre_on_quartic_is_exact(capsys):
+    # ell = 2 on the quartic model: the reconstruction still takes no branch
     code, out = run(
         capsys,
         "segre",
@@ -124,8 +125,31 @@ def test_segre_on_quartic_uses_floats(capsys):
         "1",
     )
     assert code == 0
-    assert "backend: float" in out
+    assert "backend: exact\n" in out
+    assert "reconstructed_G: 16\n" in out
+    assert "comparison: exact\n" in out
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--backend", "--tolerance"])
+def test_removed_flags_are_argument_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(CORPUS / "heisenberg.surf"), flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_dropped_monomials_are_reported(capsys, tmp_path):
+    surf = tmp_path / "dropped.surf"
+    surf.write_text("vars: z x t\norder: 3\nQ: t + 2*i*z*x + z^5*x\n")
+    code, out = run(capsys, "analyze", surf)
+    assert code == 0
+    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: dropped.surf: monomial of degree 6 exceeds declared order 3; "
+        "dropped (line 3, column 18)"
+    ]
+    assert out.index("input: dropped.surf") < out.index("warning: dropped.surf")
 
 
 def test_segre_jet_only(capsys):

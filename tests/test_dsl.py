@@ -141,6 +141,14 @@ def test_parse_ode_document_with_theta():
     )
 
 
+def test_ten_thetas_substitute_whole_names():
+    thetas = " ".join(str(j) for j in range(1, 11))
+    doc = parse_document(
+        f"gamma: 0\nvars: x y\norder: 6\np: theta10*y + theta1*x\nq: 1\ntheta: {thetas}\n"
+    )
+    assert doc.body["p"][0] == TS(("x", "y"), 6, {(0, 1): 10, (1, 0): 1})
+
+
 def test_document_round_trip():
     for text in (SURF, MAP, ODE):
         doc = parse_document(text)

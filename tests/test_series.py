@@ -226,6 +226,13 @@ def test_conjugate_fixes_real_series():
     assert a.conjugate() == a
 
 
+def test_lift_merging_variables_adds_like_rename():
+    a = TS(("a", "b"), 3, {(1, 0): 1, (0, 1): 1, (2, 0): 3, (1, 1): -3})
+    lifted = a.lift(("c",), {"a": "c", "b": "c"})
+    assert lifted == TS(("c",), 3, {(1,): 2})
+    assert a.rename_variables({"b": "a"}) == TS(("a", "b"), 3, {(1, 0): 2})
+
+
 # ----------------------------------------------------------------------
 # vanishing order
 
@@ -279,6 +286,9 @@ def test_kth_root_principal_monomial():
 def test_kth_root_round_trip():
     a = u_series(5, {0: 1, 1: Fraction(1, 3), 3: -2})
     assert kth_root(a.pow(3), 3) == a
+    # the first root is the series itself, whatever its leading form
+    b = zxt(4, {(1, 0, 0): 3 * I, (0, 1, 0): 1, (1, 1, 1): Fraction(1, 2)})
+    assert kth_root(b, 1) == b
 
 
 def test_kth_root_rejections():
