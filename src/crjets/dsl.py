@@ -38,39 +38,37 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str, line: int = 1, col0: int = 1) -> list[_Token]:
+def _tokenize(text: str, line: int, columns) -> list[_Token]:
+    """Tokens of ``text`` on ``line``; ``columns[i]`` is the source column of
+    ``text[i]`` and ``columns[len(text)]`` that of the end."""
     tokens = []
-    i, col = 0, col0
+    i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch in " \t":
             i += 1
-            col += 1
             continue
         if ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
+            tokens.append(_Token("NUM", text[i:j], line, columns[i]))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
+            tokens.append(_Token("IDENT", text[i:j], line, columns[i]))
             i = j
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, line, col))
+            tokens.append(_Token("OP", ch, line, columns[i]))
             i += 1
-            col += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        raise ParseError(f"unexpected character {ch!r}", line, columns[i])
+    tokens.append(_Token("EOF", "", line, columns[n]))
     return tokens
 
 
@@ -223,7 +221,11 @@ def parse_series(
     column: int = 1,
     warnings: list[str] | None = None,
 ) -> TruncatedSeries:
-    tokens = _tokenize(text, line, column)
+    tokens = _tokenize(text, line, range(column, column + len(text) + 1))
+    return _parse_tokens(tokens, variables, order, warnings)
+
+
+def _parse_tokens(tokens, variables, order, warnings) -> TruncatedSeries:
     parser = _SeriesParser(tokens, tuple(variables), order)
     out = parser.parse()
     if warnings is not None:
@@ -385,15 +387,27 @@ def parse_document(text: str) -> Document:
             theta.append(_parse_fraction_token(tok, line, col))
         body["theta"] = theta
 
-    def theta_value(match):
-        j = int(match[1])
-        return f"({theta[j - 1]})" if 1 <= j <= len(theta) else match[0]
-
-    def series_value(key, value=None):
+    def series_value(key, value=None, offset=0):
+        """Parse the value of ``key`` (or the part ``value`` of it starting
+        ``offset`` characters in) with each ``thetaJ`` replaced by its value;
+        every token keeps its column in the source line."""
         line, col = positions[key]
-        text_value = entries[key] if value is None else value
-        text_value = _THETA.sub(theta_value, text_value)
-        return parse_series(text_value, variables, order, line, col, warnings)
+        col += offset
+        source = entries[key] if value is None else value
+        pieces, columns, last = [], [], 0
+        for match in _THETA.finditer(source):
+            j = int(match[1])
+            if not 1 <= j <= len(theta):
+                continue
+            substituted = f"({theta[j - 1]})"
+            pieces += [source[last : match.start()], substituted]
+            columns += range(col + last, col + match.start())
+            columns += [col + match.start()] * len(substituted)
+            last = match.end()
+        pieces.append(source[last:])
+        columns += range(col + last, col + len(source) + 1)
+        tokens = _tokenize("".join(pieces), line, columns)
+        return _parse_tokens(tokens, variables, order, warnings)
 
     if kind == "surface":
         if "Q" in entries:
@@ -412,7 +426,10 @@ def parse_document(text: str) -> Document:
                 line,
                 col,
             )
-        body["p"] = [series_value("p", comp) for comp in comps]
+        starts = [0]
+        for comp in comps[:-1]:
+            starts.append(starts[-1] + len(comp) + 1)
+        body["p"] = [series_value("p", comp, start) for comp, start in zip(comps, starts)]
         body["q"] = series_value("q")
         if "theta" not in body:
             body["theta"] = []

@@ -99,6 +99,18 @@ class MapGerm:
         return MapGerm(self.f.compose(subs), self.g.compose(subs))
 
     def inverse(self) -> "MapGerm":
+        """The germ K with H o K = id through the stored order.
+
+        Newton iteration after Brent & Kung, "Fast algorithms for
+        manipulating formal power series", J. ACM 25 (1978).  K starts as
+        the inverse of the linear part, exact through degree 1.  A step at
+        precision ``prec`` (2, 4, 8, ..., capped at the order) computes
+        E = H o K - id and sets K <- K - DK * E, DK the Jacobian matrix of
+        K: since (DH o K)^-1 = DK + O(degree prec/2), the step makes K exact
+        through degree ``prec``.  Order 16 takes four steps of two
+        compositions each.  The closing check that H o K is the identity is
+        the certificate.
+        """
         a = self.f.coefficient((1, 0))
         b = self.f.coefficient((0, 1))
         c = self.g.coefficient((1, 0))
@@ -108,22 +120,22 @@ class MapGerm:
             raise MapError("linear part is singular")
         zg = TruncatedSeries.variable("z", MAP_VARS, self.order)
         wg = TruncatedSeries.variable("w", MAP_VARS, self.order)
-        nf = self.f - (zg * a + wg * b)
-        ng = self.g - (zg * c + wg * d)
-
-        def linear_solve(p, q):
-            inv_det = CR(1) / det
-            return ((p * d - q * b) * inv_det, (q * a - p * c) * inv_det)
-
-        hf, hg = linear_solve(zg, wg)
-        for _ in range(self.order + 1):
-            rf = zg - nf.compose({"z": hf, "w": hg})
-            rg = wg - ng.compose({"z": hf, "w": hg})
-            nf_, ng_ = linear_solve(rf, rg)
-            if nf_ == hf and ng_ == hg:
-                break
-            hf, hg = nf_, ng_
-        inv = MapGerm(hf, hg)
+        inv_det = CR(1) / det
+        kf = (zg * d - wg * b) * inv_det
+        kg = (wg * a - zg * c) * inv_det
+        prec = 1
+        while prec < self.order:
+            prec = min(2 * prec, self.order)
+            # carried one degree past prec, so that its Jacobian is
+            # certified through prec
+            kf = TruncatedSeries(MAP_VARS, prec + 1, kf.coefficients)
+            kg = TruncatedSeries(MAP_VARS, prec + 1, kg.coefficients)
+            subs = {"z": kf, "w": kg}
+            ef = self.f.truncate(prec).compose(subs) - zg
+            eg = self.g.truncate(prec).compose(subs) - wg
+            kf = kf - (kf.partial_derivative("z") * ef + kf.partial_derivative("w") * eg)
+            kg = kg - (kg.partial_derivative("z") * ef + kg.partial_derivative("w") * eg)
+        inv = MapGerm(kf, kg)
         probe = self.compose(inv)
         if probe.f != zg or probe.g != wg:
             raise MapError("inverse iteration failed to close")

@@ -398,12 +398,28 @@ class TruncatedSeries:
         """Coefficientwise complex conjugate (same support)."""
         return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
 
+    def _bare_variable(self):
+        """Index of the variable this series is, coefficient 1; else None."""
+        if len(self.coefficients) != 1:
+            return None
+        (mi, c), = self.coefficients.items()
+        if c != 1 or sum(mi) != 1:
+            return None
+        return mi.index(1)
+
     def compose(self, substitutions: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for every variable.
 
         Each substituted series must have zero constant term (shift the
         outer series explicitly otherwise), and all substitutions must live
         in one common variable set on the same backend.
+
+        A bare-variable substitution (one target variable, coefficient 1)
+        costs no series product: its exponents are moved into the target
+        slot.  The outer monomials are grouped by their exponents in the
+        remaining slots, each group's moved monomials form one coefficient
+        series, and that series is multiplied by the cached power of each
+        remaining substitution its key raises to a nonzero exponent.
         """
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
@@ -418,21 +434,39 @@ class TruncatedSeries:
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
         tol = target.tolerance
-        one = TruncatedSeries.constant(target._scalar(1), target.variables, order, tol)
-        powers: list[list[TruncatedSeries]] = [[one] for _ in subs]
-        # running sum, updated in place exactly as repeated ``acc + term`` would
-        acc: dict = {}
+        width = len(target.variables)
+        moves = []  # (outer slot, target slot) of bare-variable substitutions
+        general = []  # outer slots substituted by a general series
+        for pos, s in enumerate(subs):
+            j = s._bare_variable()
+            if j is None:
+                general.append(pos)
+            else:
+                moves.append((pos, j))
+        # group key: exponents in the general slots; value: moved monomials
+        groups: dict = {}
         for mi, c in sorted(self.coefficients.items(), key=lambda kv: grlex_key(kv[0])):
             if sum(mi) > order:
                 continue
-            term = one * target._scalar(c)
-            for pos, e in enumerate(mi):
+            mk = [0] * width
+            for pos, j in moves:
+                mk[j] += mi[pos]
+            mk = tuple(mk)
+            group = groups.setdefault(tuple(mi[pos] for pos in general), {})
+            c = target._scalar(c)
+            group[mk] = group[mk] + c if mk in group else c
+        powers = {pos: [subs[pos].truncate(order)] for pos in general}  # [s, s^2, ...]
+        # running sum, updated in place exactly as repeated ``acc + term`` would
+        acc: dict = {}
+        for key, group in groups.items():
+            term = _trusted(target.variables, order, group, tol)
+            for pos, e in zip(general, key):
                 if e == 0:
                     continue
                 cache = powers[pos]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * subs[pos])
-                term = term * cache[e]
+                while len(cache) < e:
+                    cache.append(cache[-1] * cache[0])
+                term = term * cache[e - 1]
             for mk, v in term.coefficients.items():
                 prev = acc.get(mk)
                 if prev is None:
@@ -753,10 +787,9 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str, order: int | None = None)
     for _ in range(order + 1):
         nxt = rhs.compose({**subs, unknown: u})
         if nxt == u:
-            break
+            return u
         u = nxt
-    check = rhs.compose({**subs, unknown: u})
-    if check != u:
+    if rhs.compose({**subs, unknown: u}) != u:
         raise NoContraction("fixed point not reached at the certified order")
     return u
 

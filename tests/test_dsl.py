@@ -149,6 +149,34 @@ def test_ten_thetas_substitute_whole_names():
     assert doc.body["p"][0] == TS(("x", "y"), 6, {(0, 1): 10, (1, 0): 1})
 
 
+def test_error_after_substituted_theta_has_source_column():
+    thetas = " ".join(str(j) for j in range(1, 11))
+    with pytest.raises(ParseError) as err:
+        parse_document(
+            f"gamma: 0\nvars: x y\norder: 6\np: theta10*y + 1/0*x\nq: 1\ntheta: {thetas}\n"
+        )
+    # p: theta10*y + 1/0*x
+    #                  ^ column 18
+    assert (err.value.message, err.value.line, err.value.column) == ("zero denominator", 4, 18)
+
+
+def test_error_in_later_p_component_has_source_column():
+    with pytest.raises(ParseError) as err:
+        parse_document("gamma: 0\nvars: x y1 y2\norder: 6\np: y1 + x; y2 + 1/0*x\nq: 1\n")
+    # p: y1 + x; y2 + 1/0*x
+    #                   ^ column 19
+    assert (err.value.message, err.value.line, err.value.column) == ("zero denominator", 4, 19)
+
+
+def test_dropped_monomial_after_theta_has_source_column():
+    doc = parse_document(
+        "gamma: 0\nvars: x y1 y2\norder: 2\np: y1 + x;  y2 + theta1*x^3\nq: 1\ntheta: 1/2\n"
+    )
+    assert doc.warnings == [
+        "monomial of degree 3 exceeds declared order 2; dropped (line 4, column 18)"
+    ]
+
+
 def test_document_round_trip():
     for text in (SURF, MAP, ODE):
         doc = parse_document(text)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,67 @@ def test_inverse_roundtrip_and_swapped_residual():
     m = heisenberg(ORDER)
     assert verify_mapping(m, m, h).is_zero
     assert verify_mapping(m, m, inv).is_zero
+
+
+def dense_germ(seed, order):
+    """Seeded germ: four nonzero Gaussian linear entries and twelve random
+    nonlinear terms."""
+    rng = random.Random(seed)
+
+    def gaussian():
+        re = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        return CR(re, Fraction(rng.randint(-4, 4) or 1, 2))
+
+    while True:
+        lin = [gaussian() for _ in range(4)]
+        if not (lin[0] * lin[3] - lin[1] * lin[2]).is_zero:
+            break
+    comps = []
+    for a, b in ((lin[0], lin[1]), (lin[2], lin[3])):
+        coeffs = {(1, 0): a, (0, 1): b}
+        for _ in range(12):
+            i = rng.randint(0, order)
+            j = rng.randint(0, order - i)
+            if i + j >= 2:
+                coeffs[(i, j)] = gaussian()
+        comps.append(coeffs)
+    return mk(*comps, order=order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 9, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inverse_is_two_sided_on_dense_germs(order, seed):
+    h = dense_germ(seed, order)
+    inv = h.inverse()
+    assert inv.order == order
+    assert h.compose(inv) == identity_map(order)
+    assert inv.compose(h) == identity_map(order)
+
+
+def test_inverse_of_singular_linear_part_raises():
+    # F = z + w + z^2, G = 2z + 2w: rank-one linear part
+    h = mk({(1, 0): 1, (0, 1): 1, (2, 0): 1}, {(1, 0): 2, (0, 1): 2}, order=6)
+    with pytest.raises(MapError, match="singular"):
+        h.inverse()
+
+
+def test_inverse_compose_budget(monkeypatch):
+    # Newton doubling at order 16: four steps of two compositions each, plus
+    # the closing check's two.  A fixed-point sweep gains one degree per two
+    # compositions on this germ, which has quadratic terms.
+    calls = []
+    compose = TS.compose
+
+    def counted(self, substitutions):
+        calls.append(self.order)
+        return compose(self, substitutions)
+
+    h = w_mobius(Fraction(1, 2), 16).compose(dilation(CR(2, 1), CR(5), 16))
+    monkeypatch.setattr(TS, "compose", counted)
+    inv = h.inverse()
+    monkeypatch.undo()
+    assert len(calls) <= 12
+    assert h.compose(inv) == identity_map(16)
 
 
 def test_swapped_residual_nonzero_for_non_preserving_map():
