@@ -81,6 +81,8 @@ def _emit(report: Report, out_path: str | None):
 
 
 def _load(path: str, expect_kind: str, order_flag: int | None):
+    if order_flag is not None and order_flag < 0:
+        raise InputError(f"--order must be nonnegative, got {order_flag}")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -280,8 +282,16 @@ def cmd_determine(args) -> int:
     report.add_input(args.map, textm, docm.warnings)
     report.add_input(args.map2, textm2, docm2.warnings)
     report.add("k", args.k)
-    surface = _surface(doc1)
-    verdict = determination_experiment(surface, _map(docm), _map(docm2), args.k)
+    surface, germs = _surface(doc1), (_map(docm), _map(docm2))
+    if args.k < 1:
+        raise InputError(f"determine: K must be at least 1, got {args.k}")
+    for path, germ in zip((args.map, args.map2), germs):
+        if args.k > germ.order:
+            raise InputError(
+                f"{path}: determine K={args.k} needs the {args.k}-jet, beyond the "
+                f"map's stored order {germ.order}"
+            )
+    verdict = determination_experiment(surface, *germs, args.k)
     report.add("jets_agree", "true" if verdict.jets_agree else "false")
     if verdict.vacuous:
         report.add("verdict", "pass (vacuous)")
@@ -344,16 +354,13 @@ def cmd_ode(args) -> int:
     if args.mode == "determine":
         base = odejets.zero_solution(ode, n_target)
         k = odejets.determination_order(ode, base, n_target)
-        if isinstance(k, odejets.Undetermined):
-            report.add("determination_order", f"undetermined at order {k.order}")
-            report.add("verdict", "indeterminate")
-            _emit(report, args.out)
-            return EXIT_INDETERMINATE
         report.add("determination_order", k)
         report.add("verdict", "pass")
         _emit(report, args.out)
         return EXIT_PASS
     # chain
+    if args.r_max < 1:
+        raise InputError(f"--r-max must be at least 1, got {args.r_max}")
     base = {0: tuple([0] * ode.n)}
     chain = odejets.kernel_chain_diagnostic(ode, base, r_max=args.r_max)
     report.add("ker_q0_dim", chain.ker_q0_dim)

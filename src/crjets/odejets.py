@@ -43,11 +43,6 @@ class InconsistentSeed(OdeError):
         self.order = order
 
 
-@dataclass(frozen=True)
-class Undetermined:
-    order: int
-
-
 class SingularODE:
     """Data (gamma, p, q) with any parameters already substituted.
 
@@ -247,7 +242,6 @@ class JetRecursionResult:
     obstruction_ledger: tuple
     n_target: int
     opaque_orders: tuple = ()
-    determination: object = None  # int | Undetermined | None
 
     @property
     def fully_determined(self) -> bool:
@@ -264,6 +258,10 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
     defaults to the zero vector and must be zero when given.
     """
     n, gamma = ode.n, ode.gamma
+    if n_target > ode.order:
+        raise OdeError(
+            f"n_target {n_target} exceeds the equation's truncation order {ode.order}"
+        )
     seed = {s: [CR.coerce(x) for x in vec] for s, vec in seed.items()}
     zero_vec = [CR(0)] * n
     if 0 in seed and any(not x.is_zero for x in seed[0]):
@@ -446,22 +444,69 @@ def resonance_set(ode: SingularODE, n_max: int) -> set[int]:
 # determination order
 
 
-def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int):
+def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) -> int:
     """Minimal k such that seeding with the base solution through order k
-    pins every coefficient through n_max to the base values."""
+    pins every coefficient through n_max to the base values.
+
+    Call the run seeded through k settled when it raises
+    ``InconsistentSeed`` or pins every order to the base values.  Being
+    settled is monotone in k.  Seeding a[k+1] only turns deferred symbols into
+    constants, so an equation that is linear at k stays linear at k + 1
+    (an opaque one may turn linear, never the reverse) and the linear
+    system at k + 1 is the one at k restricted to a[k+1] = base, plus
+    equations.  Restriction keeps an inconsistent system inconsistent and a
+    pinned coefficient pinned to the same value, and if that value differs
+    from the base at k + 1 the restricted system is inconsistent.  At
+    k = n_max every reported order is seeded, so that run is settled.
+
+    The search therefore bisects on "settled", and returns (or re-raises the
+    ``InconsistentSeed`` of) the smallest settled k, which is what a scan of
+    k = 0, 1, 2, ... finds.  The run at k = 0 brackets it: seeding through
+    its largest free order ``hi`` seeds every free order, and the orders
+    above ``hi`` are pinned already.  That run is settled unless the base
+    disagrees with the equations, in which case n_max is the bracket.  In
+    the resonant case a[hi] is itself free, so one probe at hi - 1 decides.
+    The answer k comes from a settled run and k - 1 from one that is not.
+    """
     if base.free_orders:
         raise OdeError("base solution is not fully determined")
     for s in range(0, n_max + 1):
         if s not in base.coefficients:
             raise OdeError("base solution table is incomplete")
-    for k in range(0, n_max + 1):
-        seed = {s: base.coefficients[s] for s in range(0, k + 1)}
-        run = formal_coefficients(ode, seed, n_max)
-        if run.free_orders:
-            continue
-        if all(run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1)):
-            return k
-    return Undetermined(n_max)
+    runs = {}
+
+    def settled(k):
+        if k not in runs:
+            seed = {s: base.coefficients[s] for s in range(0, k + 1)}
+            try:
+                runs[k] = formal_coefficients(ode, seed, n_max)
+            except InconsistentSeed as exc:
+                runs[k] = exc
+        run = runs[k]
+        return isinstance(run, InconsistentSeed) or (
+            not run.free_orders
+            and all(run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1))
+        )
+
+    def search(lo, hi, probe):
+        # run lo is not settled; run hi is, unless the base is not a solution
+        while hi - lo > 1:
+            if settled(probe):
+                hi = probe
+            else:
+                lo = probe
+            probe = (lo + hi) // 2
+        return hi if settled(hi) else None
+
+    k = 0
+    if not settled(0):
+        hi = max(runs[0].free_orders, default=n_max)
+        k = search(0, hi, hi - 1)
+        if k is None:
+            k = search(hi, n_max, (hi + n_max) // 2)
+    if isinstance(runs[k], InconsistentSeed):
+        raise runs[k]
+    return k
 
 
 def zero_solution(ode: SingularODE, n_target: int) -> JetRecursionResult:

@@ -263,3 +263,42 @@ def test_segre_on_disagreeing_invariants_reports_obstruction(capsys):
     assert err == ""
     assert "invariant_obstruction: m0: 1 != 2" in out
     assert out.endswith("verdict: fail\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ode", CORPUS / "res2.ode", "determine", "--order", "-3"),
+        ("analyze", CORPUS / "heisenberg.surf", "--order", "-2"),
+    ],
+)
+def test_negative_order_flag_is_input_error(capsys, argv):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --order must be nonnegative")
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "13"])
+def test_determine_k_outside_the_stored_jet_is_input_error(capsys, k):
+    heis, h = CORPUS / "heisenberg.surf", CORPUS / "h_mobius_1.map"
+    code, out, err = run_err(capsys, "determine", heis, h, h, k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_determine_k_at_the_stored_order_passes(capsys):
+    heis, h = CORPUS / "heisenberg.surf", CORPUS / "h_mobius_1.map"
+    code, out = run(capsys, "determine", heis, h, h, "12")
+    assert code == 0
+    assert "maps_agree: true" in out
+
+
+@pytest.mark.parametrize("r_max", ["0", "-2"])
+def test_ode_chain_needs_a_positive_r_max(capsys, r_max):
+    code, out, err = run_err(capsys, "ode", CORPUS / "gamma1.ode", "chain", "--r-max", r_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --r-max must be at least 1")

@@ -1,16 +1,21 @@
 """Formal ODE coefficients, resonances, determination orders, kernel chains."""
 
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crjets import odejets
+from crjets.dsl import parse_document
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
 from crjets.linalg import det, invert, mat_mul
 from crjets.odejets import (
     InconsistentSeed,
+    JetRecursionResult,
     OdeError,
     SingularODE,
     WrongGamma,
@@ -25,6 +30,7 @@ from crjets.odejets import (
 )
 
 ORDER = 24
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 def scalar_ode(gamma, p_coeffs, q_coeffs=None, order=ORDER + 6):
@@ -131,6 +137,14 @@ def test_nonzero_y0_rejected():
         formal_coefficients(ode, {0: (Fraction(1),)}, 4)
 
 
+def test_target_beyond_the_equation_order_is_an_ode_error():
+    ode = scalar_ode(0, {(0, 1): 2}, order=6)
+    with pytest.raises(OdeError, match="exceeds the equation's truncation order 6"):
+        formal_coefficients(ode, {}, 10)
+    with pytest.raises(OdeError, match="exceeds the equation's truncation order 6"):
+        determination_order(ode, zero_solution(ode, 10), 10)
+
+
 # ----------------------------------------------------------------------
 # resonance_set
 
@@ -198,6 +212,130 @@ def test_determination_below_k_leaves_freedom():
     ode = scalar_ode(0, {(0, 1): 2})
     run = formal_coefficients(ode, {1: (Fraction(0),)}, 12)
     assert 2 in run.free_orders
+
+
+def scan_determination_order(ode, base, n_max):
+    """Reference: the first k = 0, 1, 2, ... whose seeded run pins every
+    order to the base values."""
+    for k in range(n_max + 1):
+        run = formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
+        if not run.free_orders and all(
+            run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1)
+        ):
+            return k
+    raise AssertionError("the run seeded through n_max pins every order")
+
+
+def planted_system(rng, e1, e2):
+    """x y' = A y with A = S diag(e1, e2) S^-1 for a seeded integer S."""
+    while True:
+        s = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+        if det(s) != 0:
+            break
+    diag = [[CR(e1), CR(0)], [CR(0), CR(e2)]]
+    return system_ode(0, mat_mul(mat_mul(s, diag), invert(s)))
+
+
+def random_nonlinear_system(rng, n, gamma, order):
+    """p(x, 0) = 0, so y = 0 is a solution; y-degrees up to 3 make opaque
+    equations (products of still-deferred coefficients) common."""
+    variables = ("x", "y") if n == 1 else ("x", "y1", "y2")
+    ps = []
+    for comp in range(n):
+        coeffs = {}
+        for j in range(n):
+            if gamma == 0 and j == comp:
+                c = rng.choice([rng.randint(1, 8), rng.randint(-3, 3), Fraction(rng.randint(1, 9), 2)])
+            else:
+                c = rng.choice([0, rng.randint(-2, 2)])
+            if c:
+                coeffs[(0,) + tuple(int(t == j) for t in range(n))] = c
+        for _ in range(rng.randint(0, 4)):
+            ys = [0] * n
+            degree = rng.randint(1, 3)
+            for _ in range(degree):
+                ys[rng.randrange(n)] += 1
+            x_power = rng.randint(0 if degree >= 2 else 1, 2)
+            coeffs[(x_power, *ys)] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+        ps.append(TS(variables, order, coeffs))
+    q_coeffs = {(0,) * (n + 1): 1}
+    if rng.random() < 0.5:
+        q_coeffs[(1,) + (0,) * n] = rng.choice([-2, -1, 1, 2])
+    if rng.random() < 0.5:
+        q_coeffs[(0, 1) + (0,) * (n - 1)] = rng.choice([-2, -1, 1, 2])
+    return SingularODE(gamma, ps, TS(variables, order, q_coeffs))
+
+
+@pytest.mark.parametrize("name", ["res2.ode", "gamma1.ode", "zero_rhs.ode"])
+def test_determination_matches_scan_on_corpus(name):
+    body = parse_document((CORPUS / name).read_text(encoding="utf-8")).body
+    ode = SingularODE(body["gamma"], body["p"], body["q"], body.get("theta", ()))
+    base = zero_solution(ode, ORDER)
+    assert determination_order(ode, base, ORDER) == scan_determination_order(ode, base, ORDER)
+
+
+@pytest.mark.parametrize("e1", [14, 16, 18, 20])
+@pytest.mark.parametrize("e2_kind", ["integer", "half", "negative"])
+def test_determination_matches_scan_on_planted_systems(e1, e2_kind):
+    rng = random.Random(e1 * 10 + len(e2_kind))
+    e2 = {
+        "integer": Fraction(rng.randint(1, e1 - 1)),
+        "half": Fraction(2 * rng.randint(0, 20) + 1, 2),
+        "negative": Fraction(-rng.randint(1, 6)),
+    }[e2_kind]
+    ode = planted_system(rng, e1, e2)
+    base = zero_solution(ode, ORDER)
+    assert determination_order(ode, base, ORDER) == scan_determination_order(ode, base, ORDER) == e1
+
+
+def test_determination_matches_scan_on_random_nonlinear_systems():
+    rng = random.Random(7)
+    n_max = 10
+    with_opaque = 0
+    for _ in range(48):
+        ode = random_nonlinear_system(
+            rng, rng.choice([1, 2]), rng.choice([0, 1]), n_max + 6
+        )
+        if formal_coefficients(ode, {}, n_max).opaque_orders:
+            with_opaque += 1
+        base = zero_solution(ode, n_max)
+        assert determination_order(ode, base, n_max) == scan_determination_order(
+            ode, base, n_max
+        )
+    assert 24 <= with_opaque < 48
+
+
+def test_determination_nonzero_resonant_base():
+    ode = scalar_ode(0, {(0, 1): 2})
+    base = formal_coefficients(ode, {2: (Fraction(3, 4),)}, ORDER)
+    assert determination_order(ode, base, ORDER) == 2
+
+
+def test_determination_of_a_wrong_base_raises_as_the_scan_does():
+    # a_3 = 1 is no solution of x y' = 2 y: the run seeded through 2 pins
+    # every order to 0, and the scan then stops at k = 3 on the contradiction
+    ode = scalar_ode(0, {(0, 1): 2})
+    table = {s: (CR(int(s == 3)),) for s in range(ORDER + 1)}
+    base = JetRecursionResult(table, (), (), ORDER)
+    with pytest.raises(InconsistentSeed) as scan_error:
+        scan_determination_order(ode, base, ORDER)
+    with pytest.raises(InconsistentSeed) as error:
+        determination_order(ode, base, ORDER)
+    assert error.value.order == scan_error.value.order
+
+
+def test_determination_of_resonance_20_takes_three_runs(monkeypatch):
+    runs = []
+
+    def counted(*args):
+        runs.append(args[2])
+        return formal_coefficients(*args)
+
+    ode = planted_system(random.Random(20), 20, Fraction(-3))
+    base = zero_solution(ode, ORDER)
+    monkeypatch.setattr(odejets, "formal_coefficients", counted)
+    assert determination_order(ode, base, ORDER) == 20
+    assert len(runs) <= 3
 
 
 def test_back_substitution_of_nonzero_solution():
