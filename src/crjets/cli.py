@@ -38,7 +38,7 @@ from .mapjets import (
     segre_restriction_direct,
     verify_mapping,  # noqa: F401  re-exported; perfbench's tracer patches it here
 )
-from .rational import format_fraction
+from .rational import format_fraction, format_scalar
 from .series import SeriesError, TruncatedSeries, format_series
 
 EXIT_PASS = 0
@@ -110,8 +110,17 @@ def _truncate_document(doc: Document, order: int):
             doc.body[key] = [v.truncate(order) for v in value]
 
 
-def _surface(doc: Document) -> NormalFormSurface:
+def _require_vanishing(path: str, key: str, series):
+    c = series.constant_term()
+    if not c.is_zero:
+        raise InputError(
+            f"{path}: {key} must vanish at the origin, has constant term {format_scalar(c)}"
+        )
+
+
+def _surface(doc: Document, path: str) -> NormalFormSurface:
     if "Q" in doc.body:
+        _require_vanishing(path, "Q", doc.body["Q"])
         return NormalFormSurface(doc.body["Q"].with_variables(("z", "x", "t")))
     from .hypersurface import RealGraph, from_real_graph
 
@@ -119,7 +128,9 @@ def _surface(doc: Document) -> NormalFormSurface:
     return from_real_graph(graph)
 
 
-def _map(doc: Document) -> MapGerm:
+def _map(doc: Document, path: str) -> MapGerm:
+    for key in ("F", "G"):
+        _require_vanishing(path, key, doc.body[key])
     return MapGerm(
         doc.body["F"].with_variables(("z", "w")),
         doc.body["G"].with_variables(("z", "w")),
@@ -160,7 +171,7 @@ def cmd_analyze(args) -> int:
     doc, text = _load(args.surface, "surface", args.order)
     report = Report("analyze")
     report.add_input(args.surface, text, doc.warnings)
-    surface = _surface(doc)
+    surface = _surface(doc, args.surface)
     report.add("order", surface.order)
     normal = surface.check_normal()
     reality = surface.check_reality()
@@ -200,7 +211,9 @@ def cmd_verify(args) -> int:
     report.add_input(args.surface, text1, doc1.warnings)
     report.add_input(args.surface2, text2, doc2.warnings)
     report.add_input(args.map, textm, docm.warnings)
-    source, target, germ = _surface(doc1), _surface(doc2), _map(docm)
+    source = _surface(doc1, args.surface)
+    target = _surface(doc2, args.surface2)
+    germ = _map(docm, args.map)
     inv_report = invariance_check(source, target, germ)
     residual = inv_report.residual
     report.add("certified_order", residual.order)
@@ -242,7 +255,9 @@ def cmd_segre(args) -> int:
     report.add_input(args.surface2, text2, doc2.warnings)
     report.add_input(args.map, textm, docm.warnings)
     report.add("k", args.k)
-    source, target, germ = _surface(doc1), _surface(doc2), _map(docm)
+    source = _surface(doc1, args.surface)
+    target = _surface(doc2, args.surface2)
+    germ = _map(docm, args.map)
     if args.k < 0:
         raise InputError(f"segre: K must be nonnegative, got {args.k}")
     if args.k + 1 > germ.order:
@@ -282,7 +297,8 @@ def cmd_determine(args) -> int:
     report.add_input(args.map, textm, docm.warnings)
     report.add_input(args.map2, textm2, docm2.warnings)
     report.add("k", args.k)
-    surface, germs = _surface(doc1), (_map(docm), _map(docm2))
+    surface = _surface(doc1, args.surface)
+    germs = (_map(docm, args.map), _map(docm2, args.map2))
     if args.k < 1:
         raise InputError(f"determine: K must be at least 1, got {args.k}")
     for path, germ in zip((args.map, args.map2), germs):
@@ -312,7 +328,7 @@ def cmd_dynamics(args) -> int:
     report = Report("dynamics")
     report.add_input(args.surface, text1, doc1.warnings)
     report.add_input(args.map, textm, docm.warnings)
-    verdict = dynamics_check(_surface(doc1), _map(docm))
+    verdict = dynamics_check(_surface(doc1, args.surface), _map(docm, args.map))
     report.add(
         "reconstructed_fixes_axis",
         "true" if verdict.reconstructed_fixes_axis else "false",
@@ -342,6 +358,8 @@ def cmd_ode(args) -> int:
                 f"rank={entry.rank} kernel={entry.kernel_dim} {entry.status}",
             )
         report.add("free_orders", ",".join(map(str, run.free_orders)) or "none")
+        if run.unknown_orders:
+            report.add("unknown_orders", ",".join(map(str, run.unknown_orders)))
         for s in sorted(run.coefficients):
             vec = run.coefficients[s]
             report.add(
@@ -353,7 +371,14 @@ def cmd_ode(args) -> int:
         return EXIT_PASS if run.fully_determined else EXIT_INDETERMINATE
     if args.mode == "determine":
         base = odejets.zero_solution(ode, n_target)
-        k = odejets.determination_order(ode, base, n_target)
+        try:
+            k = odejets.determination_order(ode, base, n_target)
+        except odejets.IndeterminateAtTruncation as exc:
+            report.add("determination_order", f"indeterminate (at most {exc.at_most})")
+            report.add("unknown_orders", ",".join(map(str, exc.unknown_orders)))
+            report.add("verdict", "indeterminate")
+            _emit(report, args.out)
+            return EXIT_INDETERMINATE
         report.add("determination_order", k)
         report.add("verdict", "pass")
         _emit(report, args.out)
@@ -361,6 +386,10 @@ def cmd_ode(args) -> int:
     # chain
     if args.r_max < 1:
         raise InputError(f"--r-max must be at least 1, got {args.r_max}")
+    if ode.gamma < 1:
+        raise InputError(
+            f"{args.ode}: kernel chain analysis applies to gamma >= 1, got gamma {ode.gamma}"
+        )
     base = {0: tuple([0] * ode.n)}
     chain = odejets.kernel_chain_diagnostic(ode, base, r_max=args.r_max)
     report.add("ker_q0_dim", chain.ker_q0_dim)

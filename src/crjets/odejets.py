@@ -8,6 +8,9 @@ deferred scalar symbols and the accumulated equations are row-reduced
 incrementally, so a coefficient skipped at its own order (a resonance, or a
 singular frontier block) is revisited automatically when later equations
 constrain it.  Coefficients that no equation ever pins are reported free.
+The equation at order ``s + gamma`` is the one that pins ``a_s`` at its own
+order; for ``s > order - gamma`` it lies beyond the stored truncation, so an
+unpinned coefficient there is reported unknown, not free.
 
 Products of two still-deferred symbols would leave the linear regime; such
 an equation is recorded as opaque and not used.  The linear test corpus
@@ -35,6 +38,22 @@ class OdeError(Exception):
 
 class WrongGamma(OdeError):
     pass
+
+
+class IndeterminateAtTruncation(OdeError):
+    """The answer depends on orders whose pinning equation is beyond the data.
+
+    ``at_most`` is the answer certified as an upper bound; ``unknown_orders``
+    are the orders the truncation leaves undecided.
+    """
+
+    def __init__(self, at_most, unknown_orders):
+        orders = ",".join(map(str, unknown_orders))
+        super().__init__(
+            f"indeterminate at this truncation: at most {at_most}, orders {orders} unknown"
+        )
+        self.at_most = at_most
+        self.unknown_orders = tuple(unknown_orders)
 
 
 class InconsistentSeed(OdeError):
@@ -232,7 +251,7 @@ class LedgerEntry:
     order: int
     rank: int
     kernel_dim: int
-    status: str  # resolved | deferred | free
+    status: str  # resolved | deferred | free | unknown
 
 
 @dataclass(frozen=True)
@@ -242,10 +261,11 @@ class JetRecursionResult:
     obstruction_ledger: tuple
     n_target: int
     opaque_orders: tuple = ()
+    unknown_orders: tuple = ()  # unpinned, with their pinning equation beyond the data
 
     @property
     def fully_determined(self) -> bool:
-        return not self.free_orders
+        return not self.free_orders and not self.unknown_orders
 
     def vector(self, s):
         return self.coefficients.get(s)
@@ -322,12 +342,16 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
 
     coefficients = {}
     free_orders = []
+    unknown_orders = []
     ledger = []
     for s in range(0, n_target + 1):
         values = [solver.value(aff) for aff in a[s]]
         numeric = all(v is not None for v in values)
+        beyond = s + gamma > ode.order
         if numeric:
             coefficients[s] = tuple(values)
+        elif beyond:
+            unknown_orders.append(s)
         else:
             free_orders.append(s)
         if s in seed:
@@ -338,7 +362,7 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
         elif numeric:
             status = "deferred"
         else:
-            status = "free"
+            status = "unknown" if beyond else "free"
         ledger.append(LedgerEntry(order=s, rank=n - kernel, kernel_dim=kernel, status=status))
 
     return JetRecursionResult(
@@ -347,6 +371,7 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
         obstruction_ledger=tuple(ledger),
         n_target=n_target,
         opaque_orders=tuple(sorted(opaque_orders)),
+        unknown_orders=tuple(unknown_orders),
     )
 
 
@@ -467,8 +492,13 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     disagrees with the equations, in which case n_max is the bracket.  In
     the resonant case a[hi] is itself free, so one probe at hi - 1 decides.
     The answer k comes from a settled run and k - 1 from one that is not.
+
+    An unknown order (its pinning equation beyond the truncation) is never
+    pinned, so it keeps a run from settling.  If run k - 1 fails to settle
+    only through unknown orders, the minimal k is not certified:
+    ``IndeterminateAtTruncation`` is raised with k as the upper bound.
     """
-    if base.free_orders:
+    if not base.fully_determined:
         raise OdeError("base solution is not fully determined")
     for s in range(0, n_max + 1):
         if s not in base.coefficients:
@@ -484,7 +514,7 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
                 runs[k] = exc
         run = runs[k]
         return isinstance(run, InconsistentSeed) or (
-            not run.free_orders
+            run.fully_determined
             and all(run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1))
         )
 
@@ -500,12 +530,21 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
 
     k = 0
     if not settled(0):
-        hi = max(runs[0].free_orders, default=n_max)
+        hi = max(runs[0].free_orders + runs[0].unknown_orders, default=n_max)
         k = search(0, hi, hi - 1)
         if k is None:
             k = search(hi, n_max, (hi + n_max) // 2)
     if isinstance(runs[k], InconsistentSeed):
         raise runs[k]
+    if k > 0 and not settled(k - 1):  # always true; makes run k - 1 available
+        below = runs[k - 1]
+        if (
+            not isinstance(below, InconsistentSeed)
+            and below.unknown_orders
+            and not below.free_orders
+            and all(v == base.coefficients[s] for s, v in below.coefficients.items())
+        ):
+            raise IndeterminateAtTruncation(k, below.unknown_orders)
     return k
 
 

@@ -16,6 +16,15 @@ Two coefficient backends share one implementation:
 * float: complex coefficients with a zero-test ``tolerance``; any
   coefficient of magnitude below the tolerance is normalized to absent.
 
+Composition makes only the series products its result needs: one-term
+substitutions ``c*m`` (bare variables among them) and zero substitutions
+move or drop exponents without any product, and the remaining slots share
+cached powers by distributivity rather than Horner's rule, whose
+accumulator fills in where the powers of a sparse substitution stay sparse.
+The two triangular solves built on it, :func:`implicit_solve` and
+:func:`solve_composition`, compose each step only at the degree that step
+certifies, and close with one composition at the full order.
+
 The public constructor checks every multi-index and coerces every
 coefficient.  Ring operations build their results through a trusted path
 that only drops zero coefficients and monomials above the order, since
@@ -398,15 +407,6 @@ class TruncatedSeries:
         """Coefficientwise complex conjugate (same support)."""
         return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
 
-    def _bare_variable(self):
-        """Index of the variable this series is, coefficient 1; else None."""
-        if len(self.coefficients) != 1:
-            return None
-        (mi, c), = self.coefficients.items()
-        if c != 1 or sum(mi) != 1:
-            return None
-        return mi.index(1)
-
     def compose(self, substitutions: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for every variable.
 
@@ -414,12 +414,25 @@ class TruncatedSeries:
         outer series explicitly otherwise), and all substitutions must live
         in one common variable set on the same backend.
 
-        A bare-variable substitution (one target variable, coefficient 1)
-        costs no series product: its exponents are moved into the target
-        slot.  The outer monomials are grouped by their exponents in the
-        remaining slots, each group's moved monomials form one coefficient
-        series, and that series is multiplied by the cached power of each
-        remaining substitution its key raises to a nonzero exponent.
+        Only the products the result needs are made:
+
+        * a substitution with one term ``c*m`` below the order costs no
+          series product: an outer exponent ``e`` in its slot adds ``e*m``
+          to the target exponents and multiplies the coefficient by
+          ``c^e`` (powers of ``c`` cached per call), and a monomial whose
+          moved degree exceeds the order is skipped; a bare variable is the
+          case ``c = 1``;
+        * a zero substitution drops every outer monomial that has a
+          positive exponent in its slot;
+        * the remaining (general) slots share their powers by
+          distributivity: the moved terms are grouped by their exponent in
+          the first general slot, each group is evaluated recursively over
+          the later general slots and then multiplied by one cached power
+          of the first.  This never makes more products than multiplying
+          each term by the power of every slot it raises.  Horner's rule
+          (``acc * s + g``) is not used: the powers of a sparse
+          substitution such as ``t + 2i*z*x`` stay sparse, while a Horner
+          accumulator fills in, which measured slower.
         """
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
@@ -434,50 +447,79 @@ class TruncatedSeries:
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
         tol = target.tolerance
-        width = len(target.variables)
-        moves = []  # (outer slot, target slot) of bare-variable substitutions
-        general = []  # outer slots substituted by a general series
+        variables = target.variables
+        steps = []  # (outer slot, target slot, exponent) of each one-term move
+        heavy = []  # (outer slot, degree - 1) of one-term moves of degree > 1
+        scaled = []  # (outer slot, [1, c, c^2, ...]) of one-term moves with c != 1
+        zeros = []  # outer slots substituted by zero
+        general = []  # (outer slot, substitution) of the remaining slots
         for pos, s in enumerate(subs):
-            j = s._bare_variable()
-            if j is None:
-                general.append(pos)
+            terms = [(mi, c) for mi, c in s.coefficients.items() if sum(mi) <= order]
+            if not terms:
+                zeros.append(pos)
+            elif len(terms) > 1:
+                general.append((pos, s))
             else:
-                moves.append((pos, j))
-        # group key: exponents in the general slots; value: moved monomials
-        groups: dict = {}
-        for mi, c in sorted(self.coefficients.items(), key=lambda kv: grlex_key(kv[0])):
+                (mi, c), = terms
+                steps += [(pos, j, a) for j, a in enumerate(mi) if a]
+                if sum(mi) > 1:
+                    heavy.append((pos, sum(mi) - 1))
+                if c != 1:
+                    scaled.append((pos, [target._scalar(1), c]))
+        # nested groups: one level per general slot, keyed by its exponent;
+        # the leaves map moved target exponents to coefficients
+        root: dict = {}
+        width = len(variables)
+        for mi, c in self.coefficients.items():
+            # every substitution has valuation >= 1, so sum(mi) bounds the degree
             if sum(mi) > order:
                 continue
+            if heavy and sum(mi) + sum(mi[pos] * d for pos, d in heavy) > order:
+                continue
+            if zeros and any(mi[pos] for pos in zeros):
+                continue
             mk = [0] * width
-            for pos, j in moves:
-                mk[j] += mi[pos]
+            for pos, j, a in steps:
+                mk[j] += a * mi[pos]
             mk = tuple(mk)
-            group = groups.setdefault(tuple(mi[pos] for pos in general), {})
             c = target._scalar(c)
-            group[mk] = group[mk] + c if mk in group else c
-        powers = {pos: [subs[pos].truncate(order)] for pos in general}  # [s, s^2, ...]
-        # running sum, updated in place exactly as repeated ``acc + term`` would
-        acc: dict = {}
-        for key, group in groups.items():
-            term = _trusted(target.variables, order, group, tol)
-            for pos, e in zip(general, key):
-                if e == 0:
+            for pos, cache in scaled:
+                e = mi[pos]
+                if e:
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * cache[1])
+                    c = c * cache[e]
+            node = root
+            for pos, _ in general:
+                node = node.setdefault(mi[pos], {})
+            node[mk] = node[mk] + c if mk in node else c
+        powers = [[s.truncate(order)] for _, s in general]  # [s, s^2, ...]
+        valuations = [min(map(sum, s.coefficients)) for _, s in general]
+
+        def evaluate(node, level):
+            """Coefficients of the nested group ``node`` after substituting
+            the general slots from ``level`` on."""
+            if level == len(general):
+                return node
+            cache, valuation = powers[level], valuations[level]
+            acc: dict = {}
+            for e, child in node.items():
+                if e * valuation > order:
                     continue
-                cache = powers[pos]
-                while len(cache) < e:
-                    cache.append(cache[-1] * cache[0])
-                term = term * cache[e - 1]
-            for mk, v in term.coefficients.items():
-                prev = acc.get(mk)
-                if prev is None:
-                    acc[mk] = v
-                    continue
-                v = prev + v
-                if (not v) if tol is None else abs(v) < tol:
-                    del acc[mk]
-                else:
-                    acc[mk] = v
-        return _trusted(target.variables, order, acc, tol)
+                part = evaluate(child, level + 1)
+                if e:
+                    part = _trusted(variables, order, part, tol)
+                    if part.is_zero:
+                        continue
+                    while len(cache) < e:
+                        cache.append(cache[-1] * cache[0])
+                    part = (part * cache[e - 1]).coefficients
+                for mk, v in part.items():
+                    prev = acc.get(mk)
+                    acc[mk] = v if prev is None else prev + v
+            return acc
+
+        return _trusted(variables, order, evaluate(root, 0), tol)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -768,6 +810,19 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str, order: int | None = None)
 
     The unknown must occur only in monomials carrying positive degree in the
     remaining variables, which makes the order-by-order iteration contract.
+
+    The sweeps ``u <- rhs(vars, u)`` start from ``u = 0`` and are composed
+    only at the degree they certify.  Let ``rate`` be the least total
+    degree, minus one, of a monomial ``m(vars) * unknown^k`` in ``rhs``; it
+    is at least that monomial's degree in the remaining variables, so
+    ``rate >= 1``.  The iterates and the solution vanish at 0 (a constant
+    term in ``rhs`` makes the next composition refuse), so
+    ``m * (u^k - u*^k)`` has valuation at least ``deg m + k - 1 >= rate``
+    plus that of ``u - u*``: each sweep makes at least ``rate`` more
+    degrees exact.  Sweep ``j`` is therefore composed at order
+    ``min(order, j * rate)``, with the iterate, exact through
+    ``(j - 1) * rate``, carried to that order unchanged.  One closing
+    composition at the full order certifies the fixed point.
     """
     if unknown not in rhs.variables:
         raise UnknownVariable(unknown)
@@ -779,16 +834,19 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str, order: int | None = None)
             )
     target_vars = tuple(v for v in rhs.variables if v != unknown)
     order = rhs.order if order is None else min(order, rhs.order)
+    rate = min((sum(mi) - 1 for mi in rhs.coefficients if mi[u_idx]), default=max(order, 1))
     subs = {
         v: TruncatedSeries.variable(v, target_vars, order, rhs.tolerance)
         for v in target_vars
     }
-    u = TruncatedSeries.zero(target_vars, order, rhs.tolerance)
-    for _ in range(order + 1):
-        nxt = rhs.compose({**subs, unknown: u})
-        if nxt == u:
-            return u
-        u = nxt
+    u = TruncatedSeries.zero(target_vars, 0, rhs.tolerance)
+    prec = 0
+    while True:
+        prec = min(prec + rate, order)
+        carried = _trusted(target_vars, prec, u.coefficients, rhs.tolerance)
+        u = rhs.truncate(prec).compose({**subs, unknown: carried})
+        if prec == order:
+            break
     if rhs.compose({**subs, unknown: u}) != u:
         raise NoContraction("fixed point not reached at the certified order")
     return u
@@ -798,6 +856,11 @@ def solve_composition(outer: TruncatedSeries, rhs: TruncatedSeries) -> Truncated
     """Solve outer(g) = rhs for a univariate g with g(0) = 0.
 
     Requires outer(0) = 0 with nonzero linear coefficient, and rhs(0) = 0.
+
+    Step ``n`` reads only the ``x^n`` coefficient of outer(g), and ``g`` is
+    exact through ``n - 1`` with no term above it, so it composes
+    ``outer.truncate(n)`` at order ``n`` rather than at the full order.  One
+    closing composition at the full order certifies the solution.
     """
     if len(outer.variables) != 1 or len(rhs.variables) != 1:
         raise CompositionError("composition solve is univariate")
@@ -817,8 +880,8 @@ def solve_composition(outer: TruncatedSeries, rhs: TruncatedSeries) -> Truncated
     g = TruncatedSeries.zero(rhs.variables, order, rhs.tolerance)
     lin_inv = (ComplexRational(1) / lin) if outer.tolerance is None else (1.0 / lin)
     for n in range(1, order + 1):
-        residual = rhs - outer.compose({var: g})
-        cn = residual.coefficient((n,))
+        composed = outer.truncate(n).compose({var: g})
+        cn = rhs.coefficient((n,)) - composed.coefficient((n,))
         g = g + TruncatedSeries(
             rhs.variables, order, {(n,): cn * lin_inv}, rhs.tolerance
         )

@@ -302,3 +302,44 @@ def test_ode_chain_needs_a_positive_r_max(capsys, r_max):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: --r-max must be at least 1")
+
+
+def test_surface_with_a_constant_term_is_input_error(capsys, tmp_path):
+    doc = tmp_path / "const.surf"
+    doc.write_text("kind: surface\nvars: z x t\norder: 6\nQ: i + 2*i*z^2*x^2\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "analyze", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {doc}: Q must vanish at the origin")
+
+
+def test_ode_chain_on_gamma_zero_is_input_error(capsys):
+    code, out, err = run_err(capsys, "ode", CORPUS / "res2.ode", "chain")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {CORPUS / 'res2.ode'}: kernel chain analysis")
+
+
+def test_map_not_fixing_the_origin_is_input_error(capsys, tmp_path):
+    text = (CORPUS / "h_mobius_half.map").read_text(encoding="utf-8")
+    doc = tmp_path / "moved.map"
+    doc.write_text(text.replace("G: ", "G: 1 + "), encoding="utf-8")
+    code, out, err = run_err(capsys, "dynamics", CORPUS / "heisenberg.surf", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {doc}: G must vanish at the origin")
+
+
+def test_ode_at_the_truncation_edge_is_indeterminate(capsys, tmp_path):
+    # x^2 y' = x*y stored at order 8: a_8 is pinned by the order-9 equation
+    doc = tmp_path / "edge.ode"
+    doc.write_text("kind: ode\ngamma: 1\nvars: x y\norder: 8\np: x*y\nq: 1\n", encoding="utf-8")
+    code, out = run(capsys, "ode", doc, "solve")
+    assert code == 3
+    assert "order_8: rank=0 kernel=1 unknown\nfree_orders: 1\nunknown_orders: 8\n" in out
+    code, out = run(capsys, "ode", doc, "determine")
+    assert code == 3
+    assert out.endswith(
+        "determination_order: indeterminate (at most 8)\n"
+        "unknown_orders: 8\nverdict: indeterminate\n"
+    )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -364,6 +365,23 @@ def test_segre_scan_script_passes(capsys):
     spec.loader.exec_module(script)
     assert script.main(["--order", "8", "--k-max", "2"]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_order_sweep_script_writes_a_record(capsys, tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "order_sweep.py"
+    spec = importlib.util.spec_from_file_location("order_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text('[{"seed": 1}]', encoding="utf-8")
+    out = tmp_path / "sweep.json"
+    argv = ["--orders", "8", "--repeat", "1", "--out", str(out), "--pairs", str(pairs)]
+    assert script.main(argv) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert set(record["order_sweep_ms"]) == {"8"}
+    assert set(record["order_sweep_ms"]["8"]) == {"inverse_ms", "graph_ms", "segre_ms"}
+    assert record["perfbench_pairs"] == [{"seed": 1}]
+    assert capsys.readouterr().out.startswith("order  8")
 
 
 def test_k0_depends_only_on_linear_f_data():

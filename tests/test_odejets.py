@@ -15,6 +15,7 @@ from crjets.series import TruncatedSeries as TS
 from crjets.linalg import det, invert, mat_mul
 from crjets.odejets import (
     InconsistentSeed,
+    IndeterminateAtTruncation,
     JetRecursionResult,
     OdeError,
     SingularODE,
@@ -219,7 +220,7 @@ def scan_determination_order(ode, base, n_max):
     order to the base values."""
     for k in range(n_max + 1):
         run = formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
-        if not run.free_orders and all(
+        if run.fully_determined and all(
             run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1)
         ):
             return k
@@ -409,3 +410,74 @@ def test_resonances_are_integer_eigenvalues(e1, e2):
     ode = system_ode(0, d)
     expected = {e for e in (e1, e2) if 1 <= e <= 20}
     assert resonance_set(ode, 20) == expected
+
+
+# ----------------------------------------------------------------------
+# the truncation edge: a_s is pinned at its own order by the equation at
+# order s + gamma, which lies beyond the data when s > order - gamma
+
+
+def test_unpinned_order_beyond_the_data_is_unknown():
+    # x^2 y' = x*y: a_1 is free; a_8 would be pinned by the order-9 equation
+    ode = scalar_ode(1, {(1, 1): 1}, order=8)
+    run = formal_coefficients(ode, {}, 8)
+    assert run.free_orders == (1,)
+    assert run.unknown_orders == (8,)
+    assert not run.fully_determined
+    assert {e.order: e.status for e in run.obstruction_ledger}[8] == "unknown"
+    with pytest.raises(IndeterminateAtTruncation) as info:
+        determination_order(ode, zero_solution(ode, 8), 8)
+    assert info.value.at_most == 8
+    assert info.value.unknown_orders == (8,)
+    # stored one order further, the same equation certifies the answer 1
+    longer = scalar_ode(1, {(1, 1): 1}, order=10)
+    assert determination_order(longer, zero_solution(longer, 8), 8) == 1
+
+
+def edge_system(rng, n, gamma):
+    """x^(gamma+1) y' = p/q with every monomial of p of x-degree >= gamma
+    and of positive y-degree: the equation at order m has the frontier
+    a_(m-gamma), y = 0 is a solution, and the only resonance is the
+    integer eigenvalue lam of the x^gamma y block.  Returns the monomial
+    tables, so the same equation can be stored at any order."""
+    lam = rng.randint(1, 7)
+    other = Fraction(rng.choice([-3, -1, 1, 3, 5]), 2)
+    p = [{} for _ in range(n)]
+    for i, value in enumerate([lam, other][:n]):
+        p[i][(gamma,) + tuple(int(j == i) for j in range(n))] = value
+    for comp in range(n):
+        for _ in range(rng.randint(1, 4)):
+            ys = [0] * n
+            for _ in range(rng.randint(1, 2)):
+                ys[rng.randrange(n)] += 1
+            x_power = gamma + rng.randint(0 if sum(ys) >= 2 else 1, 3)
+            p[comp][(x_power, *ys)] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+    q = {(0,) * (n + 1): rng.choice([1, 2]), (1,) + (0,) * n: rng.randint(-2, 2)}
+    return p, q
+
+
+def stored(n, gamma, p, q, order):
+    variables = ("x", "y") if n == 1 else ("x", "y1", "y2")
+    return SingularODE(gamma, [TS(variables, order, c) for c in p], TS(variables, order, q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2]),
+    st.integers(min_value=3, max_value=9),
+)
+def test_truncation_edge_agrees_with_a_longer_truncation(seed, n, gamma, order):
+    p, q = edge_system(random.Random(seed), n, gamma)
+    short = formal_coefficients(stored(n, gamma, p, q, order), {}, order)
+    long = formal_coefficients(stored(n, gamma, p, q, order + gamma + 1), {}, order)
+    assert not long.unknown_orders
+    assert all(s > order - gamma for s in short.unknown_orders)
+    for s, values in short.coefficients.items():
+        assert long.coefficients[s] == values
+    assert set(short.free_orders) <= set(long.free_orders)
+    status = {e.order: e.status for e in long.obstruction_ledger}
+    for entry in short.obstruction_ledger:
+        if entry.status != "unknown":
+            assert status[entry.order] == entry.status
