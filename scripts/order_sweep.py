@@ -85,7 +85,8 @@ def sweep(orders, repeat: int) -> dict:
             "graph_ms": median_ms(lambda: from_real_graph(graph), repeat),
             "segre_ms": median_ms(lambda: segre_jet_reconstruct(heis, heis, jet, 2), repeat),
         }
-        print(f"order {order:2d}  " + "  ".join(f"{k} {v:9.2f}" for k, v in rows[str(order)].items()))
+        cells = "  ".join(f"{k} {v:9.2f}" for k, v in rows[str(order)].items())
+        print(f"order {order:2d}  {cells}")
     return rows
 
 

@@ -536,15 +536,14 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
             k = search(hi, n_max, (hi + n_max) // 2)
     if isinstance(runs[k], InconsistentSeed):
         raise runs[k]
-    if k > 0 and not settled(k - 1):  # always true; makes run k - 1 available
-        below = runs[k - 1]
-        if (
-            not isinstance(below, InconsistentSeed)
-            and below.unknown_orders
-            and not below.free_orders
-            and all(v == base.coefficients[s] for s, v in below.coefficients.items())
-        ):
-            raise IndeterminateAtTruncation(k, below.unknown_orders)
+    below = runs.get(k - 1)  # the search ran k - 1 whenever k > 0: not settled
+    if (
+        isinstance(below, JetRecursionResult)
+        and below.unknown_orders
+        and not below.free_orders
+        and all(v == base.coefficients[s] for s, v in below.coefficients.items())
+    ):
+        raise IndeterminateAtTruncation(k, below.unknown_orders)
     return k
 
 

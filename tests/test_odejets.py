@@ -437,9 +437,9 @@ def test_unpinned_order_beyond_the_data_is_unknown():
 def edge_system(rng, n, gamma):
     """x^(gamma+1) y' = p/q with every monomial of p of x-degree >= gamma
     and of positive y-degree: the equation at order m has the frontier
-    a_(m-gamma), y = 0 is a solution, and the only resonance is the
-    integer eigenvalue lam of the x^gamma y block.  Returns the monomial
-    tables, so the same equation can be stored at any order."""
+    a_(m-gamma), y = 0 is a solution, and the diagonal x^gamma y block
+    allows one resonance at most, from the integer lam.  Returns the
+    monomial tables, so the same equation can be stored at any order."""
     lam = rng.randint(1, 7)
     other = Fraction(rng.choice([-3, -1, 1, 3, 5]), 2)
     p = [{} for _ in range(n)]
