@@ -8,6 +8,8 @@ For each order it times, in one process and with the median of
   (rotation, dilation and w-Moebius factor composed);
 * ``graph``: ``from_real_graph`` on a seeded real graph with a fixed
   number of monomials z^a x^b s^m;
+* ``reality``: ``check_reality`` on that graph's surface, the residual of
+  Q(z, x, Qbar(x, z, w)) = w, on a fresh surface object each run;
 * ``segre``: one ``segre_jet_reconstruct`` of that automorphism on the
   quadric at k = 2.
 
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from crjets.hypersurface import RealGraph, from_real_graph, heisenberg
+from crjets.hypersurface import NormalFormSurface, RealGraph, from_real_graph, heisenberg
 from crjets.mapjets import dilation, segre_jet_reconstruct, w_mobius
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries
@@ -78,11 +80,13 @@ def sweep(orders, repeat: int) -> dict:
     for order in orders:
         germ = sheared_automorphism(order)
         graph = seeded_graph(order)
+        surface = from_real_graph(graph)
         heis = heisenberg(order)
         jet = germ.jet(3)
         rows[str(order)] = {
             "inverse_ms": median_ms(germ.inverse, repeat),
             "graph_ms": median_ms(lambda: from_real_graph(graph), repeat),
+            "reality_ms": median_ms(lambda: NormalFormSurface(surface.q).check_reality(), repeat),
             "segre_ms": median_ms(lambda: segre_jet_reconstruct(heis, heis, jet, 2), repeat),
         }
         cells = "  ".join(f"{k} {v:9.2f}" for k, v in rows[str(order)].items())

@@ -353,10 +353,9 @@ def cmd_ode(args) -> int:
     if args.mode == "solve":
         run = odejets.formal_coefficients(ode, {}, n_target)
         for entry in run.obstruction_ledger:
-            report.add(
-                f"order_{entry.order}",
-                f"rank={entry.rank} kernel={entry.kernel_dim} {entry.status}",
-            )
+            # no rank or kernel for a row whose equation lies beyond the data
+            measured = "" if entry.rank is None else f"rank={entry.rank} kernel={entry.kernel_dim} "
+            report.add(f"order_{entry.order}", measured + entry.status)
         report.add("free_orders", ",".join(map(str, run.free_orders)) or "none")
         if run.unknown_orders:
             report.add("unknown_orders", ",".join(map(str, run.unknown_orders)))
@@ -370,7 +369,10 @@ def cmd_ode(args) -> int:
         _emit(report, args.out)
         return EXIT_PASS if run.fully_determined else EXIT_INDETERMINATE
     if args.mode == "determine":
-        base = odejets.zero_solution(ode, n_target)
+        try:
+            base = odejets.zero_solution(ode, n_target)
+        except odejets.OdeError as exc:  # p(x, 0) != 0: the base is not a solution
+            raise InputError(f"{args.ode}: {exc}") from None
         try:
             k = odejets.determination_order(ode, base, n_target)
         except odejets.IndeterminateAtTruncation as exc:

@@ -339,6 +339,7 @@ class _Reconstruction:
                 )
         self.us: list[TruncatedSeries] = []
         self.vs: list[TruncatedSeries] = []
+        self.jet_on_source = None
 
     def lam_taylor(self, i, j):
         return self.jet.entry("lam", i, j) / (factorial(i) * factorial(j))
@@ -387,45 +388,44 @@ class _Reconstruction:
         a_fn = TruncatedSeries(variables, self.work, a_coeffs)
         u_fn = self._stack(self.us, variables, t_index=1)
         v_fn = self._stack(self.vs, variables, t_index=1)
-        composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn})
+        composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn}, box={"t": t})
         rhs = composed.extract({"t": t}, keep=("x",))
         lhs = TruncatedSeries.constant(self.mu_taylor(0, t), ("x",), rhs.order)
         return lhs - rhs
 
     # -- conjugated F derivatives ----------------------------------------
 
+    def _jet_polynomial(self, taylor) -> TruncatedSeries:
+        return TruncatedSeries(
+            MAP_VARS,
+            self.work,
+            {
+                (i, j): taylor(i, j)
+                for i in range(0, self.jet.k + 1)
+                for j in range(0, self.jet.k + 1 - i)
+                if i + j >= 1
+            },
+        )
+
     def solve_u(self, s: int) -> TruncatedSeries:
         variables = ("z", "x", "t")
-        zg = TruncatedSeries.variable("z", variables, self.work)
-        g_hat = TruncatedSeries(
-            MAP_VARS,
-            self.work,
-            {
-                (i, j): self.mu_taylor(i, j)
-                for i in range(0, self.jet.k + 1)
-                for j in range(0, self.jet.k + 1 - i)
-                if i + j >= 1
-            },
-        )
-        f_hat = TruncatedSeries(
-            MAP_VARS,
-            self.work,
-            {
-                (i, j): self.lam_taylor(i, j)
-                for i in range(0, self.jet.k + 1)
-                for j in range(0, self.jet.k + 1 - i)
-                if i + j >= 1
-            },
-        )
+        if self.jet_on_source is None:
+            # F^ and G^ on the source, inside the box of every slot read below
+            zg = TruncatedSeries.variable("z", variables, self.work)
+            subs = {"z": zg, "w": self.source.q}
+            box = {"z": self.alpha0, "t": self.mu0 + self.k}
+            self.jet_on_source = [
+                self._jet_polynomial(taylor).compose(subs, box=box)
+                for taylor in (self.lam_taylor, self.mu_taylor)
+            ]
+        f_comp, g_comp = self.jet_on_source
         slot = {"z": self.alpha0, "t": self.mu0 + s}
-        q = self.source.q
-        w_lhs = g_hat.compose({"z": zg, "w": q}).extract(slot, keep=("x",))
-        f_comp = f_hat.compose({"z": zg, "w": q})
+        w_lhs = g_comp.extract(slot, keep=("x",))
         v_fn = self._stack(self.vs, variables, t_index=2)
 
         def rhs_with(u_s):
             u_fn = self._stack(self.us + [u_s], variables, t_index=2)
-            composed = self.target.q.compose({"z": f_comp, "x": u_fn, "t": v_fn})
+            composed = self.target.q.compose({"z": f_comp, "x": u_fn, "t": v_fn}, box=slot)
             return composed.extract(slot, keep=("x",))
 
         r0 = rhs_with(TruncatedSeries.zero(("x",), self.work))

@@ -249,8 +249,8 @@ class _LinearSolver:
 @dataclass(frozen=True)
 class LedgerEntry:
     order: int
-    rank: int
-    kernel_dim: int
+    rank: int | None  # None when the frontier equation lies beyond the data
+    kernel_dim: int | None
     status: str  # resolved | deferred | free | unknown
 
 
@@ -356,14 +356,15 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
             free_orders.append(s)
         if s in seed:
             continue
-        kernel = frontier_kernel.get(s, n)
+        kernel = frontier_kernel.get(s)
         if kernel == 0:
             status = "resolved"
         elif numeric:
             status = "deferred"
         else:
             status = "unknown" if beyond else "free"
-        ledger.append(LedgerEntry(order=s, rank=n - kernel, kernel_dim=kernel, status=status))
+        rank = None if kernel is None else n - kernel
+        ledger.append(LedgerEntry(order=s, rank=rank, kernel_dim=kernel, status=status))
 
     return JetRecursionResult(
         coefficients=coefficients,
@@ -379,15 +380,18 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
 # plain-series helpers
 
 
-def _table_to_series(ode: SingularODE, table, order: int):
-    out = []
-    for i in range(ode.n):
+def _on_solution(ode: SingularODE, table, order: int) -> dict:
+    """The substitution of (x, y(x)) into the equation's series, each
+    component of y a series in the independent variable x."""
+    x = ode.variables[0]
+    subs = {x: TruncatedSeries.variable(x, (x,), order)}
+    for i, name in enumerate(ode.variables[1:]):
         coeffs = {}
         for s, vec in table.items():
             if s <= order and not CR.coerce(vec[i]).is_zero:
                 coeffs[(s,)] = CR.coerce(vec[i])
-        out.append(TruncatedSeries(("x",), order, coeffs))
-    return out
+        subs[name] = TruncatedSeries((x,), order, coeffs)
+    return subs
 
 
 def rhs_jet(ode: SingularODE, table) -> TruncatedSeries:
@@ -401,11 +405,7 @@ def rhs_jet_vector(ode: SingularODE, table):
     k0 = max(table) if table else 0
     order = min(ode.order, k0 if table else 0)
     order = max(order, 0)
-    ys = _table_to_series(ode, table, order)
-    xg = TruncatedSeries.variable("x", ("x",), order)
-    subs = {"x": xg}
-    for name, y in zip(ode.variables[1:], ys):
-        subs[name] = y
+    subs = _on_solution(ode, table, order)
     q_comp = ode.q.compose(subs)
     return [ode.p[i].compose(subs) / q_comp for i in range(ode.n)]
 
@@ -413,16 +413,13 @@ def rhs_jet_vector(ode: SingularODE, table):
 def residual(ode: SingularODE, result: JetRecursionResult) -> list[TruncatedSeries]:
     """Back-substitution residual x^(gamma+1) y' - p/q through n_target - gamma - 1."""
     order = result.n_target
-    ys = _table_to_series(ode, result.coefficients, order)
-    xg = TruncatedSeries.variable("x", ("x",), order)
-    subs = {"x": xg}
-    for name, y in zip(ode.variables[1:], ys):
-        subs[name] = y
+    subs = _on_solution(ode, result.coefficients, order)
     q_comp = ode.q.compose(subs)
     check_order = order - ode.gamma - 1
     out = []
     for i in range(ode.n):
-        dy = ys[i].partial_derivative("x").shift_up((ode.gamma + 1,))
+        x, y = ode.variables[0], ode.variables[i + 1]
+        dy = subs[y].partial_derivative(x).shift_up((ode.gamma + 1,))
         rhs = ode.p[i].compose(subs) / q_comp
         out.append((dy - rhs).truncate(check_order))
     return out
@@ -586,11 +583,7 @@ class ChainReport:
 
 def _phi_series(ode: SingularODE, table, order: int):
     """Matrix x-series of f_y(x, y(x)) composed with the base solution."""
-    ys = _table_to_series(ode, table, order)
-    xg = TruncatedSeries.variable("x", ("x",), order)
-    subs = {"x": xg}
-    for name, y in zip(ode.variables[1:], ys):
-        subs[name] = y
+    subs = _on_solution(ode, table, order)
     q_comp = ode.q.compose(subs)
     entries = []
     for i in range(ode.n):

@@ -16,14 +16,19 @@ Two coefficient backends share one implementation:
 * float: complex coefficients with a zero-test ``tolerance``; any
   coefficient of magnitude below the tolerance is normalized to absent.
 
-Composition makes only the series products its result needs: one-term
+Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
-move or drop exponents without any product, and the remaining slots share
-cached powers by distributivity rather than Horner's rule, whose
-accumulator fills in where the powers of a sparse substitution stay sparse.
-The two triangular solves built on it, :func:`implicit_solve` and
-:func:`solve_composition`, compose each step only at the degree that step
-certifies, and close with one composition at the full order.
+move or drop exponents without any product; the innermost remaining slot
+is summed by truncated Horner's rule when the outer has at most as many
+exponent groups there as its substitution has terms, and by powers
+otherwise, since the powers of a sparse substitution stay sparse where a
+Horner accumulator fills in; the powers are kept on the substituted series
+for every later composition at the same order.  A box on the target
+exponents drops every monomial above it from the substitutions and every
+product, for callers that read one coefficient slot.  The two triangular
+solves built on it, :func:`implicit_solve` and :func:`solve_composition`,
+compose each step only at the degree that step certifies, and close with
+one composition at the full order.
 
 The public constructor checks every multi-index and coerces every
 coefficient.  Ring operations build their results through a trusted path
@@ -114,7 +119,9 @@ class UnknownOrder:
 
 
 class TruncatedSeries:
-    __slots__ = ("variables", "order", "coefficients", "tolerance")
+    # _powers: {(order, box limits): [S, S^2, ...]}, filled by compose when
+    # this series is substituted into a general slot
+    __slots__ = ("variables", "order", "coefficients", "tolerance", "_powers")
 
     def __init__(self, variables, order, coefficients=None, tolerance=None):
         variables = tuple(variables)
@@ -146,6 +153,7 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -262,22 +270,7 @@ class TruncatedSeries:
             return self._make({mi: c * scal for mi, c in self.coefficients.items()})
         self._check_partner(other)
         order = min(self.order, other.order)
-        right = [(mj, sum(mj), cb) for mj, cb in other.coefficients.items()]
-        # partners of each degree budget, in the partner's own term order
-        partners: dict = {}
-        out: dict = {}
-        for mi, ca in self.coefficients.items():
-            room = order - sum(mi)
-            if room < 0:
-                continue
-            fits = partners.get(room)
-            if fits is None:
-                fits = partners[room] = [(mj, cb) for mj, db, cb in right if db <= room]
-            for mj, cb in fits:
-                mk = tuple(map(add, mi, mj))
-                prev = out.get(mk)
-                out[mk] = ca * cb if prev is None else prev + ca * cb
-        return self._make(out, order)
+        return self._make(_product(self.coefficients, other.coefficients, order), order)
 
     __rmul__ = __mul__
 
@@ -300,6 +293,8 @@ class TruncatedSeries:
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
             raise SeriesError("cannot raise a certification order by truncation")
+        if new_order == self.order:
+            return self  # immutable, and keeps the cached powers
         return self._make(self.coefficients, new_order)
 
     # ------------------------------------------------------------------
@@ -407,14 +402,26 @@ class TruncatedSeries:
         """Coefficientwise complex conjugate (same support)."""
         return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
 
-    def compose(self, substitutions: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
+    def compose(
+        self,
+        substitutions: Mapping[str, "TruncatedSeries"],
+        *,
+        box: Mapping[str, int] | None = None,
+    ) -> "TruncatedSeries":
         """Substitute a series for every variable.
 
         Each substituted series must have zero constant term (shift the
         outer series explicitly otherwise), and all substitutions must live
         in one common variable set on the same backend.
 
-        Only the products the result needs are made:
+        ``box`` maps target variables to the largest exponent kept: every
+        monomial above a bound is dropped from the result, and the
+        coefficients inside the box are those of the full composition.
+        Exponents only add under substitution, so no term outside the box
+        ever reaches one inside it, and the terms outside are dropped from
+        the substitutions, the moved monomials and every product.
+
+        Only the products the result needs are made, each once:
 
         * a substitution with one term ``c*m`` below the order costs no
           series product: an outer exponent ``e`` in its slot adds ``e*m``
@@ -424,15 +431,30 @@ class TruncatedSeries:
           case ``c = 1``;
         * a zero substitution drops every outer monomial that has a
           positive exponent in its slot;
-        * the remaining (general) slots share their powers by
-          distributivity: the moved terms are grouped by their exponent in
-          the first general slot, each group is evaluated recursively over
-          the later general slots and then multiplied by one cached power
-          of the first.  This never makes more products than multiplying
-          each term by the power of every slot it raises.  Horner's rule
-          (``acc * s + g``) is not used: the powers of a sparse
-          substitution such as ``t + 2i*z*x`` stay sparse, while a Horner
-          accumulator fills in, which measured slower.
+        * the moved terms are grouped by their exponents in the remaining
+          (general) slots, one nesting level per slot.  A group at exponent
+          ``e`` in a slot substituted by ``S`` of valuation ``v`` is
+          evaluated over the later slots only through the degree left after
+          ``S^e``, ``e*v`` below its own, and then multiplied once by
+          ``S^e``.  The powers ``[S, S^2, ...]`` are kept on ``S``, keyed by
+          the order and the box, so every composition that substitutes the
+          same ``S`` at that order (``F`` and ``G`` of a germ over one
+          inner germ, say) builds each power once.
+        * the innermost general slot is summed by Horner's rule instead
+          (Brent & Kung, J. ACM 25, 1978, section 2) when the outer has at
+          most as many exponent groups in that slot as ``S`` has terms:
+          ``acc_e = Q_e + S * acc_{e+1}``, with ``acc_e`` cut at the degree
+          left after ``S^e``.  The test keeps the powers where ``S`` is
+          sparse and the outer has many groups: the powers of
+          ``t + 2i*z*x`` stay sparse while a Horner accumulator fills in,
+          and Horner in every slot made ``verify_mapping`` for
+          ``h_mobius_1.map`` on the quadric (13 groups of ``z/(1-w)`` over
+          that 2-term ``Q``) about 1.5x slower than powers, while with the
+          test it runs at 0.7-0.9x of powers alone.  A dense substitution
+          with few groups, such as the
+          iterate of :func:`implicit_solve` or the inner series of the
+          reality identity, takes Horner, which needs one product per
+          exponent and no powers.
         """
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
@@ -448,17 +470,32 @@ class TruncatedSeries:
         order = min([self.order] + [s.order for s in subs])
         tol = target.tolerance
         variables = target.variables
+        limits = ()  # (target slot, largest exponent kept) of each boxed variable
+        if box:
+            for v in box:
+                if v not in variables:
+                    raise UnknownVariable(v)
+            limits = tuple(sorted((variables.index(v), bound) for v, bound in box.items()))
         steps = []  # (outer slot, target slot, exponent) of each one-term move
         heavy = []  # (outer slot, degree - 1) of one-term moves of degree > 1
         scaled = []  # (outer slot, [1, c, c^2, ...]) of one-term moves with c != 1
         zeros = []  # outer slots substituted by zero
-        general = []  # (outer slot, substitution) of the remaining slots
+        general = []  # (outer slot, [S, S^2, ...]) of the remaining slots
         for pos, s in enumerate(subs):
             terms = [(mi, c) for mi, c in s.coefficients.items() if sum(mi) <= order]
+            if limits:
+                terms = [(mi, c) for mi, c in terms if all(mi[j] <= b for j, b in limits)]
             if not terms:
                 zeros.append(pos)
             elif len(terms) > 1:
-                general.append((pos, s))
+                cache = s._powers
+                if cache is None:
+                    cache = {}
+                    object.__setattr__(s, "_powers", cache)
+                powers = cache.get((order, limits))
+                if powers is None:
+                    powers = cache[order, limits] = [_trusted(variables, order, dict(terms), tol)]
+                general.append((pos, powers))
             else:
                 (mi, c), = terms
                 steps += [(pos, j, a) for j, a in enumerate(mi) if a]
@@ -481,6 +518,8 @@ class TruncatedSeries:
             mk = [0] * width
             for pos, j, a in steps:
                 mk[j] += a * mi[pos]
+            if limits and any(mk[j] > b for j, b in limits):
+                continue
             mk = tuple(mk)
             c = target._scalar(c)
             for pos, cache in scaled:
@@ -493,33 +532,12 @@ class TruncatedSeries:
             for pos, _ in general:
                 node = node.setdefault(mi[pos], {})
             node[mk] = node[mk] + c if mk in node else c
-        powers = [[s.truncate(order)] for _, s in general]  # [s, s^2, ...]
-        valuations = [min(map(sum, s.coefficients)) for _, s in general]
-
-        def evaluate(node, level):
-            """Coefficients of the nested group ``node`` after substituting
-            the general slots from ``level`` on."""
-            if level == len(general):
-                return node
-            cache, valuation = powers[level], valuations[level]
-            acc: dict = {}
-            for e, child in node.items():
-                if e * valuation > order:
-                    continue
-                part = evaluate(child, level + 1)
-                if e:
-                    part = _trusted(variables, order, part, tol)
-                    if part.is_zero:
-                        continue
-                    while len(cache) < e:
-                        cache.append(cache[-1] * cache[0])
-                    part = (part * cache[e - 1]).coefficients
-                for mk, v in part.items():
-                    prev = acc.get(mk)
-                    acc[mk] = v if prev is None else prev + v
-            return acc
-
-        return _trusted(variables, order, evaluate(root, 0), tol)
+        slots = [(powers, min(map(sum, powers[0].coefficients))) for _, powers in general]
+        horner = False
+        if general:
+            pos, powers = general[-1]
+            horner = len({mi[pos] for mi in self.coefficients}) <= len(powers[0].coefficients)
+        return _trusted(variables, order, _substitute(root, slots, 0, order, horner, limits), tol)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -665,7 +683,101 @@ def _trusted(variables, order, coefficients, tolerance) -> TruncatedSeries:
     object.__setattr__(s, "order", order)
     object.__setattr__(s, "coefficients", clean)
     object.__setattr__(s, "tolerance", tolerance)
+    object.__setattr__(s, "_powers", None)
     return s
+
+
+def _product(a, b, order, limits=()) -> dict:
+    """Coefficient table of a * b through ``order``: the one product loop.
+
+    ``a`` and ``b`` are coefficient tables; ``limits`` holds the (slot,
+    largest exponent) pairs of a box (see :meth:`TruncatedSeries.compose`).
+    Each term of ``a`` meets only the terms of ``b`` that fit its degree
+    budget and its room in the box, listed once per budget.
+    """
+    right = [(mj, sum(mj), cb) for mj, cb in b.items()]
+    # partners of each budget, in the partner's own term order
+    partners: dict = {}
+    out: dict = {}
+    for mi, ca in a.items():
+        room = budget = order - sum(mi)
+        if limits:
+            budget = (room, *[bound - mi[j] for j, bound in limits])
+            if min(budget) < 0:
+                continue
+        elif room < 0:
+            continue
+        fits = partners.get(budget)
+        if fits is None:
+            fits = partners[budget] = [
+                (mj, cb)
+                for mj, db, cb in right
+                if db <= room
+                and (not limits or all(mj[j] <= r for (j, _), r in zip(limits, budget[1:])))
+            ]
+        for mj, cb in fits:
+            mk = tuple(map(add, mi, mj))
+            prev = out.get(mk)
+            out[mk] = ca * cb if prev is None else prev + ca * cb
+    return out
+
+
+def _times(a: dict, b: TruncatedSeries, order: int, limits) -> TruncatedSeries:
+    """The product of the table ``a`` with ``b`` through ``order``.
+
+    ``b.order >= order``, and ``a`` need only be exact through ``order``
+    minus the valuation of ``b``, which is all the product reads.  Boxed
+    products run :func:`_product` directly; unboxed ones go through
+    ``__mul__``.
+    """
+    if limits:
+        a = _product(a, b.coefficients, order, limits)
+        return _trusted(b.variables, order, a, b.tolerance)
+    return _trusted(b.variables, order, a, b.tolerance) * b
+
+
+def _substitute(node, slots, level, top, horner, limits) -> dict:
+    """The nested groups ``node`` of :meth:`TruncatedSeries.compose` with
+    the general slots from ``level`` on substituted, exact through degree
+    ``top``.  ``slots[i]`` is the power list and valuation of slot ``i``.
+    Terms above ``top`` may remain; the caller's product or final
+    truncation drops them."""
+    if level == len(slots):
+        return node
+    powers, valuation = slots[level]
+    if horner and level == len(slots) - 1:
+        return _horner(node, powers[0], valuation, top, limits)
+    acc: dict = {}
+    for e, child in node.items():
+        room = top - e * valuation
+        if room < 0:
+            continue
+        part = _substitute(child, slots, level + 1, room, horner, limits)
+        if e and part:
+            while len(powers) < e:
+                powers.append(_times(powers[-1].coefficients, powers[0], powers[0].order, limits))
+            part = _times(part, powers[e - 1], top, limits).coefficients
+        for mk, v in part.items():
+            prev = acc.get(mk)
+            acc[mk] = v if prev is None else prev + v
+    return acc
+
+
+def _horner(node, s, valuation, top, limits) -> dict:
+    """``sum_e node[e] * s^e`` through degree ``top`` by Horner's rule:
+    ``acc_e = node[e] + s * acc_{e+1}``, with ``acc_e`` exact through
+    ``top - e * valuation`` because it is multiplied by ``s^e``."""
+    acc: dict = {}
+    for e in range(max(node, default=-1), -1, -1):
+        cut = top - e * valuation
+        if cut < 0:
+            continue
+        if acc:
+            acc = _times(acc, s, cut, limits).coefficients
+        for mk, v in node.get(e, {}).items():
+            prev = acc.get(mk)
+            acc[mk] = v if prev is None else prev + v
+    return acc
 
 
 def format_series(s: TruncatedSeries) -> str:

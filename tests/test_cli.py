@@ -336,10 +336,41 @@ def test_ode_at_the_truncation_edge_is_indeterminate(capsys, tmp_path):
     doc.write_text("kind: ode\ngamma: 1\nvars: x y\norder: 8\np: x*y\nq: 1\n", encoding="utf-8")
     code, out = run(capsys, "ode", doc, "solve")
     assert code == 3
-    assert "order_8: rank=0 kernel=1 unknown\nfree_orders: 1\nunknown_orders: 8\n" in out
+    # no equation of order 9 was examined, so the row has no rank or kernel
+    assert (
+        "order_7: rank=1 kernel=0 resolved\norder_8: unknown\n"
+        "free_orders: 1\nunknown_orders: 8\n"
+    ) in out
     code, out = run(capsys, "ode", doc, "determine")
     assert code == 3
     assert out.endswith(
         "determination_order: indeterminate (at most 8)\n"
         "unknown_orders: 8\nverdict: indeterminate\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["solve", "determine", "chain"])
+def test_ode_on_a_renamed_independent_variable(capsys, tmp_path, mode):
+    reports = []
+    for x in ("x", "ix"):
+        doc = tmp_path / f"{x}.ode"
+        doc.write_text(
+            f"kind: ode\ngamma: 1\nvars: {x} y\norder: 8\np: {x}*y\nq: 1\n", encoding="utf-8"
+        )
+        code, out, err = run_err(capsys, "ode", doc, mode)
+        assert code in (0, 3) and err == ""
+        # the same report apart from the input line
+        reports.append([line for line in out.splitlines() if not line.startswith("input:")])
+    assert reports[0] == reports[1]
+    assert reports[1][-1].startswith("verdict: ")
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_ode_determine_off_a_solution_is_input_error(capsys, tmp_path, gamma):
+    doc = tmp_path / "off.ode"
+    text = f"kind: ode\ngamma: {gamma}\nvars: x y\norder: 8\np: -y + x\nq: 1\n"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run_err(capsys, "ode", doc, "determine")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {doc}: y = 0 does not solve the equation")

@@ -5,7 +5,10 @@ independently of crjets, and the expansion truncated at the composed
 series' order must agree coefficient by coefficient.  The cases cover the
 substitutions compose moves as exponents instead of multiplying (one-term
 series ``c*m``, bare variables among them, and zero), and general slots
-whose powers are shared between outer monomials.
+whose powers are shared between outer monomials, on each side of the
+test that sums the innermost general slot by Horner's rule; a boxed
+composition must equal the full one restricted to the box, and the powers
+kept on a substitution must not leak between compositions.
 
 The solves have unique solutions, so checking their defining identity in
 sympy checks the solution: ``implicit_solve`` (u = rhs(vars, u)),
@@ -18,9 +21,10 @@ from fractions import Fraction
 
 import pytest
 
+from crjets import series
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
-from crjets.series import implicit_solve, solve_composition
+from crjets.series import implicit_solve, kth_root, solve_composition
 
 sympy = pytest.importorskip("sympy")
 
@@ -236,6 +240,141 @@ def test_dilation_of_a_dense_surface_makes_no_series_product(monkeypatch):
     assert out == oracle(q, subs)
 
 
+def gapped_outer(rng, exponents, order):
+    """Outer series in (a, b) whose b-exponents are exactly ``exponents``."""
+    coeffs = {}
+    for e in exponents:
+        for _ in range(3):
+            mi = (rng.randint(0 if e else 1, 3), e)
+            coeffs[mi] = CR(rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+    return TS(("a", "b"), order, coeffs)
+
+
+def spy_on_horner(monkeypatch):
+    calls = []
+    horner = series._horner
+
+    def spy(*args):
+        calls.append(args[2])  # the valuation of the substitution
+        return horner(*args)
+
+    monkeypatch.setattr(series, "_horner", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dense_substitution_with_few_groups_takes_horner(seed, monkeypatch):
+    rng = random.Random(seed)
+    zx = ("z", "x")
+    dense_b = [(1, 1), (0, 2), (2, 1), (0, 4), (3, 1)]
+    outer = gapped_outer(rng, (0, 1, 3), 7)  # gapped: b^2 is absent
+    subs = {
+        "a": random_series(rng, zx, 7, 2, min_degree=1),
+        # valuation 2, more terms than b has groups in the outer
+        "b": TS(zx, 7, {mi: CR(rng.randint(1, 3), rng.randint(-2, 2)) for mi in dense_b}),
+    }
+    calls = spy_on_horner(monkeypatch)
+    out = outer.compose(subs)
+    assert calls and min(calls) == 2
+    assert out == oracle(outer, subs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sparse_substitution_with_many_groups_keeps_powers(seed, monkeypatch):
+    rng = random.Random(seed)
+    zx = ("z", "x")
+    outer = gapped_outer(rng, (0, 1, 2, 4, 5, 7), 10)
+    subs = {
+        "a": TS.variable("z", zx, 10),
+        "b": TS(zx, 10, {(1, 1): CR(0, 2), (0, 3): CR(rng.randint(1, 3))}),  # valuation 2
+    }
+    calls = spy_on_horner(monkeypatch)
+    out = outer.compose(subs)
+    assert calls == []
+    assert out == oracle(outer, subs)
+
+
+def restrict(s, bounds):
+    """``s`` without the monomials above a bound (slot -> largest exponent)."""
+    inside = lambda mi: all(mi[j] <= b for j, b in bounds.items())  # noqa: E731
+    return TS(s.variables, s.order, {mi: c for mi, c in s.coefficients.items() if inside(mi)})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("box", [{"z": 1}, {"z": 2, "t": 3}, {"t": 0}, {"x": 1, "t": 2}])
+def test_boxed_composition_is_the_full_one_restricted(seed, box):
+    rng = random.Random(seed)
+    zxt = ("z", "x", "t")
+    outer = random_series(rng, ("a", "b", "c", "d"), 7, 20)
+    subs = {
+        "a": TS.variable("z", zxt, 7),
+        "b": random_series(rng, zxt, 7, 10, min_degree=1),
+        "c": random_series(rng, zxt, 7, 3, min_degree=1),
+        "d": monomial(zxt, 7, (0, 1, 1), CR(2, -1)),
+    }
+    full = outer.compose(subs)
+    boxed = outer.compose(subs, box=box)
+    assert boxed == restrict(full, {zxt.index(v): b for v, b in box.items()})
+    assert full == outer.compose({v: TS(zxt, 7, s.coefficients) for v, s in subs.items()})
+
+
+def test_box_names_a_target_variable():
+    zx = ("z", "x")
+    with pytest.raises(series.UnknownVariable):
+        TS.variable("a", ("a",), 3).compose({"a": TS.variable("z", zx, 3)}, box={"w": 1})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kept_powers_equal_fresh_compositions(seed):
+    rng = random.Random(seed)
+    zx = ("z", "x")
+    outside = TS(zx, 8, {(0, 2): 1, (1, 2): CR(0, 1)})  # outside the box x <= 1
+    subs = {
+        "a": random_series(rng, zx, 8, 5, min_degree=1) + outside,
+        "b": random_series(rng, zx, 8, 9, min_degree=1) + outside,
+    }
+    first, second = (random_series(rng, ("a", "b"), 8, 14) for _ in range(2))
+    # one substitution throughout: a box before the full composition, a
+    # lower order before a higher one, and two outers
+    for outer, box in [
+        (first.truncate(5), {"x": 1}),
+        (first.truncate(5), None),
+        (first, None),
+        (second, None),
+        (second.truncate(3), None),
+        (second, {"z": 1}),
+    ]:
+        fresh = {v: TS(zx, s.order, s.coefficients) for v, s in subs.items()}
+        assert outer.compose(subs, box=box) == outer.compose(fresh, box=box)
+
+
+def test_order_16_inverse_makes_few_products(monkeypatch):
+    # rotation, dilation and a w-Moebius factor: 16 terms in each of F, G
+    from crjets.mapjets import dilation, w_mobius
+
+    h = dilation(CR(Fraction(3, 5), Fraction(4, 5)), 2, 16).compose(w_mobius(Fraction(1, 2), 16))
+    counts = {"series": 0, "scalar": 0}
+    mul, scalar_mul = TS.__mul__, CR.__mul__
+
+    def counting(a, b):
+        counts["series"] += isinstance(b, TS)
+        return mul(a, b)
+
+    def scalar_counting(a, b):
+        counts["scalar"] += 1
+        return scalar_mul(a, b)
+
+    monkeypatch.setattr(TS, "__mul__", counting)
+    monkeypatch.setattr(CR, "__mul__", scalar_counting)
+    inv = h.inverse()
+    monkeypatch.undo()
+    # 180 series and 3452 scalar products when every composition rebuilt
+    # its powers and summed every general slot by powers
+    assert counts["series"] <= 140
+    assert counts["scalar"] <= 2000
+    assert h.compose(inv) == dilation(1, 1, 16)
+
+
 # ----------------------------------------------------------------------
 # solves
 
@@ -292,3 +431,16 @@ def test_series_inverse_against_sympy(seed):
     inv = s.inverse()
     product = from_sympy(to_sympy(s) * to_sympy(inv), zx, 6)
     assert product == TS.constant(1, zx, 6)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_kth_root_against_sympy(seed, k):
+    rng = random.Random(seed)
+    zx = ("z", "x")
+    unit = random_series(rng, zx, 7, 8, min_degree=1) + 1
+    lead = (1, 0) if seed % 2 else (1, 1)
+    s = unit.shift_up(tuple(k * e for e in lead)).truncate(7)
+    root = kth_root(s, k)
+    assert root.coefficient(lead) == CR(1)
+    assert from_sympy(to_sympy(root) ** k, zx, s.order) == s
