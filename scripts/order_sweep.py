@@ -11,7 +11,10 @@ For each order it times, in one process and with the median of
 * ``reality``: ``check_reality`` on that graph's surface, the residual of
   Q(z, x, Qbar(x, z, w)) = w, on a fresh surface object each run;
 * ``segre``: one ``segre_jet_reconstruct`` of that automorphism on the
-  quadric at k = 2.
+  quadric at k = 2;
+* ``ode``: ``determination_order`` of the zero solution plus
+  ``resonance_set`` of a planted 2x2 system x y' = A y stored at the order,
+  with its resonance at order - 2 and n_target the order.
 
 It prints one line per order and writes a JSON record.  ``--pairs FILE``
 copies a JSON list of benchmark pairs (parent and change runs of
@@ -35,7 +38,9 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from crjets.hypersurface import NormalFormSurface, RealGraph, from_real_graph, heisenberg
+from crjets.linalg import invert, mat_mul
 from crjets.mapjets import dilation, segre_jet_reconstruct, w_mobius
+from crjets.odejets import SingularODE, determination_order, resonance_set, zero_solution
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries
 
@@ -66,6 +71,20 @@ def seeded_graph(order: int, seed: int = 8) -> RealGraph:
     return RealGraph(rho + rho.conjugate().rename_variables({"z": "x", "x": "z"}))
 
 
+def planted_ode(order: int) -> SingularODE:
+    """x y' = A y with A = S diag(order - 2, -3/2) S^-1, stored at ``order``."""
+    s = [[CR(2), CR(1)], [CR(1), CR(1)]]
+    diag = [[CR(order - 2), CR(0)], [CR(0), CR(Fraction(-3, 2))]]
+    a = mat_mul(mat_mul(s, diag), invert(s))
+    variables = ("x", "y1", "y2")
+    p = [TruncatedSeries(variables, order, {(0, 1, 0): row[0], (0, 0, 1): row[1]}) for row in a]
+    return SingularODE(0, p, TruncatedSeries(variables, order, {(0, 0, 0): CR(1)}))
+
+
+def determine(ode: SingularODE, order: int):
+    return determination_order(ode, zero_solution(ode, order), order), resonance_set(ode, order)
+
+
 def median_ms(fn, repeat: int) -> float:
     times = []
     for _ in range(repeat):
@@ -83,11 +102,13 @@ def sweep(orders, repeat: int) -> dict:
         surface = from_real_graph(graph)
         heis = heisenberg(order)
         jet = germ.jet(3)
+        ode = planted_ode(order)
         rows[str(order)] = {
             "inverse_ms": median_ms(germ.inverse, repeat),
             "graph_ms": median_ms(lambda: from_real_graph(graph), repeat),
             "reality_ms": median_ms(lambda: NormalFormSurface(surface.q).check_reality(), repeat),
             "segre_ms": median_ms(lambda: segre_jet_reconstruct(heis, heis, jet, 2), repeat),
+            "ode_ms": median_ms(lambda: determine(ode, order), repeat),
         }
         cells = "  ".join(f"{k} {v:9.2f}" for k, v in rows[str(order)].items())
         print(f"order {order:2d}  {cells}")

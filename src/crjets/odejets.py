@@ -13,8 +13,13 @@ order; for ``s > order - gamma`` it lies beyond the stored truncation, so an
 unpinned coefficient there is reported unknown, not free.
 
 Products of two still-deferred symbols would leave the linear regime; such
-an equation is recorded as opaque and not used.  The linear test corpus
-never produces one.
+an equation is recorded as opaque and not used.  The equations are built
+before any is solved, so an equation stays opaque even when a lower order
+pins one of its factors, and the run can report an order free that the
+full equation pins (x y' = 2y + y^2 leaves a_3^2 opaque at order 6).  The
+linear test corpus never produces one.  ``determination_order`` builds and
+eliminates the system once and restricts that elimination for every seed,
+unless an equation is opaque.
 
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
@@ -57,8 +62,12 @@ class IndeterminateAtTruncation(OdeError):
 
 
 class InconsistentSeed(OdeError):
+    """``order`` is the first equation order that contradicts the seed, or
+    None when only the consistency of the whole system was decided."""
+
     def __init__(self, order, message=""):
-        super().__init__(f"no formal solution extends the seed (order {order}){message}")
+        where = "" if order is None else f" (order {order})"
+        super().__init__(f"no formal solution extends the seed{where}{message}")
         self.order = order
 
 
@@ -199,11 +208,17 @@ class _LinearSolver:
     """Incremental exact row reduction with eager back-substitution.
 
     Pivot rows never reference pivot symbols, so resolving a value is a
-    single substitution pass.
+    single substitution pass.  A row is never changed once stored (adding
+    an equation stores new rows), so a copy shares no state it can change.
     """
 
     def __init__(self):
         self.pivots: dict[int, _Aff] = {}
+
+    def copy(self) -> "_LinearSolver":
+        clone = _LinearSolver()
+        clone.pivots = dict(self.pivots)
+        return clone
 
     def reduce(self, aff: _Aff) -> _Aff:
         if aff.opaque:
@@ -228,9 +243,10 @@ class _LinearSolver:
             aff.const * inv, {s: c * inv for s, c in aff.lin.items() if s != sym}
         )
         for other, row in self.pivots.items():
-            if sym in row.lin:
-                c = row.lin.pop(sym)
-                self.pivots[other] = row.add(expr.scale(c))
+            c = row.lin.get(sym)
+            if c is not None:
+                rest = _Aff(row.const, {s: v for s, v in row.lin.items() if s != sym})
+                self.pivots[other] = rest.add(expr.scale(c))
         self.pivots[sym] = expr
         return ("pivot", sym)
 
@@ -271,11 +287,14 @@ class JetRecursionResult:
         return self.coefficients.get(s)
 
 
-def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionResult:
-    """Extend a seed to a formal solution table through order ``n_target``.
+def _formal_system(ode: SingularODE, seed, n_target: int):
+    """The unknowns and the equations of a seeded run, from one
+    ``_eval_series`` pass over p and q.
 
-    ``seed`` maps orders to coefficient vectors (Taylor-normalized); order 0
-    defaults to the zero vector and must be zero when given.
+    Returns the coerced seed, the table ``a`` (a seeded order holds
+    constants, any other order one deferred symbol per component) and
+    ``equations[m]``, the n components of the x^m coefficient of
+    q x^(gamma+1) y' - p.
     """
     n, gamma = ode.n, ode.gamma
     if n_target > ode.order:
@@ -289,90 +308,99 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
     seed.setdefault(0, zero_vec)
     n_eq = min(ode.order, n_target + gamma + n * gamma + 4)
 
-    sym_ids = {}
     a: dict[int, list[_Aff]] = {}
     next_sym = 0
     for s in range(0, n_eq + 1):
         if s in seed:
             a[s] = [_Aff(c) for c in seed[s]]
         else:
-            row = []
-            for i in range(n):
-                sym_ids[next_sym] = (s, i)
-                row.append(_Aff.symbol(next_sym))
-                next_sym += 1
-            a[s] = row
+            a[s] = [_Aff.symbol(next_sym + i) for i in range(n)]
+            next_sym += n
 
     y_polys = [[a[s][i] for s in range(n_eq + 1)] for i in range(n)]
-    # x^(gamma+1) y'_i has coefficient (m - gamma) a_{m-gamma} at x^m
-    dy_shifted = []
-    for i in range(n):
-        poly = [_Aff() for _ in range(n_eq + 1)]
-        for m in range(gamma + 1, n_eq + 1):
-            poly[m] = a[m - gamma][i].scale(CR(m - gamma))
-        dy_shifted.append(poly)
-
     q_poly = _eval_series(ode.q, y_polys, n_eq)
-    equations = []
+    components = []
     for i in range(n):
+        # x^(gamma+1) y'_i has coefficient (m - gamma) a_{m-gamma} at x^m
+        dy_shifted = [_Aff() for _ in range(n_eq + 1)]
+        for m in range(gamma + 1, n_eq + 1):
+            dy_shifted[m] = a[m - gamma][i].scale(CR(m - gamma))
         p_poly = _eval_series(ode.p[i], y_polys, n_eq)
-        lhs = _poly_mul(q_poly, dy_shifted[i], n_eq)
-        equations.append([l.add(r.scale(CR(-1))) for l, r in zip(lhs, p_poly)])
+        lhs = _poly_mul(q_poly, dy_shifted, n_eq)
+        components.append([l.add(r.scale(CR(-1))) for l, r in zip(lhs, p_poly)])
+    return seed, a, list(zip(*components))
 
+
+def _eliminate(ode: SingularODE, seed, a, equations, n_target: int):
+    """Row-reduce the equations order by order.
+
+    Returns the solver, the orders of the opaque equations (left out) and
+    the frontier kernels: for each unseeded s <= n_target whose own
+    equation, at order s + gamma, is in the data, the number of
+    components of a_s still unpinned once that equation is added.
+    Raises ``InconsistentSeed`` at the first order that contradicts.
+    """
     solver = _LinearSolver()
     opaque_orders = set()
     frontier_kernel: dict[int, int] = {}
-    for m in range(0, n_eq + 1):
-        for i in range(n):
-            eq = equations[i][m]
+    for m, row in enumerate(equations):
+        for eq in row:
             if eq.opaque:
                 opaque_orders.add(m)
-                continue
-            status = solver.add_equation(eq)
-            if status == "inconsistent":
+            elif solver.add_equation(eq) == "inconsistent":
                 raise InconsistentSeed(m)
-        s = m - gamma
+        s = m - ode.gamma
         if 0 <= s <= n_target and s not in seed:
-            unpinned = sum(
-                1
-                for aff in a[s]
-                if solver.value(aff) is None
-            )
-            frontier_kernel[s] = unpinned
+            frontier_kernel[s] = sum(1 for aff in a[s] if solver.value(aff) is None)
+    return solver, opaque_orders, frontier_kernel
 
+
+def _read(ode: SingularODE, a, solver, n_target: int):
+    """Pinned coefficients, free orders and unknown orders through n_target."""
     coefficients = {}
     free_orders = []
     unknown_orders = []
-    ledger = []
     for s in range(0, n_target + 1):
         values = [solver.value(aff) for aff in a[s]]
-        numeric = all(v is not None for v in values)
-        beyond = s + gamma > ode.order
-        if numeric:
+        if all(v is not None for v in values):
             coefficients[s] = tuple(values)
-        elif beyond:
+        elif s + ode.gamma > ode.order:
             unknown_orders.append(s)
         else:
             free_orders.append(s)
+    return coefficients, tuple(free_orders), tuple(unknown_orders)
+
+
+def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionResult:
+    """Extend a seed to a formal solution table through order ``n_target``.
+
+    ``seed`` maps orders to coefficient vectors (Taylor-normalized); order 0
+    defaults to the zero vector and must be zero when given.
+    """
+    seed, a, equations = _formal_system(ode, seed, n_target)
+    solver, opaque_orders, frontier_kernel = _eliminate(ode, seed, a, equations, n_target)
+    coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_target)
+    ledger = []
+    for s in range(0, n_target + 1):
         if s in seed:
             continue
         kernel = frontier_kernel.get(s)
         if kernel == 0:
             status = "resolved"
-        elif numeric:
+        elif s in coefficients:
             status = "deferred"
         else:
-            status = "unknown" if beyond else "free"
-        rank = None if kernel is None else n - kernel
+            status = "unknown" if s in unknown_orders else "free"
+        rank = None if kernel is None else ode.n - kernel
         ledger.append(LedgerEntry(order=s, rank=rank, kernel_dim=kernel, status=status))
 
     return JetRecursionResult(
         coefficients=coefficients,
-        free_orders=tuple(free_orders),
+        free_orders=free_orders,
         obstruction_ledger=tuple(ledger),
         n_target=n_target,
         opaque_orders=tuple(sorted(opaque_orders)),
-        unknown_orders=tuple(unknown_orders),
+        unknown_orders=unknown_orders,
     )
 
 
@@ -446,24 +474,105 @@ def linearization_at_origin(ode: SingularODE):
     return rows
 
 
+def _characteristic_polynomial(m) -> list:
+    """Coefficients c_0, ..., c_n of det(kI - M) = sum c_j k^j, by
+    Faddeev-LeVerrier: with B_1 = I, c_(n-j) = -tr(M B_j) / j and
+    B_(j+1) = M B_j + c_(n-j) I."""
+    n = len(m)
+    coeffs = [CR(0)] * n + [CR(1)]
+    b = linalg.identity(n)
+    for j in range(1, n + 1):
+        mb = linalg.mat_mul(m, b)
+        c = -sum((mb[i][i] for i in range(n)), CR(0)) / CR(j)
+        coeffs[n - j] = c
+        b = [[x + c if i == col else x for col, x in enumerate(row)] for i, row in enumerate(mb)]
+    return coeffs
+
+
 def resonance_set(ode: SingularODE, n_max: int) -> set[int]:
-    """Positive integers k <= n_max that are eigenvalues of f_y(0, 0)."""
+    """Positive integers k <= n_max that are eigenvalues of f_y(0, 0): the
+    roots of its characteristic polynomial, evaluated by Horner's rule."""
     if ode.gamma != 0:
         raise WrongGamma("resonance analysis applies to gamma = 0")
-    m = linearization_at_origin(ode)
+    coeffs = _characteristic_polynomial(linearization_at_origin(ode))
     out = set()
     for k in range(1, n_max + 1):
-        shifted = [
-            [m[i][j] - (CR(k) if i == j else CR(0)) for j in range(ode.n)]
-            for i in range(ode.n)
-        ]
-        if linalg.det(shifted).is_zero:
+        value = CR(0)
+        for c in reversed(coeffs):
+            value = value * k + c
+        if value.is_zero:
             out.add(k)
     return out
 
 
 # ----------------------------------------------------------------------
 # determination order
+
+
+def _seeded_runs(ode: SingularODE, base: JetRecursionResult, n_max: int):
+    """``run(k)``: the outcome of ``formal_coefficients`` seeded with the
+    base through order k, a result or an ``InconsistentSeed``, memoized.
+
+    The formal system is built and eliminated once, at k = 0.  If none of
+    its equations is opaque, a probe at k copies that elimination and adds
+    the seed equations a_s = base_s for 1 <= s <= k.  This is exact: an
+    equation that is not opaque is never the product of two deferred
+    symbols, so it is affine in them, and the run seeded through k has
+    those same affine equations with a_1..a_k replaced by constants.  Its
+    solution set is therefore the k = 0 solution set cut by the seed
+    equations, with the seeded coordinates dropped.  Both are consistent
+    or inconsistent together, and a coefficient is pinned (constant on the
+    solution set) to the same value in both, whatever order the equations
+    are eliminated in.  A probe reads the coefficients, free orders and
+    unknown orders of that run; it carries no ledger, which records the
+    order of elimination.  An inconsistent probe carries no order either
+    (``InconsistentSeed(None)``).
+
+    Seeding can turn an opaque equation linear, so when the k = 0 system
+    has one, or contradicts the base at order 0, every probe is a seeded
+    ``formal_coefficients`` run.
+    """
+
+    def seed(k):
+        return {s: base.coefficients[s] for s in range(0, k + 1)}
+
+    def reading(solver):
+        coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_max)
+        return JetRecursionResult(
+            coefficients, free_orders, (), n_max, unknown_orders=unknown_orders
+        )
+
+    runs = {}
+    solver = None
+    seed0, a, equations = _formal_system(ode, seed(0), n_max)
+    try:
+        eliminated, opaque_orders, _ = _eliminate(ode, seed0, a, equations, n_max)
+    except InconsistentSeed as exc:
+        runs[0] = exc
+    else:
+        runs[0] = reading(eliminated)
+        if not opaque_orders:
+            solver = eliminated
+
+    def run(k):
+        if k in runs:
+            return runs[k]
+        if solver is None:
+            try:
+                runs[k] = formal_coefficients(ode, seed(k), n_max)
+            except InconsistentSeed as exc:
+                runs[k] = exc
+            return runs[k]
+        probe = solver.copy()
+        for s in range(1, k + 1):
+            for aff, value in zip(a[s], base.coefficients[s]):
+                if probe.add_equation(aff.add(_Aff(-value))) == "inconsistent":
+                    runs[k] = InconsistentSeed(None)
+                    return runs[k]
+        runs[k] = reading(probe)
+        return runs[k]
+
+    return run
 
 
 def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) -> int:
@@ -490,6 +599,17 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     the resonant case a[hi] is itself free, so one probe at hi - 1 decides.
     The answer k comes from a settled run and k - 1 from one that is not.
 
+    The formal system is built and eliminated once, at k = 0; when none of
+    its equations is opaque, every probe restricts that elimination by the
+    seed equations (see ``_seeded_runs`` for why that is exact), so the
+    whole search is one formal run.  An opaque equation (a product of two
+    deferred symbols) is left out of a run, and seeding can make it linear,
+    so on a system with one every probe is a seeded ``formal_coefficients``
+    run.  Leaving such equations out can leave orders free that the full
+    equations pin, so on such a system the answer can exceed the least k.
+    When the answer is an inconsistent probe, that one seeded run is made,
+    and its ``InconsistentSeed`` names the order of the contradiction.
+
     An unknown order (its pinning equation beyond the truncation) is never
     pinned, so it keeps a run from settling.  If run k - 1 fails to settle
     only through unknown orders, the minimal k is not certified:
@@ -500,19 +620,13 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     for s in range(0, n_max + 1):
         if s not in base.coefficients:
             raise OdeError("base solution table is incomplete")
-    runs = {}
+    run = _seeded_runs(ode, base, n_max)
 
     def settled(k):
-        if k not in runs:
-            seed = {s: base.coefficients[s] for s in range(0, k + 1)}
-            try:
-                runs[k] = formal_coefficients(ode, seed, n_max)
-            except InconsistentSeed as exc:
-                runs[k] = exc
-        run = runs[k]
-        return isinstance(run, InconsistentSeed) or (
-            run.fully_determined
-            and all(run.coefficients[s] == base.coefficients[s] for s in range(n_max + 1))
+        outcome = run(k)
+        return isinstance(outcome, InconsistentSeed) or (
+            outcome.fully_determined
+            and all(outcome.coefficients[s] == base.coefficients[s] for s in range(n_max + 1))
         )
 
     def search(lo, hi, probe):
@@ -527,13 +641,16 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
 
     k = 0
     if not settled(0):
-        hi = max(runs[0].free_orders + runs[0].unknown_orders, default=n_max)
+        hi = max(run(0).free_orders + run(0).unknown_orders, default=n_max)
         k = search(0, hi, hi - 1)
         if k is None:
             k = search(hi, n_max, (hi + n_max) // 2)
-    if isinstance(runs[k], InconsistentSeed):
-        raise runs[k]
-    below = runs.get(k - 1)  # the search ran k - 1 whenever k > 0: not settled
+    outcome = run(k)
+    if isinstance(outcome, InconsistentSeed):
+        if outcome.order is None:  # a probe: the seeded run names the order
+            formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
+        raise outcome
+    below = run(k - 1) if k > 0 else None  # the search ran k - 1: not settled
     if (
         isinstance(below, JetRecursionResult)
         and below.unknown_orders

@@ -379,7 +379,7 @@ def test_order_sweep_script_writes_a_record(capsys, tmp_path):
     assert script.main(argv) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record["order_sweep_ms"]) == {"8"}
-    columns = {"inverse_ms", "graph_ms", "reality_ms", "segre_ms"}
+    columns = {"inverse_ms", "graph_ms", "reality_ms", "segre_ms", "ode_ms"}
     assert set(record["order_sweep_ms"]["8"]) == columns
     assert record["perfbench_pairs"] == [{"seed": 1}]
     assert capsys.readouterr().out.startswith("order  8")

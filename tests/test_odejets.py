@@ -269,8 +269,7 @@ def random_nonlinear_system(rng, n, gamma, order):
 
 @pytest.mark.parametrize("name", ["res2.ode", "gamma1.ode", "zero_rhs.ode"])
 def test_determination_matches_scan_on_corpus(name):
-    body = parse_document((CORPUS / name).read_text(encoding="utf-8")).body
-    ode = SingularODE(body["gamma"], body["p"], body["q"], body.get("theta", ()))
+    ode = corpus_ode(name)
     base = zero_solution(ode, ORDER)
     assert determination_order(ode, base, ORDER) == scan_determination_order(ode, base, ORDER)
 
@@ -325,7 +324,7 @@ def test_determination_of_a_wrong_base_raises_as_the_scan_does():
     assert error.value.order == scan_error.value.order
 
 
-def test_determination_of_resonance_20_takes_three_runs(monkeypatch):
+def test_determination_of_resonance_20_takes_one_formal_run(monkeypatch):
     runs = []
 
     def counted(*args):
@@ -336,7 +335,125 @@ def test_determination_of_resonance_20_takes_three_runs(monkeypatch):
     base = zero_solution(ode, ORDER)
     monkeypatch.setattr(odejets, "formal_coefficients", counted)
     assert determination_order(ode, base, ORDER) == 20
-    assert len(runs) <= 3
+    assert len(runs) <= 1
+
+
+# ----------------------------------------------------------------------
+# seeded probes: the k = 0 elimination restricted by a_s = base_s, s <= k
+
+
+def corpus_ode(name):
+    body = parse_document((CORPUS / name).read_text(encoding="utf-8")).body
+    return SingularODE(body["gamma"], body["p"], body["q"], body.get("theta", ()))
+
+
+def planted_systems():
+    """The twelve planted systems of the determination-order tests."""
+    for e1 in (14, 16, 18, 20):
+        for e2_kind in ("integer", "half", "negative"):
+            rng = random.Random(e1 * 10 + len(e2_kind))
+            e2 = {
+                "integer": Fraction(rng.randint(1, e1 - 1)),
+                "half": Fraction(2 * rng.randint(0, 20) + 1, 2),
+                "negative": Fraction(-rng.randint(1, 6)),
+            }[e2_kind]
+            yield planted_system(rng, e1, e2)
+
+
+def linear_random_systems(n_max):
+    """The seeded random systems whose k = 0 run has no opaque equation."""
+    rng = random.Random(7)
+    for _ in range(48):
+        ode = random_nonlinear_system(rng, rng.choice([1, 2]), rng.choice([0, 1]), n_max + 6)
+        if not formal_coefficients(ode, {}, n_max).opaque_orders:
+            yield ode
+
+
+def wrong_base(ode, n_max, order):
+    """The zero table with a 1 at ``order``, a solution of no system here."""
+    table = {s: tuple(CR(int(s == order)) for _ in range(ode.n)) for s in range(n_max + 1)}
+    return JetRecursionResult(table, (), (), n_max)
+
+
+def assert_probes_match_seeded_runs(ode, base, n_max):
+    """Every probe, highest k first (so a probe that changed the shared
+    k = 0 elimination would show in the lower ones), against the seeded
+    formal_coefficients run."""
+    run = odejets._seeded_runs(ode, base, n_max)
+    for k in range(n_max, -1, -1):
+        probe = run(k)
+        try:
+            expected = formal_coefficients(
+                ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max
+            )
+        except InconsistentSeed:
+            assert isinstance(probe, InconsistentSeed), k
+            continue
+        assert isinstance(probe, JetRecursionResult), k
+        assert probe.coefficients == expected.coefficients, k
+        assert probe.free_orders == expected.free_orders, k
+        assert probe.unknown_orders == expected.unknown_orders, k
+
+
+@pytest.mark.parametrize("name", ["res2.ode", "gamma1.ode", "zero_rhs.ode"])
+def test_probes_match_seeded_runs_on_corpus(name):
+    ode = corpus_ode(name)
+    assert_probes_match_seeded_runs(ode, zero_solution(ode, ORDER), ORDER)
+    assert_probes_match_seeded_runs(ode, wrong_base(ode, ORDER, 3), ORDER)
+
+
+def test_probes_match_seeded_runs_on_planted_systems():
+    for ode in planted_systems():
+        assert_probes_match_seeded_runs(ode, zero_solution(ode, ORDER), ORDER)
+    ode = next(planted_systems())
+    assert_probes_match_seeded_runs(ode, wrong_base(ode, ORDER, 15), ORDER)
+
+
+def test_probes_match_seeded_runs_on_random_systems():
+    n_max = 10
+    systems = list(linear_random_systems(n_max))
+    assert len(systems) >= 5
+    for j, ode in enumerate(systems):
+        assert_probes_match_seeded_runs(ode, zero_solution(ode, n_max), n_max)
+        assert_probes_match_seeded_runs(ode, wrong_base(ode, n_max, 1 + j % n_max), n_max)
+
+
+def test_probes_at_the_truncation_edge():
+    ode = scalar_ode(1, {(1, 1): 1}, order=8)
+    assert_probes_match_seeded_runs(ode, zero_solution(ode, 8), 8)
+    with pytest.raises(IndeterminateAtTruncation):
+        determination_order(ode, zero_solution(ode, 8), 8)
+
+
+def test_a_solver_copy_leaves_its_source_unchanged():
+    x, y, z = (odejets._Aff.symbol(i) for i in range(3))
+    solver = odejets._LinearSolver()
+    solver.add_equation(y.add(z))  # z = -y
+    copy = solver.copy()
+    copy.add_equation(y.add(odejets._Aff(CR(-2))))  # y = 2, so z = -2
+    assert copy.value(z) == CR(-2)
+    assert solver.value(z) is None
+    assert solver.reduce(z).lin == {1: CR(-1)}
+    assert solver.value(x) is None
+
+
+def test_wrong_base_on_a_planted_system_raises_at_the_scanned_order():
+    ode = next(planted_systems())
+    base = wrong_base(ode, ORDER, 15)
+    with pytest.raises(InconsistentSeed) as scan_error:
+        scan_determination_order(ode, base, ORDER)
+    with pytest.raises(InconsistentSeed) as error:
+        determination_order(ode, base, ORDER)
+    assert error.value.order == scan_error.value.order is not None
+
+
+@pytest.mark.xfail(strict=True, reason="opaque equations are built before solving")
+def test_determination_of_a_quadratic_resonance():
+    # x y' = 2y + y^2: a_1 = 0, and with a_2 = 0 the equation
+    # (m - 2) a_m = sum a_s a_(m-s) forces every a_m to 0, so k = 2; but
+    # a_3^2 at order 6 stays opaque after a_3 is pinned at order 3
+    ode = scalar_ode(0, {(0, 1): 2, (0, 2): 1}, order=20)
+    assert determination_order(ode, zero_solution(ode, 20), 20) == 2
 
 
 def test_back_substitution_of_nonzero_solution():
@@ -398,6 +515,20 @@ def test_seeded_runs_back_substitute(c, k):
     seed = {2: (c,)}
     run = formal_coefficients(ode, seed, 10 + k)
     assert all(r.is_zero for r in residual(ode, run))
+
+
+def test_resonance_set_matches_the_determinant_scan():
+    odes = [corpus_ode("res2.ode"), *planted_systems()]
+    for ode in odes:
+        m = linearization_at_origin(ode)
+        scan = {
+            k
+            for k in range(1, ORDER + 1)
+            if det([[m[i][j] - CR(k * (i == j)) for j in range(ode.n)] for i in range(ode.n)])
+            .is_zero
+        }
+        assert resonance_set(ode, ORDER) == scan
+    assert {max(resonance_set(ode, ORDER)) for ode in odes[1:]} == {14, 16, 18, 20}
 
 
 @settings(max_examples=10, deadline=None)
