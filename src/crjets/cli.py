@@ -25,7 +25,14 @@ except ImportError:
 
 from . import odejets
 from .dsl import Document, ParseError, parse_document
-from .hypersurface import InfiniteUpTo, NormalFormSurface, SurfaceError, UnknownAbove
+from .hypersurface import (
+    InfiniteUpTo,
+    NormalFormSurface,
+    RealGraph,
+    SurfaceError,
+    UnknownAbove,
+    from_real_graph,
+)
 from .mapjets import (
     MapError,
     MapGerm,
@@ -122,8 +129,6 @@ def _surface(doc: Document, path: str) -> NormalFormSurface:
     if "Q" in doc.body:
         _require_vanishing(path, "Q", doc.body["Q"])
         return NormalFormSurface(doc.body["Q"].with_variables(("z", "x", "t")))
-    from .hypersurface import RealGraph, from_real_graph
-
     graph = RealGraph(doc.body["phi"].with_variables(("z", "x", "s")))
     return from_real_graph(graph)
 
@@ -137,10 +142,13 @@ def _map(doc: Document, path: str) -> MapGerm:
     )
 
 
-def _ode(doc: Document) -> odejets.SingularODE:
-    return odejets.SingularODE(
-        doc.body["gamma"], doc.body["p"], doc.body["q"], doc.body.get("theta", ())
-    )
+def _ode(doc: Document, path: str) -> odejets.SingularODE:
+    try:
+        return odejets.SingularODE(
+            doc.body["gamma"], doc.body["p"], doc.body["q"], doc.body.get("theta", ())
+        )
+    except odejets.OdeError as exc:  # malformed data, such as q(0, 0) = 0
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _fmt_invariant(value) -> str:
@@ -328,7 +336,13 @@ def cmd_dynamics(args) -> int:
     report = Report("dynamics")
     report.add_input(args.surface, text1, doc1.warnings)
     report.add_input(args.map, textm, docm.warnings)
-    verdict = dynamics_check(_surface(doc1, args.surface), _map(docm, args.map))
+    surface = _surface(doc1, args.surface)
+    germ = _map(docm, args.map)
+    if germ.order < 1:
+        raise InputError(
+            f"{args.map}: dynamics needs the 1-jet, beyond the map's stored order {germ.order}"
+        )
+    verdict = dynamics_check(surface, germ)
     report.add(
         "reconstructed_fixes_axis",
         "true" if verdict.reconstructed_fixes_axis else "false",
@@ -344,7 +358,7 @@ def cmd_ode(args) -> int:
     report = Report("ode")
     report.add_input(args.ode, text, doc.warnings)
     report.add("mode", args.mode)
-    ode = _ode(doc)
+    ode = _ode(doc, args.ode)
     n_target = args.order if args.order is not None else min(ode.order, 24)
     report.add("gamma", ode.gamma)
     report.add("n_target", n_target)

@@ -164,9 +164,9 @@ class MapJet:
         self.lam = {ij: CR.coerce(c) for ij, c in lam.items() if 1 <= sum(ij) <= k}
         self.mu = {ij: CR.coerce(c) for ij, c in mu.items() if 1 <= sum(ij) <= k}
         if not self.mu.get((1, 0), CR(0)).is_zero:
-            raise MapError("jet violates triangularity: G_z(0) != 0")
+            raise PreconditionError("jet violates triangularity: G_z(0) != 0")
         if (self.lam.get((1, 0), CR(0)) * self.mu.get((0, 1), CR(0))).is_zero:
-            raise MapError("jet is not invertible: F_z(0) G_w(0) = 0")
+            raise PreconditionError("jet is not invertible: F_z(0) G_w(0) = 0")
 
     def entry(self, table: str, i: int, j: int) -> CR:
         src = self.lam if table == "lam" else self.mu

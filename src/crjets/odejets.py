@@ -18,8 +18,9 @@ before any is solved, so an equation stays opaque even when a lower order
 pins one of its factors, and the run can report an order free that the
 full equation pins (x y' = 2y + y^2 leaves a_3^2 opaque at order 6).  The
 linear test corpus never produces one.  ``determination_order`` builds and
-eliminates the system once and restricts that elimination for every seed,
-unless an equation is opaque.
+eliminates the system once and scans k = 0, 1, 2, ..., adding the seed
+equations a_k = base_k to that one elimination at each step, unless an
+equation is opaque.
 
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import linalg
 from .rational import ComplexRational as CR
@@ -62,12 +63,10 @@ class IndeterminateAtTruncation(OdeError):
 
 
 class InconsistentSeed(OdeError):
-    """``order`` is the first equation order that contradicts the seed, or
-    None when only the consistency of the whole system was decided."""
+    """``order`` is the first equation order that contradicts the seed."""
 
-    def __init__(self, order, message=""):
-        where = "" if order is None else f" (order {order})"
-        super().__init__(f"no formal solution extends the seed{where}{message}")
+    def __init__(self, order):
+        super().__init__(f"no formal solution extends the seed (order {order})")
         self.order = order
 
 
@@ -111,6 +110,9 @@ class SingularODE:
 
 
 class _Aff:
+    """An affine form const + sum lin[sym] * sym, or an opaque value.  It is
+    never changed in place, so operations may return an operand itself."""
+
     __slots__ = ("const", "lin", "opaque")
 
     def __init__(self, const=CR(0), lin=None, opaque=False):
@@ -125,6 +127,10 @@ class _Aff:
     def add(self, other):
         if self.opaque or other.opaque:
             return _Aff(opaque=True)
+        if not self.lin and self.const.is_zero:
+            return other
+        if not other.lin and other.const.is_zero:
+            return self
         lin = dict(self.lin)
         for s, c in other.lin.items():
             acc = lin.get(s, CR(0)) + c
@@ -135,10 +141,10 @@ class _Aff:
         return _Aff(self.const + other.const, lin)
 
     def scale(self, c: CR):
-        if self.opaque:
-            return _Aff(opaque=True) if not c.is_zero else _Aff()
         if c.is_zero:
             return _Aff()
+        if self.opaque or c == 1:
+            return self
         return _Aff(self.const * c, {s: v * c for s, v in self.lin.items()})
 
     def mul(self, other):
@@ -208,17 +214,12 @@ class _LinearSolver:
     """Incremental exact row reduction with eager back-substitution.
 
     Pivot rows never reference pivot symbols, so resolving a value is a
-    single substitution pass.  A row is never changed once stored (adding
-    an equation stores new rows), so a copy shares no state it can change.
+    single substitution pass.  Adding an equation stores new rows and never
+    changes an _Aff, so the solver shares the equations' forms safely.
     """
 
     def __init__(self):
         self.pivots: dict[int, _Aff] = {}
-
-    def copy(self) -> "_LinearSolver":
-        clone = _LinearSolver()
-        clone.pivots = dict(self.pivots)
-        return clone
 
     def reduce(self, aff: _Aff) -> _Aff:
         if aff.opaque:
@@ -282,9 +283,6 @@ class JetRecursionResult:
     @property
     def fully_determined(self) -> bool:
         return not self.free_orders and not self.unknown_orders
-
-    def vector(self, s):
-        return self.coefficients.get(s)
 
 
 def _formal_system(ode: SingularODE, seed, n_target: int):
@@ -509,106 +507,34 @@ def resonance_set(ode: SingularODE, n_max: int) -> set[int]:
 # determination order
 
 
-def _seeded_runs(ode: SingularODE, base: JetRecursionResult, n_max: int):
-    """``run(k)``: the outcome of ``formal_coefficients`` seeded with the
-    base through order k, a result or an ``InconsistentSeed``, memoized.
-
-    The formal system is built and eliminated once, at k = 0.  If none of
-    its equations is opaque, a probe at k copies that elimination and adds
-    the seed equations a_s = base_s for 1 <= s <= k.  This is exact: an
-    equation that is not opaque is never the product of two deferred
-    symbols, so it is affine in them, and the run seeded through k has
-    those same affine equations with a_1..a_k replaced by constants.  Its
-    solution set is therefore the k = 0 solution set cut by the seed
-    equations, with the seeded coordinates dropped.  Both are consistent
-    or inconsistent together, and a coefficient is pinned (constant on the
-    solution set) to the same value in both, whatever order the equations
-    are eliminated in.  A probe reads the coefficients, free orders and
-    unknown orders of that run; it carries no ledger, which records the
-    order of elimination.  An inconsistent probe carries no order either
-    (``InconsistentSeed(None)``).
-
-    Seeding can turn an opaque equation linear, so when the k = 0 system
-    has one, or contradicts the base at order 0, every probe is a seeded
-    ``formal_coefficients`` run.
-    """
-
-    def seed(k):
-        return {s: base.coefficients[s] for s in range(0, k + 1)}
-
-    def reading(solver):
-        coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_max)
-        return JetRecursionResult(
-            coefficients, free_orders, (), n_max, unknown_orders=unknown_orders
-        )
-
-    runs = {}
-    solver = None
-    seed0, a, equations = _formal_system(ode, seed(0), n_max)
-    try:
-        eliminated, opaque_orders, _ = _eliminate(ode, seed0, a, equations, n_max)
-    except InconsistentSeed as exc:
-        runs[0] = exc
-    else:
-        runs[0] = reading(eliminated)
-        if not opaque_orders:
-            solver = eliminated
-
-    def run(k):
-        if k in runs:
-            return runs[k]
-        if solver is None:
-            try:
-                runs[k] = formal_coefficients(ode, seed(k), n_max)
-            except InconsistentSeed as exc:
-                runs[k] = exc
-            return runs[k]
-        probe = solver.copy()
-        for s in range(1, k + 1):
-            for aff, value in zip(a[s], base.coefficients[s]):
-                if probe.add_equation(aff.add(_Aff(-value))) == "inconsistent":
-                    runs[k] = InconsistentSeed(None)
-                    return runs[k]
-        runs[k] = reading(probe)
-        return runs[k]
-
-    return run
-
-
 def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) -> int:
     """Minimal k such that seeding with the base solution through order k
     pins every coefficient through n_max to the base values.
 
     Call the run seeded through k settled when it raises
-    ``InconsistentSeed`` or pins every order to the base values.  Being
-    settled is monotone in k.  Seeding a[k+1] only turns deferred symbols into
-    constants, so an equation that is linear at k stays linear at k + 1
-    (an opaque one may turn linear, never the reverse) and the linear
-    system at k + 1 is the one at k restricted to a[k+1] = base, plus
-    equations.  Restriction keeps an inconsistent system inconsistent and a
-    pinned coefficient pinned to the same value, and if that value differs
-    from the base at k + 1 the restricted system is inconsistent.  At
-    k = n_max every reported order is seeded, so that run is settled.
+    ``InconsistentSeed`` or pins every order to the base values.  The
+    search scans k = 0, 1, 2, ... and returns the first settled k, or
+    re-raises its ``InconsistentSeed``, which names the order of the
+    contradiction.  At k = n_max every reported order is seeded, so the
+    scan ends there at the latest.
 
-    The search therefore bisects on "settled", and returns (or re-raises the
-    ``InconsistentSeed`` of) the smallest settled k, which is what a scan of
-    k = 0, 1, 2, ... finds.  The run at k = 0 brackets it: seeding through
-    its largest free order ``hi`` seeds every free order, and the orders
-    above ``hi`` are pinned already.  That run is settled unless the base
-    disagrees with the equations, in which case n_max is the bracket.  In
-    the resonant case a[hi] is itself free, so one probe at hi - 1 decides.
-    The answer k comes from a settled run and k - 1 from one that is not.
+    The formal system is built and eliminated once, at k = 0, and step k
+    adds the seed equations a_k = base_k to that same elimination.  This is
+    exact: an equation that is not opaque is never the product of two
+    deferred symbols, so it is affine in them, and the run seeded through k
+    has those same affine equations with a_1..a_k replaced by constants.
+    Its solution set is therefore the k = 0 solution set cut by the seed
+    equations, with the seeded coordinates dropped.  Both are consistent or
+    inconsistent together, and a coefficient is pinned (constant on the
+    solution set) to the same value in both, whatever order the equations
+    are eliminated in.  An inconsistent step reruns that one seeded
+    ``formal_coefficients`` run for the order it names.
 
-    The formal system is built and eliminated once, at k = 0; when none of
-    its equations is opaque, every probe restricts that elimination by the
-    seed equations (see ``_seeded_runs`` for why that is exact), so the
-    whole search is one formal run.  An opaque equation (a product of two
-    deferred symbols) is left out of a run, and seeding can make it linear,
-    so on a system with one every probe is a seeded ``formal_coefficients``
-    run.  Leaving such equations out can leave orders free that the full
-    equations pin, so on such a system the answer can exceed the least k.
-    When the answer is an inconsistent probe, that one seeded run is made,
-    and its ``InconsistentSeed`` names the order of the contradiction.
+    An opaque equation (a product of two deferred symbols) is left out of a
+    run, and seeding can make it linear, so on a system with one every step
+    k >= 1 is a seeded ``formal_coefficients`` run.  Leaving such equations
+    out can leave orders free that the full equations pin, so on such a
+    system the answer can exceed the least k.
 
     An unknown order (its pinning equation beyond the truncation) is never
     pinned, so it keeps a run from settling.  If run k - 1 fails to settle
@@ -620,45 +546,39 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     for s in range(0, n_max + 1):
         if s not in base.coefficients:
             raise OdeError("base solution table is incomplete")
-    run = _seeded_runs(ode, base, n_max)
 
-    def settled(k):
-        outcome = run(k)
-        return isinstance(outcome, InconsistentSeed) or (
-            outcome.fully_determined
-            and all(outcome.coefficients[s] == base.coefficients[s] for s in range(n_max + 1))
-        )
+    def seed(k):
+        return {s: base.coefficients[s] for s in range(0, k + 1)}
 
-    def search(lo, hi, probe):
-        # run lo is not settled; run hi is, unless the base is not a solution
-        while hi - lo > 1:
-            if settled(probe):
-                hi = probe
-            else:
-                lo = probe
-            probe = (lo + hi) // 2
-        return hi if settled(hi) else None
-
-    k = 0
-    if not settled(0):
-        hi = max(run(0).free_orders + run(0).unknown_orders, default=n_max)
-        k = search(0, hi, hi - 1)
-        if k is None:
-            k = search(hi, n_max, (hi + n_max) // 2)
-    outcome = run(k)
-    if isinstance(outcome, InconsistentSeed):
-        if outcome.order is None:  # a probe: the seeded run names the order
-            formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
-        raise outcome
-    below = run(k - 1) if k > 0 else None  # the search ran k - 1: not settled
-    if (
-        isinstance(below, JetRecursionResult)
-        and below.unknown_orders
-        and not below.free_orders
-        and all(v == base.coefficients[s] for s, v in below.coefficients.items())
-    ):
-        raise IndeterminateAtTruncation(k, below.unknown_orders)
-    return k
+    seed0, a, equations = _formal_system(ode, seed(0), n_max)
+    solver, opaque_orders, _ = _eliminate(ode, seed0, a, equations, n_max)
+    top = min(n_max, ode.order - ode.gamma)  # the orders that can be free
+    below = ()  # the unknown orders that alone kept run k - 1 from settling
+    for k in range(0, n_max + 1):
+        if k and opaque_orders:
+            run = formal_coefficients(ode, seed(k), n_max)
+            coefficients, free_orders, unknown_orders = (
+                run.coefficients, run.free_orders, run.unknown_orders
+            )
+        else:
+            # a[0] holds the seed's constants, so step 0 adds nothing
+            for aff, value in zip(a[k], base.coefficients[k]):
+                if solver.add_equation(aff.add(_Aff(-value))) == "inconsistent":
+                    formal_coefficients(ode, seed(k), n_max)
+                    raise AssertionError("the seeded run extends a contradicted seed")
+            if any(solver.value(aff) is None for s in range(k + 1, top + 1) for aff in a[s]):
+                below = ()  # a free order: not settled
+                continue
+            coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_max)
+        if free_orders or any(v != base.coefficients[s] for s, v in coefficients.items()):
+            below = ()
+        elif unknown_orders:
+            below = unknown_orders
+        elif below:
+            raise IndeterminateAtTruncation(k, below)
+        else:
+            return k
+    raise AssertionError("the run seeded through n_max pins every order")
 
 
 def zero_solution(ode: SingularODE, n_target: int) -> JetRecursionResult:
@@ -721,8 +641,6 @@ def _phi_coefficient(entries, d: int, n: int):
 
 def _q_block(entries, j: int, gamma: int, n: int, l_order: int):
     """gamma*n square block: d! * Phi_d at offset d = j*gamma + i - i'."""
-    from math import factorial
-
     size = gamma * n
     block = [[CR(0)] * size for _ in range(size)]
     for i in range(1, gamma + 1):

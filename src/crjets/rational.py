@@ -215,7 +215,6 @@ class ComplexRational:
 
 
 ZERO = ComplexRational(0)
-ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
 
 

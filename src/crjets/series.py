@@ -58,10 +58,6 @@ from .rational import (
 MultiIndex = tuple[int, ...]
 
 
-def total_degree(mi: MultiIndex) -> int:
-    return sum(mi)
-
-
 def grlex_key(mi: MultiIndex):
     """Graded-lexicographic sort key; fixes the deterministic term order."""
     return (sum(mi), mi)
@@ -191,10 +187,6 @@ class TruncatedSeries:
     # basic queries
 
     @property
-    def is_exact(self) -> bool:
-        return self.tolerance is None
-
-    @property
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -221,9 +213,6 @@ class TruncatedSeries:
         """Deterministic (multi-index, coefficient) iteration in grlex order."""
         for mi in sorted(self.coefficients, key=grlex_key):
             yield mi, self.coefficients[mi]
-
-    def support(self) -> set[MultiIndex]:
-        return set(self.coefficients)
 
     def _check_partner(self, other: "TruncatedSeries"):
         if self.variables != other.variables:

@@ -374,3 +374,41 @@ def test_ode_determine_off_a_solution_is_input_error(capsys, tmp_path, gamma):
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: {doc}: y = 0 does not solve the equation")
+
+
+@pytest.mark.parametrize("mode", ["solve", "determine", "chain"])
+def test_ode_with_a_vanishing_denominator_is_input_error(capsys, tmp_path, mode):
+    doc = tmp_path / "singular.ode"
+    doc.write_text("kind: ode\ngamma: 1\nvars: x y\norder: 8\np: y\nq: x\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "ode", doc, mode)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {doc}: q(0, 0) must be nonzero")
+
+
+def test_dynamics_without_a_1_jet_is_input_error(capsys):
+    code, out, err = run_err(
+        capsys, "dynamics", CORPUS / "heisenberg.surf", CORPUS / "identity.map", "--order", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {CORPUS / 'identity.map'}: dynamics needs the 1-jet")
+
+
+@pytest.mark.parametrize(
+    "command,components,message",
+    [
+        ("segre", "F: z\nG: w + z\n", "jet violates triangularity"),
+        ("segre", "F: w\nG: w\n", "jet is not invertible"),
+        ("determine", "F: 0\nG: 0\n", "jet is not invertible"),  # preserves the quadric
+    ],
+)
+def test_a_degenerate_linear_part_is_input_error(capsys, tmp_path, command, components, message):
+    doc = tmp_path / "degenerate.map"
+    doc.write_text("kind: map\norder: 4\n" + components, encoding="utf-8")
+    heis = CORPUS / "heisenberg.surf"
+    argv = (heis, heis, doc) if command == "segre" else (heis, doc, CORPUS / "identity.map")
+    code, out, err = run_err(capsys, command, *argv, "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {message}")

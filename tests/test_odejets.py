@@ -375,38 +375,52 @@ def wrong_base(ode, n_max, order):
     return JetRecursionResult(table, (), (), n_max)
 
 
-def assert_probes_match_seeded_runs(ode, base, n_max):
-    """Every probe, highest k first (so a probe that changed the shared
-    k = 0 elimination would show in the lower ones), against the seeded
-    formal_coefficients run."""
-    run = odejets._seeded_runs(ode, base, n_max)
-    for k in range(n_max, -1, -1):
-        probe = run(k)
-        try:
-            expected = formal_coefficients(
-                ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max
-            )
-        except InconsistentSeed:
-            assert isinstance(probe, InconsistentSeed), k
-            continue
-        assert isinstance(probe, JetRecursionResult), k
-        assert probe.coefficients == expected.coefficients, k
-        assert probe.free_orders == expected.free_orders, k
-        assert probe.unknown_orders == expected.unknown_orders, k
+def snapshot(affs):
+    return [(aff.const, dict(aff.lin), aff.opaque) for aff in affs]
+
+
+def check_scan_steps(ode, base, n_max):
+    """The steps of determination_order's scan: one k = 0 elimination, the
+    seed equations a_k = base_k added upward, each step against the seeded
+    formal_coefficients run.  Returns the order of the first inconsistent
+    step, or None; the equations' forms must come out unchanged."""
+    seed, a, equations = odejets._formal_system(ode, {0: base.coefficients[0]}, n_max)
+    forms = [aff for row in equations for aff in row] + [aff for s in a for aff in a[s]]
+    before = snapshot(forms)
+    solver, opaque_orders, _ = odejets._eliminate(ode, seed, a, equations, n_max)
+    assert not opaque_orders
+    for k in range(n_max + 1):
+        seed = {s: base.coefficients[s] for s in range(k + 1)}
+        if any(
+            solver.add_equation(aff.add(odejets._Aff(-value))) == "inconsistent"
+            for aff, value in zip(a[k], base.coefficients[k])
+        ):
+            with pytest.raises(InconsistentSeed):
+                formal_coefficients(ode, seed, n_max)
+            break
+        expected = formal_coefficients(ode, seed, n_max)
+        coefficients, free_orders, unknown_orders = odejets._read(ode, a, solver, n_max)
+        assert coefficients == expected.coefficients, k
+        assert free_orders == expected.free_orders, k
+        assert unknown_orders == expected.unknown_orders, k
+    else:
+        k = None
+    assert snapshot(forms) == before
+    return k
 
 
 @pytest.mark.parametrize("name", ["res2.ode", "gamma1.ode", "zero_rhs.ode"])
 def test_probes_match_seeded_runs_on_corpus(name):
     ode = corpus_ode(name)
-    assert_probes_match_seeded_runs(ode, zero_solution(ode, ORDER), ORDER)
-    assert_probes_match_seeded_runs(ode, wrong_base(ode, ORDER, 3), ORDER)
+    assert check_scan_steps(ode, zero_solution(ode, ORDER), ORDER) is None
+    assert check_scan_steps(ode, wrong_base(ode, ORDER, 3), ORDER) is not None
 
 
 def test_probes_match_seeded_runs_on_planted_systems():
     for ode in planted_systems():
-        assert_probes_match_seeded_runs(ode, zero_solution(ode, ORDER), ORDER)
+        assert check_scan_steps(ode, zero_solution(ode, ORDER), ORDER) is None
     ode = next(planted_systems())
-    assert_probes_match_seeded_runs(ode, wrong_base(ode, ORDER, 15), ORDER)
+    assert check_scan_steps(ode, wrong_base(ode, ORDER, 15), ORDER) is not None
 
 
 def test_probes_match_seeded_runs_on_random_systems():
@@ -414,27 +428,29 @@ def test_probes_match_seeded_runs_on_random_systems():
     systems = list(linear_random_systems(n_max))
     assert len(systems) >= 5
     for j, ode in enumerate(systems):
-        assert_probes_match_seeded_runs(ode, zero_solution(ode, n_max), n_max)
-        assert_probes_match_seeded_runs(ode, wrong_base(ode, n_max, 1 + j % n_max), n_max)
+        assert check_scan_steps(ode, zero_solution(ode, n_max), n_max) is None
+        wrong = wrong_base(ode, n_max, 1 + j % n_max)
+        assert check_scan_steps(ode, wrong, n_max) is not None
 
 
 def test_probes_at_the_truncation_edge():
     ode = scalar_ode(1, {(1, 1): 1}, order=8)
-    assert_probes_match_seeded_runs(ode, zero_solution(ode, 8), 8)
+    assert check_scan_steps(ode, zero_solution(ode, 8), 8) is None
     with pytest.raises(IndeterminateAtTruncation):
         determination_order(ode, zero_solution(ode, 8), 8)
 
 
-def test_a_solver_copy_leaves_its_source_unchanged():
-    x, y, z = (odejets._Aff.symbol(i) for i in range(3))
-    solver = odejets._LinearSolver()
-    solver.add_equation(y.add(z))  # z = -y
-    copy = solver.copy()
-    copy.add_equation(y.add(odejets._Aff(CR(-2))))  # y = 2, so z = -2
-    assert copy.value(z) == CR(-2)
-    assert solver.value(z) is None
-    assert solver.reduce(z).lin == {1: CR(-1)}
-    assert solver.value(x) is None
+def test_determination_leaves_formal_coefficients_unchanged():
+    rng = random.Random(7)
+    systems = list(planted_systems())[:3] + [
+        random_nonlinear_system(rng, rng.choice([1, 2]), rng.choice([0, 1]), 16)
+        for _ in range(12)
+    ]
+    for ode in systems:
+        n_max = min(ORDER, ode.order - 6)
+        before = formal_coefficients(ode, {}, n_max)
+        determination_order(ode, zero_solution(ode, n_max), n_max)
+        assert formal_coefficients(ode, {}, n_max) == before
 
 
 def test_wrong_base_on_a_planted_system_raises_at_the_scanned_order():
