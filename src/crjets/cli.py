@@ -34,6 +34,7 @@ from .hypersurface import (
     from_real_graph,
 )
 from .mapjets import (
+    LeviFlatInput,
     MapError,
     MapGerm,
     PreconditionError,
@@ -254,6 +255,15 @@ def _fail_with_obstructions(report: Report, mismatches, out_path) -> int:
     return EXIT_FAIL
 
 
+def _levi_flat(report: Report, exc: LeviFlatInput, out_path) -> int:
+    """No derivative data through the truncation: indeterminate there."""
+    report.add("m0", _fmt_invariant(InfiniteUpTo(exc.order)))
+    report.add("certified_order", exc.order)
+    report.add("verdict", "indeterminate")
+    _emit(report, out_path)
+    return EXIT_INDETERMINATE
+
+
 def cmd_segre(args) -> int:
     doc1, text1 = _load(args.surface, "surface", args.order)
     doc2, text2 = _load(args.surface2, "surface", args.order)
@@ -277,7 +287,10 @@ def cmd_segre(args) -> int:
     if mismatches:
         return _fail_with_obstructions(report, mismatches, args.out)
     jet = germ.jet(args.k + 1)
-    recon = segre_jet_reconstruct(source, target, jet, args.k)
+    try:
+        recon = segre_jet_reconstruct(source, target, jet, args.k)
+    except LeviFlatInput as exc:
+        return _levi_flat(report, exc, args.out)
     report.add("backend", "exact")
     report.add("reconstructed_F", format_series(recon.f_wk))
     report.add("reconstructed_G", format_series(recon.g_wk))
@@ -342,7 +355,10 @@ def cmd_dynamics(args) -> int:
         raise InputError(
             f"{args.map}: dynamics needs the 1-jet, beyond the map's stored order {germ.order}"
         )
-    verdict = dynamics_check(surface, germ)
+    try:
+        verdict = dynamics_check(surface, germ)
+    except LeviFlatInput as exc:
+        return _levi_flat(report, exc, args.out)
     report.add(
         "reconstructed_fixes_axis",
         "true" if verdict.reconstructed_fixes_axis else "false",
@@ -351,6 +367,14 @@ def cmd_dynamics(args) -> int:
     report.add("verdict", "pass" if verdict.passed else "fail")
     _emit(report, args.out)
     return EXIT_PASS if verdict.passed else EXIT_FAIL
+
+
+def _inconsistent(report: Report, exc: odejets.InconsistentSeed, out_path) -> int:
+    """No formal solution: the witness is the first contradicting order."""
+    report.add("inconsistent_order", exc.order)
+    report.add("verdict", "fail")
+    _emit(report, out_path)
+    return EXIT_FAIL
 
 
 def cmd_ode(args) -> int:
@@ -365,7 +389,10 @@ def cmd_ode(args) -> int:
     if ode.theta:
         report.add("theta", " ".join(format_fraction(t) for t in ode.theta))
     if args.mode == "solve":
-        run = odejets.formal_coefficients(ode, {}, n_target)
+        try:
+            run = odejets.formal_coefficients(ode, {}, n_target)
+        except odejets.InconsistentSeed as exc:
+            return _inconsistent(report, exc, args.out)
         for entry in run.obstruction_ledger:
             # no rank or kernel for a row whose equation lies beyond the data
             measured = "" if entry.rank is None else f"rank={entry.rank} kernel={entry.kernel_dim} "
@@ -395,6 +422,8 @@ def cmd_ode(args) -> int:
             report.add("verdict", "indeterminate")
             _emit(report, args.out)
             return EXIT_INDETERMINATE
+        except odejets.InconsistentSeed as exc:
+            return _inconsistent(report, exc, args.out)
         report.add("determination_order", k)
         report.add("verdict", "pass")
         _emit(report, args.out)

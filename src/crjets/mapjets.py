@@ -46,7 +46,12 @@ class JetArityError(MapError):
 
 
 class LeviFlatInput(MapError):
-    pass
+    """No nonvanishing derivative data through ``order``: the verdict is
+    indeterminate at that truncation."""
+
+    def __init__(self, order: int):
+        super().__init__(f"no nonvanishing derivative data through order {order}")
+        self.order = order
 
 
 class InconsistentJet(MapError):
@@ -310,10 +315,7 @@ class _Reconstruction:
         inv = source.compute_invariants()
         inv2 = target.compute_invariants()
         if isinstance(inv.m0, InfiniteUpTo) or isinstance(inv2.m0, InfiniteUpTo):
-            raise LeviFlatInput(
-                f"no nonvanishing derivative data through order "
-                f"{min(source.order, target.order)}"
-            )
+            raise LeviFlatInput(min(source.order, target.order))
         if (inv.m0, inv.alpha0, inv.mu0, inv.ell) != (
             inv2.m0,
             inv2.alpha0,
@@ -629,7 +631,7 @@ def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
         raise PreconditionError("map is not tangent to the identity")
     inv = surface.compute_invariants()
     if isinstance(inv.m0, InfiniteUpTo):
-        raise PreconditionError("surface has no nonvanishing derivative data")
+        raise LeviFlatInput(inv.m0.order)
     recon = segre_jet_reconstruct(surface, surface, h.jet(1), 0)
     zg = TruncatedSeries.variable("z", ("z",), recon.f_wk.order)
     recon_ok = recon.f_wk == zg and recon.g_wk.is_zero

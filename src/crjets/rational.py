@@ -11,7 +11,7 @@ per result; ``Fraction`` objects appear only at the boundary (``.re``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _new = object.__new__
 
@@ -38,6 +38,13 @@ def _reduced(a: int, b: int, d: int) -> "ComplexRational":
     z._b = b
     z._d = d
     return z
+
+
+def numerators(values) -> tuple[list[tuple[int, int]], int]:
+    """The values as Gaussian integers ``(a, b)`` over one common
+    denominator ``d``, the least: ``value = (a + b*i) / d`` for each."""
+    d = lcm(*[z._d for z in values])
+    return [(z._a * (d // z._d), z._b * (d // z._d)) for z in values], d
 
 
 def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> "ComplexRational":

@@ -16,6 +16,16 @@ Two coefficient backends share one implementation:
 * float: complex coefficients with a zero-test ``tolerance``; any
   coefficient of magnitude below the tolerance is normalized to absent.
 
+Every series product runs one kernel, :func:`_product`.  It packs the
+exponents of a monomial into one int (Monagan & Pearce, CASC 2007), writes
+each operand as Gaussian integers over one common denominator (as FLINT's
+``fmpq_poly`` does), sums the real and imaginary parts of each result
+coefficient as plain ints and reduces each result coefficient once, so the
+results are the canonical values term-by-term arithmetic gives.  The float
+backend runs the same sums with denominator 1.  The packed right operand is
+kept on its series, beside the composition powers: Horner accumulators,
+power lists and Newton steps multiply by one series many times.
+
 Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
 move or drop exponents without any product; the innermost remaining slot
@@ -33,7 +43,8 @@ one composition at the full order.
 The public constructor checks every multi-index and coerces every
 coefficient.  Ring operations build their results through a trusted path
 that only drops zero coefficients and monomials above the order, since
-their inputs were checked when they were built.
+their inputs were checked when they were built; products leave the kernel
+with neither and are wrapped as they are.
 
 Mixed-backend arithmetic is refused.  On the exact backend a k-th root is
 taken only when it stays in the field (a leading coefficient of 1 always
@@ -46,13 +57,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import mul
 from typing import Mapping
 
 from .rational import (
     ComplexRational,
+    _reduced,
     format_scalar,
     gaussian_kth_root,
+    numerators,
 )
 
 MultiIndex = tuple[int, ...]
@@ -117,7 +130,9 @@ class UnknownOrder:
 class TruncatedSeries:
     # _powers: {(order, box limits): [S, S^2, ...]}, filled by compose when
     # this series is substituted into a general slot
-    __slots__ = ("variables", "order", "coefficients", "tolerance", "_powers")
+    # _packed: this series as the right operand of _product (a _Packed),
+    # filled by its first product
+    __slots__ = ("variables", "order", "coefficients", "tolerance", "_powers", "_packed")
 
     def __init__(self, variables, order, coefficients=None, tolerance=None):
         variables = tuple(variables)
@@ -150,6 +165,7 @@ class TruncatedSeries:
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "_powers", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -259,7 +275,8 @@ class TruncatedSeries:
             return self._make({mi: c * scal for mi, c in self.coefficients.items()})
         self._check_partner(other)
         order = min(self.order, other.order)
-        return self._make(_product(self.coefficients, other.coefficients, order), order)
+        table = _product(self.coefficients, other, order)
+        return _series(self.variables, order, table, self.tolerance)
 
     __rmul__ = __mul__
 
@@ -327,13 +344,13 @@ class TruncatedSeries:
             if abs(c0) < self.tolerance:
                 raise NonmonomialLeadingForm("inverse of a non-unit")
             c0inv = 1.0 / c0
-        v = (self - c0) * c0inv  # vanishing order >= 1
+        minus_v = (-self + c0) * c0inv  # vanishing order >= 1
         acc = TruncatedSeries.constant(
             self._scalar(1), self.variables, self.order, self.tolerance
         )
         power = acc
         for _ in range(self.order):
-            power = power * (-v)
+            power = power * minus_v
             if power.is_zero:
                 break
             acc = acc + power
@@ -667,48 +684,155 @@ def _trusted(variables, order, coefficients, tolerance) -> TruncatedSeries:
             for mi, c in coefficients.items()
             if not abs(c) < tolerance and sum(mi) <= order
         }
+    return _series(variables, order, clean, tolerance)
+
+
+def _series(variables, order, clean, tolerance) -> TruncatedSeries:
+    """A series over the table ``clean``, which has no zero coefficient and
+    no monomial above ``order``, as it is."""
     s = object.__new__(TruncatedSeries)
     object.__setattr__(s, "variables", variables)
     object.__setattr__(s, "order", order)
     object.__setattr__(s, "coefficients", clean)
     object.__setattr__(s, "tolerance", tolerance)
     object.__setattr__(s, "_powers", None)
+    object.__setattr__(s, "_packed", None)
     return s
 
 
-def _product(a, b, order, limits=()) -> dict:
-    """Coefficient table of a * b through ``order``: the one product loop.
+class _Packed:
+    """A series as the right operand of :func:`_product`, kept on it."""
 
-    ``a`` and ``b`` are coefficient tables; ``limits`` holds the (slot,
-    largest exponent) pairs of a box (see :meth:`TruncatedSeries.compose`).
-    Each term of ``a`` meets only the terms of ``b`` that fit its degree
-    budget and its room in the box, listed once per budget.
+    __slots__ = ("width", "scale", "rows", "denominator", "partners", "monomials")
+
+    def __init__(self, s: TruncatedSeries):
+        self.width = width = max(s.order.bit_length(), 1)
+        self.scale = scale = [1 << width * i for i in range(len(s.variables))]
+        nums, self.denominator = _numerators(s.coefficients.values(), s.tolerance)
+        self.rows = [
+            (mi, sum(mi), sum(map(mul, mi, scale)), re, im)
+            for mi, (re, im) in zip(s.coefficients, nums)
+        ]
+        self.partners = {}  # degree budget -> [(key, re, im)] that fit it
+        self.monomials = {}  # packed product exponents -> multi-index
+
+
+def _numerators(values, tolerance):
+    """``(numerators, denominator)`` of the coefficients ``values``: Gaussian
+    integers over their least common denominator, or floats over 1."""
+    if tolerance is None:
+        return numerators(values)
+    return [(c.real, c.imag) for c in values], 1
+
+
+def _product(a: dict, b: TruncatedSeries, order: int, limits=()) -> dict:
+    """Coefficient table of ``a * b`` through ``order``: the one product kernel.
+
+    ``a`` is a coefficient table and ``b.order >= order``; ``limits`` holds
+    the (slot, largest exponent) pairs of a box (see
+    :meth:`TruncatedSeries.compose`).  The table is clean: no zero
+    coefficient and no monomial above ``order``.
+
+    Exponents are packed into one int per monomial, ``width`` bits a slot
+    (Monagan & Pearce, CASC 2007), so a product monomial is one int
+    addition.  ``width`` comes from ``b.order``, so every exponent of a
+    product through ``order`` fits its field.  Each operand is written as
+    Gaussian integers over one common denominator, as in FLINT's
+    ``fmpq_poly``: the real and imaginary parts of each product coefficient
+    are summed as plain ints and reduced once at the end, to the same
+    canonical value the per-term arithmetic gives.  The float backend runs
+    the same sums with denominator 1, in the order of complex
+    multiplication and addition, term by term.
+
+    The packed rows of ``b`` are kept on ``b``: Horner accumulators, power
+    lists and Newton steps multiply by one series many times.  Each term
+    of ``a`` meets only the rows of ``b`` that fit its degree budget and
+    its room in the box, listed once per budget in ``b``'s term order, and
+    each packed result monomial is unpacked once per ``b``.  The result's
+    terms come in the order of their first products, as in a schoolbook
+    loop over ``a`` and then ``b``.
     """
-    right = [(mj, sum(mj), cb) for mj, cb in b.items()]
-    # partners of each budget, in the partner's own term order
-    partners: dict = {}
-    out: dict = {}
-    for mi, ca in a.items():
-        room = budget = order - sum(mi)
-        if limits:
-            budget = (room, *[bound - mi[j] for j, bound in limits])
-            if min(budget) < 0:
-                continue
-        elif room < 0:
+    packed = b._packed
+    if packed is None:
+        packed = _Packed(b)
+        object.__setattr__(b, "_packed", packed)
+    scale, partners = packed.scale, packed.partners
+    left = []
+    cs = []
+    for mi, c in a.items():
+        room = order - sum(mi)
+        if room < 0:
             continue
+        if limits:  # the box is part of the key of the partner lists
+            room = (limits, room, *[bound - mi[j] for j, bound in limits])
+            if min(room[1:]) < 0:
+                continue
+        left.append((sum(map(mul, mi, scale)), room))
+        cs.append(c)
+    nums, da = _numerators(cs, b.tolerance)
+    exact = b.tolerance is None
+    re: dict = {}
+    im: dict = {}
+    for (ka, budget), (ra, ia) in zip(left, nums):
         fits = partners.get(budget)
         if fits is None:
-            fits = partners[budget] = [
-                (mj, cb)
-                for mj, db, cb in right
-                if db <= room
-                and (not limits or all(mj[j] <= r for (j, _), r in zip(limits, budget[1:])))
-            ]
-        for mj, cb in fits:
-            mk = tuple(map(add, mi, mj))
-            prev = out.get(mk)
-            out[mk] = ca * cb if prev is None else prev + ca * cb
+            fits = partners[budget] = _partners(packed.rows, budget)
+        # a real term of a skips half the products; floats keep the full
+        # formula of complex multiplication, signed zeros included
+        if ia or not exact:
+            for kb, rb, ib in fits:
+                k = ka + kb
+                if k in re:
+                    re[k] += ra * rb - ia * ib
+                    im[k] += ra * ib + ia * rb
+                else:
+                    re[k] = ra * rb - ia * ib
+                    im[k] = ra * ib + ia * rb
+        else:
+            for kb, rb, ib in fits:
+                k = ka + kb
+                if k in re:
+                    re[k] += ra * rb
+                    im[k] += ra * ib
+                else:
+                    re[k] = ra * rb
+                    im[k] = ra * ib
+    d = da * packed.denominator
+    tol = b.tolerance
+    monomials = packed.monomials
+    out = {}
+    for (k, x), y in zip(re.items(), im.values()):  # one insertion order
+        if exact:
+            if not (x or y):
+                continue
+            c = _reduced(x, y, d)
+        else:
+            c = complex(x, y)
+            if abs(c) < tol:
+                continue
+        mk = monomials.get(k)
+        if mk is None:
+            mk = monomials[k] = _unpack(k, packed.width, len(scale))
+        out[mk] = c
     return out
+
+
+def _partners(rows, budget):
+    """The ``(key, re, im)`` of the rows that fit ``budget``: a degree, or
+    ``(limits, degree, room in each boxed slot)``."""
+    if type(budget) is int:
+        return [(kb, rb, ib) for _, deg, kb, rb, ib in rows if deg <= budget]
+    limits, room, *rest = budget
+    return [
+        (kb, rb, ib)
+        for mj, deg, kb, rb, ib in rows
+        if deg <= room and all(mj[j] <= r for (j, _), r in zip(limits, rest))
+    ]
+
+
+def _unpack(key: int, width: int, n: int) -> MultiIndex:
+    mask = (1 << width) - 1
+    return tuple([key >> shift & mask for shift in range(0, width * n, width)])
 
 
 def _times(a: dict, b: TruncatedSeries, order: int, limits) -> TruncatedSeries:
@@ -720,8 +844,7 @@ def _times(a: dict, b: TruncatedSeries, order: int, limits) -> TruncatedSeries:
     ``__mul__``.
     """
     if limits:
-        a = _product(a, b.coefficients, order, limits)
-        return _trusted(b.variables, order, a, b.tolerance)
+        return _series(b.variables, order, _product(a, b, order, limits), b.tolerance)
     return _trusted(b.variables, order, a, b.tolerance) * b
 
 

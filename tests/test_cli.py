@@ -77,6 +77,27 @@ def test_analyze_levi_flat_is_indeterminate(capsys):
     assert "verdict: indeterminate" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("segre", CORPUS / "leviflat.surf", CORPUS / "leviflat.surf", CORPUS / "identity.map", "1"),
+        ("dynamics", CORPUS / "leviflat.surf", CORPUS / "identity.map"),
+    ],
+)
+def test_levi_flat_reconstruction_is_indeterminate(capsys, argv):
+    # the derivative data vanish through the whole truncation, as for analyze
+    code, out, err = run_err(capsys, *argv)
+    assert code == 3
+    assert err == ""
+    assert out.endswith(
+        "m0: infinite (no witness through order 12)\n"
+        "certified_order: 12\nverdict: indeterminate\n"
+    )
+    code, out, err = run_err(capsys, *argv, "--order", "6")
+    assert code == 3
+    assert out.endswith("certified_order: 6\nverdict: indeterminate\n")
+
+
 def test_analyze_accepts_graph_form(capsys, tmp_path):
     doc = tmp_path / "graph.surf"
     doc.write_text("vars: z x s\norder: 8\nphi: z*x\n", encoding="utf-8")
@@ -347,6 +368,17 @@ def test_ode_at_the_truncation_edge_is_indeterminate(capsys, tmp_path):
         "determination_order: indeterminate (at most 8)\n"
         "unknown_orders: 8\nverdict: indeterminate\n"
     )
+
+
+def test_ode_solve_without_a_formal_solution_names_the_contradiction(capsys, tmp_path):
+    # x y' = y + x: the order-1 equation reads a_1 = a_1 + 1
+    doc = tmp_path / "inconsistent.ode"
+    doc.write_text("kind: ode\ngamma: 0\nvars: x y\norder: 8\np: y + x\nq: 1\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "ode", doc, "solve")
+    assert code == 1
+    assert err == ""
+    assert out.startswith("command: ode\n")
+    assert out.endswith("n_target: 8\ninconsistent_order: 1\nverdict: fail\n")
 
 
 @pytest.mark.parametrize("mode", ["solve", "determine", "chain"])

@@ -241,8 +241,12 @@ def test_reconstruct_k0_quartic_dilation():
 
 def test_reconstruct_levi_flat_rejected():
     m = levi_flat_model(8)
-    with pytest.raises(LeviFlatInput):
+    with pytest.raises(LeviFlatInput) as exc:
         segre_jet_reconstruct(m, m, identity_map(8).jet(1), 0)
+    assert exc.value.order == 8
+    with pytest.raises(LeviFlatInput) as exc:
+        dynamics_check(m, identity_map(8))
+    assert exc.value.order == 8
 
 
 def test_reconstruct_jet_arity():

@@ -1,0 +1,195 @@
+"""The series product kernel against schoolbook products.
+
+The exact reference keeps each coefficient as a ``(re, im)`` pair of
+``Fraction`` objects and multiplies term by term; it does no arithmetic on
+crjets scalars.  The float reference multiplies and adds Python ``complex``
+values in the order of the terms.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crjets.rational import ComplexRational as CR
+from crjets.series import TruncatedSeries as TS
+
+NAMES = ("a", "b", "c", "d")
+TOL = 1e-12
+
+
+def pairs(s: TS) -> dict:
+    """The coefficients of an exact series as (re, im) Fraction pairs."""
+    return {mi: (c.re, c.im) for mi, c in s.coefficients.items()}
+
+
+def schoolbook(a: dict, b: dict, order: int, box=None) -> dict:
+    """Product of two tables of (re, im) pairs through ``order``; ``box``
+    maps slots to their largest exponent."""
+    out: dict = {}
+    for mi, (ar, ai) in a.items():
+        for mj, (br, bi) in b.items():
+            mk = tuple(x + y for x, y in zip(mi, mj))
+            if sum(mk) > order or any(mk[j] > bound for j, bound in (box or {}).items()):
+                continue
+            re, im = out.get(mk, (0, 0))
+            out[mk] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return {mk: v for mk, v in out.items() if v != (0, 0)}
+
+
+def assert_exact_product(got: TS, want: dict):
+    assert pairs(got) == want
+    # canonical: the stored triple is the one the constructor makes
+    assert all(c == CR(*want[mi]) for mi, c in got.coefficients.items())
+
+
+fractions = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=6)
+)
+gaussian = st.builds(CR, fractions, fractions | st.just(Fraction(0)))
+
+
+@st.composite
+def series(draw, variables, order, min_degree=0, min_terms=0):
+    n = len(variables)
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=order)] * n).filter(
+        lambda mi: min_degree <= sum(mi) <= order
+    )
+    terms = draw(st.dictionaries(monomial, gaussian, min_size=min_terms, max_size=8))
+    return TS(variables, order, terms)
+
+
+@st.composite
+def operands(draw):
+    variables = NAMES[: draw(st.integers(min_value=1, max_value=4))]
+    a = draw(series(variables, draw(st.integers(min_value=0, max_value=9))))
+    b = draw(series(variables, draw(st.integers(min_value=0, max_value=9))))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_product_matches_schoolbook(ab):
+    a, b = ab
+    order = min(a.order, b.order)
+    got = a * b
+    assert got.order == order
+    assert_exact_product(got, schoolbook(pairs(a), pairs(b), order))
+    # the kept rows of b serve a second product, and b as the left operand
+    assert_exact_product(a * b, schoolbook(pairs(a), pairs(b), order))
+    assert_exact_product(b * a, schoolbook(pairs(b), pairs(a), order))
+
+
+def test_cancelling_terms_leave_the_table():
+    xy = ("x", "y")
+    a = TS(xy, 6, {(1, 0): 1, (0, 1): CR(0, 1)})  # x + i*y
+    b = TS(xy, 6, {(1, 0): 1, (0, 1): CR(0, -1)})  # x - i*y
+    assert (a * b).coefficients == {(2, 0): CR(1), (0, 2): CR(1)}
+    half = TS(xy, 6, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    third = TS(xy, 6, {(1, 0): Fraction(2, 3), (0, 1): -1})
+    # 1/3 x^2 - 1/2 xy + 2/9 xy - 1/3 y^2: every coefficient over 18
+    assert (half * third).coefficients == {
+        (2, 0): CR(Fraction(1, 3)),
+        (1, 1): CR(Fraction(-5, 18)),
+        (0, 2): CR(Fraction(-1, 3)),
+    }
+    assert (a - a) * b == TS.zero(xy, 6)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("edge", [0, 1])
+def test_exponents_at_the_packing_width_edge(bits, edge):
+    # order 2**bits - 1 fills a field of `bits` bits; 2**bits needs one more
+    order = 2**bits - 1 + edge
+    xyz = ("x", "y", "z")
+    a = TS(xyz, order, {(0, 0, 0): 1, (0, order, 0): 2, (0, 0, order): 3, (1, 0, 0): CR(0, 1)})
+    b = TS(xyz, order, {(0, e, 0): e + 1 for e in range(order + 1)})
+    b = b + TS(xyz, order, {(0, 0, order): -1, (order - 1, 1, 0): 5, (order - 1, 0, 0): 7})
+    got = a * b
+    assert_exact_product(got, schoolbook(pairs(a), pairs(b), order))
+    # each slot reaches the order, next to a zero field
+    assert all(got.coefficient(mi) for mi in [(order, 0, 0), (0, order, 0), (0, 0, order)])
+
+
+@st.composite
+def boxed_operands(draw):
+    variables = NAMES[: draw(st.integers(min_value=1, max_value=3))]
+    order = draw(st.integers(min_value=1, max_value=8))
+    a = draw(series(variables, order, min_degree=1, min_terms=2))
+    b = draw(series(variables, order, min_degree=1, min_terms=2))
+    slots = draw(st.lists(st.integers(min_value=0, max_value=len(variables) - 1), unique=True))
+    box = {j: draw(st.integers(min_value=0, max_value=order)) for j in slots}
+    return a, b, box
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_operands())
+def test_boxed_products_through_compose(abbox):
+    a, b, box = abbox
+    outer = TS(("u", "v"), a.order, {(1, 1): 1})
+    names = {a.variables[j]: bound for j, bound in box.items()}
+    got = outer.compose({"u": a, "v": b}, box=names)
+    assert_exact_product(got, schoolbook(pairs(a), pairs(b), a.order, box))
+
+
+finite = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_operands(draw):
+    variables = NAMES[: draw(st.integers(min_value=1, max_value=3))]
+
+    def table(order):
+        monomial = st.tuples(*[st.integers(min_value=0, max_value=order)] * len(variables))
+        coeff = st.builds(complex, finite, finite | st.just(0.0) | st.just(-0.0))
+        terms = draw(st.dictionaries(monomial, coeff, max_size=8))
+        return TS(variables, order, terms, tolerance=TOL)
+
+    return table(draw(st.integers(min_value=0, max_value=7))), table(
+        draw(st.integers(min_value=0, max_value=7))
+    )
+
+
+def complex_schoolbook(a: TS, b: TS) -> list:
+    order = min(a.order, b.order)
+    out: dict = {}
+    for mi, ca in a.coefficients.items():
+        for mj, cb in b.coefficients.items():
+            if sum(mi) + sum(mj) <= order:
+                mk = tuple(x + y for x, y in zip(mi, mj))
+                out[mk] = out[mk] + ca * cb if mk in out else ca * cb
+    return [(mk, c) for mk, c in out.items() if not abs(c) < TOL]
+
+
+def bits(items) -> list:
+    return [(mk, c.real.hex(), c.imag.hex()) for mk, c in items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_operands())
+def test_float_product_is_the_complex_schoolbook_bit_for_bit(ab):
+    a, b = ab
+    want = bits(complex_schoolbook(a, b))
+    assert bits((a * b).coefficients.items()) == want
+    assert bits((a * b).coefficients.items()) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands())
+def test_kept_rows_never_go_stale(ab):
+    a, b = ab
+    a.pow(2) * b  # fills the rows kept on b
+    a * b
+    derived = [
+        (b.with_variables(("p", "q", "r", "s")[: len(b.variables)]), 0),
+        (b.truncate(b.order), 0),
+        (b.truncate(b.order // 2), 0),
+        (b.lift(b.variables + ("e",)), 1),
+        (b.conjugate(), 0),
+    ]
+    for s, extra in derived:
+        left = TS(s.variables, a.order, {mi + (0,) * extra: c for mi, c in a.coefficients.items()})
+        fresh = TS(s.variables, s.order, s.coefficients)
+        assert left * s == left * fresh
+        assert left * s == left * fresh  # once more, from the kept rows of s
