@@ -10,8 +10,10 @@ For each order it times, in one process and with the median of
   number of monomials z^a x^b s^m;
 * ``reality``: ``check_reality`` on that graph's surface, the residual of
   Q(z, x, Qbar(x, z, w)) = w, on a fresh surface object each run;
-* ``segre``: one ``segre_jet_reconstruct`` of that automorphism on the
-  quadric at k = 2;
+* ``segre``: one ``segre_jet_reconstruct`` of that automorphism on a
+  fresh quadric at k = 2, so that no earlier reconstruction is resumed;
+* ``segre_sweep``: k = 0, 1, 2 on one fresh quadric, each k with its
+  (k+1)-jet, so that each call resumes the one before it;
 * ``ode``: ``determination_order`` of the zero solution plus
   ``resonance_set`` of a planted 2x2 system x y' = A y stored at the order,
   with its resonance at order - 2 and n_target the order.
@@ -85,6 +87,16 @@ def determine(ode: SingularODE, order: int):
     return determination_order(ode, zero_solution(ode, order), order), resonance_set(ode, order)
 
 
+def segre_fresh(q, jet):
+    heis = NormalFormSurface(q)
+    return segre_jet_reconstruct(heis, heis, jet, 2)
+
+
+def segre_sweep(q, germ, k_max: int):
+    heis = NormalFormSurface(q)
+    return [segre_jet_reconstruct(heis, heis, germ.jet(k + 1), k) for k in range(k_max + 1)]
+
+
 def median_ms(fn, repeat: int) -> float:
     times = []
     for _ in range(repeat):
@@ -100,14 +112,15 @@ def sweep(orders, repeat: int) -> dict:
         germ = sheared_automorphism(order)
         graph = seeded_graph(order)
         surface = from_real_graph(graph)
-        heis = heisenberg(order)
+        q = heisenberg(order).q
         jet = germ.jet(3)
         ode = planted_ode(order)
         rows[str(order)] = {
             "inverse_ms": median_ms(germ.inverse, repeat),
             "graph_ms": median_ms(lambda: from_real_graph(graph), repeat),
             "reality_ms": median_ms(lambda: NormalFormSurface(surface.q).check_reality(), repeat),
-            "segre_ms": median_ms(lambda: segre_jet_reconstruct(heis, heis, jet, 2), repeat),
+            "segre_ms": median_ms(lambda: segre_fresh(q, jet), repeat),
+            "segre_sweep_ms": median_ms(lambda: segre_sweep(q, germ, 2), repeat),
             "ode_ms": median_ms(lambda: determine(ode, order), repeat),
         }
         cells = "  ".join(f"{k} {v:9.2f}" for k, v in rows[str(order)].items())

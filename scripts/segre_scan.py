@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Scan the corpus: reconstruct H_{w^k}(z, 0) from origin jets and compare
-against the stored maps for every k up to a bound."""
+against the stored maps for every k up to a bound.
+
+A k whose reconstruction needs data beyond the truncation order prints as
+indeterminate at that order; it is not a mismatch."""
 
 import argparse
 import pathlib
@@ -11,6 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from crjets.hypersurface import heisenberg, infinite_type_model, quartic_model
 from crjets.mapjets import (
+    TruncationLimit,
     dilation,
     segre_jet_reconstruct,
     segre_restriction_direct,
@@ -42,7 +46,11 @@ def main(argv=None):
     for label, surface, germ in cases(args.order):
         assert verify_mapping(surface, surface, germ).is_zero
         for k in range(args.k_max + 1):
-            recon = segre_jet_reconstruct(surface, surface, germ.jet(k + 1), k)
+            try:
+                recon = segre_jet_reconstruct(surface, surface, germ.jet(k + 1), k)
+            except TruncationLimit as exc:
+                print(f"{label:14s} k={k}  indeterminate (certified order {exc.work})")
+                continue
             ok = recon.agrees_with(segre_restriction_direct(germ, k))
             failures += 0 if ok else 1
             print(f"{label:14s} k={k}  {'ok' if ok else 'MISMATCH'}")

@@ -38,13 +38,14 @@ from .mapjets import (
     MapError,
     MapGerm,
     PreconditionError,
+    TruncationLimit,
     determination_experiment,
     dynamics_check,
     invariance_check,
     invariant_mismatches,
     segre_jet_reconstruct,
     segre_restriction_direct,
-    verify_mapping,  # noqa: F401  re-exported; perfbench's tracer patches it here
+    verify_mapping,
 )
 from .rational import format_fraction, format_scalar
 from .series import SeriesError, TruncatedSeries, format_series
@@ -264,6 +265,23 @@ def _levi_flat(report: Report, exc: LeviFlatInput, out_path) -> int:
     return EXIT_INDETERMINATE
 
 
+def _truncation_limit(report: Report, exc: TruncationLimit, source, target, germ, out_path) -> int:
+    """Reconstruction stopped at the truncation: a nonzero mapping residual
+    is a witness that the map does not send source into target; otherwise
+    the verdict is indeterminate at that order."""
+    residual = verify_mapping(source, target, germ)
+    if not residual.is_zero:
+        report.add("certified_order", residual.order)
+        report.add("residual_lowest_term", _lowest_witness(residual))
+        report.add("verdict", "fail")
+        _emit(report, out_path)
+        return EXIT_FAIL
+    report.add("certified_order", exc.work)
+    report.add("verdict", "indeterminate")
+    _emit(report, out_path)
+    return EXIT_INDETERMINATE
+
+
 def cmd_segre(args) -> int:
     doc1, text1 = _load(args.surface, "surface", args.order)
     doc2, text2 = _load(args.surface2, "surface", args.order)
@@ -291,6 +309,8 @@ def cmd_segre(args) -> int:
         recon = segre_jet_reconstruct(source, target, jet, args.k)
     except LeviFlatInput as exc:
         return _levi_flat(report, exc, args.out)
+    except TruncationLimit as exc:
+        return _truncation_limit(report, exc, source, target, germ, args.out)
     report.add("backend", "exact")
     report.add("reconstructed_F", format_series(recon.f_wk))
     report.add("reconstructed_G", format_series(recon.g_wk))

@@ -106,10 +106,15 @@ class NormalFormSurface:
     """A germ stored as its normal-form defining series Q(z, x, t).
 
     Immutable; the identity checks and the invariants are derived from Q
-    once, on first use, and kept.
+    once, on first use, and kept.  As a target it also keeps its last Segre
+    reconstruction (``last_reconstruction``, owned by ``mapjets``): the
+    source, held by weak reference, the per-step keys and the solved
+    series, so that a later reconstruction resumes from the steps it shares.
     """
 
-    __slots__ = ("q", "order", "_normal", "_reality", "_invariants")
+    __slots__ = (
+        "q", "order", "_normal", "_reality", "_invariants", "last_reconstruction", "__weakref__"
+    )
 
     def __init__(self, q: TruncatedSeries):
         if q.variables != SURFACE_VARS:
@@ -119,12 +124,16 @@ class NormalFormSurface:
         object.__setattr__(self, "_normal", None)
         object.__setattr__(self, "_reality", None)
         object.__setattr__(self, "_invariants", None)
+        object.__setattr__(self, "last_reconstruction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalFormSurface is immutable")
 
     def __eq__(self, other):
         return isinstance(other, NormalFormSurface) and self.q == other.q
+
+    def keep_reconstruction(self, state) -> None:
+        object.__setattr__(self, "last_reconstruction", state)
 
     def __repr__(self):
         return f"<surface order={self.order} Q={self.q}>"

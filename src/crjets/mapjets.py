@@ -22,11 +22,26 @@ two surfaces.  It runs the recursion order by order in the w-derivative:
 
 Jet coefficients of order beyond the supplied jet never enter: the single
 top coefficient that would is eliminated by evaluating the equation at the
-origin, which is also where inconsistent jets are detected.
+origin, which is also where inconsistent jets are detected.  A step that
+needs a coefficient beyond the working order, or whose unknown has a
+coefficient vanishing through it, raises TruncationLimit: the answer is
+indeterminate at that truncation, not a proof that the jet is unrealizable.
+
+The target surface keeps its last reconstruction, and a call resumes from the
+longest prefix of steps it shares.  Step s reads the jet only through order
+m0 + s: in normal form every monomial of Q other than t has z >= 1 and
+x >= 1, so the slot z^alpha0 t^(mu0+s) of lam_ij z^i Q^j needs
+i + j <= m0 + s, the G-derivatives solved at step s need no more, and the
+top-coefficient pin fires exactly when m0 + s exceeds the jet order.  So
+step s is keyed by top = min(jet.k, m0 + s) and the jet's entries through
+top, and it is reused when the source is the same object and the keys of
+steps 0..s all match.  A k-sweep thus runs each step once, and the axis step
+serves every jet with the same low part.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import factorial
 
@@ -64,6 +79,15 @@ class DivisibilityObstruction(MapError):
 
 class PreconditionError(MapError):
     pass
+
+
+class TruncationLimit(MapError):
+    """Reconstruction needs data beyond the working order ``work``: the
+    verdict is indeterminate at that truncation."""
+
+    def __init__(self, message: str, work: int):
+        super().__init__(message)
+        self.work = work
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +415,7 @@ class _Reconstruction:
         u_fn = self._stack(self.us, variables, t_index=1)
         v_fn = self._stack(self.vs, variables, t_index=1)
         composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn}, box={"t": t})
-        rhs = composed.extract({"t": t}, keep=("x",))
+        rhs = self._extract(composed, {"t": t})
         lhs = TruncatedSeries.constant(self.mu_taylor(0, t), ("x",), rhs.order)
         return lhs - rhs
 
@@ -409,6 +433,14 @@ class _Reconstruction:
             },
         )
 
+    def _extract(self, series, slot) -> TruncatedSeries:
+        """The x-series at ``slot``; beyond the series' order it is unknown."""
+        if sum(slot.values()) > series.order:
+            raise TruncationLimit(
+                f"reconstruction reads beyond the certified order {self.work}", self.work
+            )
+        return series.extract(slot, keep=("x",))
+
     def solve_u(self, s: int) -> TruncatedSeries:
         variables = ("z", "x", "t")
         if self.jet_on_source is None:
@@ -422,20 +454,21 @@ class _Reconstruction:
             ]
         f_comp, g_comp = self.jet_on_source
         slot = {"z": self.alpha0, "t": self.mu0 + s}
-        w_lhs = g_comp.extract(slot, keep=("x",))
+        w_lhs = self._extract(g_comp, slot)
         v_fn = self._stack(self.vs, variables, t_index=2)
 
         def rhs_with(u_s):
             u_fn = self._stack(self.us + [u_s], variables, t_index=2)
             composed = self.target.q.compose({"z": f_comp, "x": u_fn, "t": v_fn}, box=slot)
-            return composed.extract(slot, keep=("x",))
+            return self._extract(composed, slot)
 
         r0 = rhs_with(TruncatedSeries.zero(("x",), self.work))
         r1 = rhs_with(TruncatedSeries.constant(1, ("x",), self.work))
         gain = r1 - r0
         if gain.is_zero:
-            raise DivisibilityObstruction(
-                f"coefficient of the order-{s} unknown vanishes to working order"
+            raise TruncationLimit(
+                f"coefficient of the order-{s} unknown vanishes to working order {self.work}",
+                self.work,
             )
         ubar = self.jet.entry("lam", 0, s).conjugate() / factorial(s)
         dividend = w_lhs - r0
@@ -463,21 +496,46 @@ class _Reconstruction:
 
     # -- driver -----------------------------------------------------------
 
+    def _step_key(self, s: int) -> tuple:
+        """Everything step s reads of the jet (see the module docstring)."""
+        top = min(self.jet.k, self.m0 + s)
+        return top, self.jet.up_to(top)
+
+    def _resume(self, keys, ahead) -> int:
+        """Restore the longest prefix of the target's last reconstruction
+        whose step keys match; the number of steps restored."""
+        state = self.target.last_reconstruction
+        if state is None or state[0]() is not self.source:
+            return 0
+        _, saved_keys, us, vs = state
+        done = 0
+        while done < min(len(keys), len(saved_keys)) and saved_keys[done] == keys[done]:
+            done += 1
+        if done:
+            self.us = us[:done]
+            # step 0 makes vs[0]; step s >= 1 makes vs through s + ahead
+            self.vs = vs[: 1 if done == 1 else done + ahead]
+        return done
+
     def run(self) -> SegreJetResult:
-        self.us.append(self.solve_axis_f())
-        self.vs.append(TruncatedSeries.zero(("x",), self.work))
         ahead = 1 if self.mu0 >= 1 else 0
-        for s in range(1, self.k + 1):
+        keys = [self._step_key(s) for s in range(self.k + 1)]
+        done = self._resume(keys, ahead)
+        if not done:
+            self.us.append(self.solve_axis_f())
+            self.vs.append(TruncatedSeries.zero(("x",), self.work))
+        for s in range(max(done, 1), self.k + 1):
             while len(self.vs) <= s + ahead:
                 self.vs.append(self.solve_v(len(self.vs)))
             self.us.append(self.solve_u(s))
+        if done <= self.k:
+            state = (weakref.ref(self.source), keys, self.us, self.vs)
+            self.target.keep_reconstruction(state)
         k = self.k
         f_wk = self.us[k].conjugate().with_variables(("z",)) * factorial(k)
         if k == 0:
             g_wk = TruncatedSeries.zero(("z",), self.work)
         else:
-            while len(self.vs) <= k:
-                self.vs.append(self.solve_v(len(self.vs)))
             g_wk = self.vs[k].conjugate().with_variables(("z",)) * factorial(k)
         return SegreJetResult(k, f_wk, g_wk, "reconstructed")
 

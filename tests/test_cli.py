@@ -98,6 +98,27 @@ def test_levi_flat_reconstruction_is_indeterminate(capsys, argv):
     assert out.endswith("certified_order: 6\nverdict: indeterminate\n")
 
 
+def test_segre_past_the_truncation_of_a_true_map_is_indeterminate(capsys):
+    # k = 3 reads the t^3 slot of a series certified only below it at order 4
+    heis = CORPUS / "heisenberg.surf"
+    argv = ("segre", heis, heis, CORPUS / "h_mobius_1.map", "3", "--order", "4")
+    code, out, err = run_err(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert out.endswith("k: 3\ncertified_order: 4\nverdict: indeterminate\n")
+
+
+def test_segre_past_the_truncation_of_a_false_map_fails_with_a_residual(capsys):
+    # the unknown's coefficient vanishes to the working order; the map does
+    # not send z4 into itself, and the mapping residual is the witness
+    z4 = CORPUS / "z4.surf"
+    argv = ("segre", z4, z4, CORPUS / "h_mobius_half.map", "1", "--order", "6")
+    code, out, err = run_err(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "k: 1\ncertified_order: 6\nresidual_lowest_term: -2*i*z^2*x^2*t\nverdict: fail\n"
+    )
+
+
 def test_analyze_accepts_graph_form(capsys, tmp_path):
     doc = tmp_path / "graph.surf"
     doc.write_text("vars: z x s\norder: 8\nphi: z*x\n", encoding="utf-8")

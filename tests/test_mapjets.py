@@ -1,17 +1,29 @@
 """Mapping verification, Segre-jet reconstruction vs the direct oracle."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
-from crjets.hypersurface import heisenberg, infinite_type_model, levi_flat_model, quartic_model
+from crjets.hypersurface import (
+    GRAPH_VARS,
+    SURFACE_VARS,
+    NormalFormSurface,
+    RealGraph,
+    from_real_graph,
+    heisenberg,
+    infinite_type_model,
+    levi_flat_model,
+    quartic_model,
+)
 from crjets.mapjets import (
     DivisibilityObstruction,
     InconsistentJet,
@@ -21,6 +33,8 @@ from crjets.mapjets import (
     MapGerm,
     MapJet,
     PreconditionError,
+    TruncationLimit,
+    _Reconstruction,
     determination_experiment,
     dilation,
     dynamics_check,
@@ -367,8 +381,10 @@ def test_segre_scan_script_passes(capsys):
     spec = importlib.util.spec_from_file_location("segre_scan", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--order", "8", "--k-max", "2"]) == 0
-    assert "MISMATCH" not in capsys.readouterr().out
+    assert script.main(["--order", "8", "--k-max", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    assert "quartic        k=3  indeterminate (certified order 8)" in out
 
 
 def test_order_sweep_script_writes_a_record(capsys, tmp_path):
@@ -383,7 +399,7 @@ def test_order_sweep_script_writes_a_record(capsys, tmp_path):
     assert script.main(argv) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record["order_sweep_ms"]) == {"8"}
-    columns = {"inverse_ms", "graph_ms", "reality_ms", "segre_ms", "ode_ms"}
+    columns = {"inverse_ms", "graph_ms", "reality_ms", "segre_ms", "segre_sweep_ms", "ode_ms"}
     assert set(record["order_sweep_ms"]["8"]) == columns
     assert record["perfbench_pairs"] == [{"seed": 1}]
     assert capsys.readouterr().out.startswith("order  8")
@@ -426,6 +442,172 @@ def test_g_derivative_at_minimal_orders_vanishes():
             assert verify_mapping(surface, surface, h).is_zero
             jet = h.jet(inv.m0)
             assert jet.entry("mu", inv.alpha0, inv.mu0).is_zero
+
+
+# ----------------------------------------------------------------------
+# resuming the target's last reconstruction
+
+
+def dense_graph_pair(seed, order=6):
+    """A seeded real graph with a z*x term, its surface, and the image of
+    that surface under a Gaussian dilation (z, w) -> (lam z, |lam|^2 w)."""
+    rng = random.Random(seed)
+    slots = [
+        (a, b, m)
+        for a in range(1, order)
+        for b in range(1, order)
+        for m in range(0, order - a - b + 1)
+        if (a, b, m) != (1, 1, 0)
+    ]
+    coeffs = {(1, 1, 0): CR(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2])))}
+    for slot in rng.sample(slots, 6):
+        coeffs[slot] = CR(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    rho = TS(GRAPH_VARS, order, coeffs)
+    phi = rho + rho.conjugate().rename_variables({"z": "x", "x": "z"})
+    source = from_real_graph(RealGraph(phi))
+    lam = CR(rng.randint(1, 3), rng.randint(-2, 2))
+    z, x, t = (TS.variable(v, SURFACE_VARS, order) for v in SURFACE_VARS)
+    inner = {"z": z * (1 / lam), "x": x * (1 / lam.conjugate()), "t": t * (1 / lam.norm2())}
+    target = NormalFormSurface(source.q.compose(inner) * lam.norm2())
+    return source, target, dilation(lam, lam.norm2(), order)
+
+
+def resume_cases():
+    """(source, target, map): every corpus pair, then seeded dense graphs."""
+    heis = heisenberg(ORDER)
+    for h in (
+        w_mobius(Fraction(1), ORDER),
+        w_mobius(Fraction(1, 2), ORDER),
+        w_mobius(Fraction(-2), ORDER),
+        dilation(Fraction(2), Fraction(4), ORDER),
+        dilation(CR(Fraction(3, 5), Fraction(4, 5)), Fraction(1), ORDER),
+    ):
+        yield heis, heis, h
+    z4 = quartic_model(ORDER)
+    yield z4, z4, dilation(Fraction(2), Fraction(16), ORDER)
+    horn = infinite_type_model(ORDER)
+    yield horn, horn, dilation(CR(Fraction(3, 5), Fraction(4, 5)), Fraction(1), ORDER)
+    for seed in range(3):
+        yield dense_graph_pair(seed)
+
+
+def outcome(source, target, jet, k):
+    """The reconstructed series, or the type and message of the error."""
+    try:
+        recon = segre_jet_reconstruct(source, target, jet, k)
+    except MapError as exc:
+        return type(exc), str(exc)
+    return recon.f_wk, recon.g_wk
+
+
+def fresh_outcome(source, target, jet, k):
+    fresh_source = NormalFormSurface(source.q)
+    fresh_target = fresh_source if target is source else NormalFormSurface(target.q)
+    return outcome(fresh_source, fresh_target, jet, k)
+
+
+def perturbed(jet, rng):
+    """The jet with one seeded entry moved; the linear part stays valid."""
+    slots = [
+        (table, (i, j))
+        for table in ("lam", "mu")
+        for i in range(jet.k + 1)
+        for j in range(jet.k + 1 - i)
+        if i + j >= 1 and (table, (i, j)) not in {("lam", (1, 0)), ("mu", (1, 0)), ("mu", (0, 1))}
+    ]
+    table, ij = rng.choice(slots)
+    lam, mu = dict(jet.lam), dict(jet.mu)
+    entries = lam if table == "lam" else mu
+    entries[ij] = entries.get(ij, CR(0)) + CR(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    return MapJet(jet.k, lam, mu)
+
+
+def raised(jet):
+    """The same entries as a jet one order higher: on surfaces with m0 >= 2
+    only the pin of the top coefficient tells the two apart."""
+    return MapJet(jet.k + 1, jet.lam, jet.mu)
+
+
+def test_resumed_reconstruction_equals_a_fresh_one():
+    rng = random.Random(11)
+    for source, target, h in resume_cases():
+        ks = list(range(min(5, h.order)))
+        rng.shuffle(ks)
+        for k in ks:
+            for order in sorted({k + 1, rng.randint(k + 1, h.order - 1)}):
+                jet = h.jet(order)
+                wild = perturbed(jet, rng)
+                for probe in (jet, wild, raised(wild), jet, raised(jet)):
+                    expected = fresh_outcome(source, target, probe, k)
+                    assert outcome(source, target, probe, k) == expected, (k, probe.k)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(_Reconstruction, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_Reconstruction, name, counted)
+    return calls
+
+
+def test_a_k_sweep_runs_each_step_once(monkeypatch):
+    axis = counting(monkeypatch, "solve_axis_f")
+    steps = counting(monkeypatch, "solve_u")
+    m = heisenberg(ORDER)
+    h = w_mobius(Fraction(1, 2), ORDER)
+    for k in range(4):
+        segre_jet_reconstruct(m, m, h.jet(k + 1), k)
+    assert len(axis) == 1
+    assert steps == [(1,), (2,), (3,)]
+
+
+def test_a_raising_call_leaves_the_kept_reconstruction():
+    m = quartic_model(10)
+    h = dilation(Fraction(2), Fraction(16), 10)
+    segre_jet_reconstruct(m, m, h.jet(3), 2)
+    kept = m.last_reconstruction
+    wild = MapJet(2, {(1, 0): CR(2), (0, 1): CR(1), (1, 1): CR(7)}, {(0, 1): CR(16)})
+    with pytest.raises((DivisibilityObstruction, InconsistentJet)):
+        segre_jet_reconstruct(m, m, wild, 1)
+    assert m.last_reconstruction is kept
+    for k in (1, 2, 3):
+        assert outcome(m, m, h.jet(k + 1), k) == fresh_outcome(m, m, h.jet(k + 1), k)
+
+
+def test_the_kept_reconstruction_holds_no_surface_alive():
+    target = heisenberg(8)
+    source = heisenberg(8)
+    segre_jet_reconstruct(source, target, w_mobius(Fraction(1), 8).jet(3), 2)
+    assert target.last_reconstruction is not None
+    gone = weakref.ref(source)
+    del source
+    gc.collect()
+    assert gone() is None
+    # a self-map keeps the surface without a reference cycle
+    m = heisenberg(8)
+    segre_jet_reconstruct(m, m, w_mobius(Fraction(1), 8).jet(3), 2)
+    gone = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_truncation_limits_are_typed():
+    m = heisenberg(4)
+    with pytest.raises(TruncationLimit) as exc:
+        segre_jet_reconstruct(m, m, w_mobius(Fraction(1), 4).jet(4), 3)
+    assert exc.value.work == 4
+    z4 = quartic_model(6)
+    with pytest.raises(TruncationLimit) as exc:
+        segre_jet_reconstruct(z4, z4, w_mobius(Fraction(1, 2), 6).jet(2), 1)
+    assert exc.value.work == 6
 
 
 # ----------------------------------------------------------------------
