@@ -13,15 +13,14 @@ order; for ``s > order - gamma`` it lies beyond the stored truncation, so an
 unpinned coefficient there is reported unknown, not free.
 
 Products of two still-deferred symbols would leave the linear regime; such
-an equation is opaque.  An order with an opaque equation is evaluated
-again with the values pinned by the lower orders substituted (x y' = 2y +
-y^2 pins a_3 at order 3, so a_3^2 at order 6 is a constant); what is still
-a product of two unpinned symbols is left out, and the run can report an
-order free that the full equation would constrain (a_4 = a_2^2 / 2 there).
-The linear test corpus never produces one.  ``determination_order`` builds
-and eliminates the system once and scans k = 0, 1, 2, ..., adding the seed
+an equation is recorded as opaque and not used.  The equations are built
+before any is solved, so an equation stays opaque even when a lower order
+pins one of its factors, and the run can report an order free that the
+full equation pins (x y' = 2y + y^2 leaves a_3^2 opaque at order 6).  The
+linear test corpus never produces one.  ``determination_order`` builds and
+eliminates the system once and scans k = 0, 1, 2, ..., adding the seed
 equations a_k = base_k to that one elimination at each step, unless an
-equation is left opaque.
+equation is opaque.
 
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
@@ -287,7 +286,8 @@ class JetRecursionResult:
 
 
 def _formal_system(ode: SingularODE, seed, n_target: int):
-    """The unknowns and the equations of a seeded run.
+    """The unknowns and the equations of a seeded run, from one
+    ``_eval_series`` pass over p and q.
 
     Returns the coerced seed, the table ``a`` (a seeded order holds
     constants, any other order one deferred symbol per component) and
@@ -314,17 +314,11 @@ def _formal_system(ode: SingularODE, seed, n_target: int):
         else:
             a[s] = [_Aff.symbol(next_sym + i) for i in range(n)]
             next_sym += n
-    return seed, a, _equations(ode, a, n_eq)
 
-
-def _equations(ode: SingularODE, a, n_eq: int):
-    """The equations through x^n_eq for the table ``a``, from one
-    ``_eval_series`` pass over p and q."""
-    gamma = ode.gamma
-    y_polys = [[a[s][i] for s in range(n_eq + 1)] for i in range(ode.n)]
+    y_polys = [[a[s][i] for s in range(n_eq + 1)] for i in range(n)]
     q_poly = _eval_series(ode.q, y_polys, n_eq)
     components = []
-    for i in range(ode.n):
+    for i in range(n):
         # x^(gamma+1) y'_i has coefficient (m - gamma) a_{m-gamma} at x^m
         dy_shifted = [_Aff() for _ in range(n_eq + 1)]
         for m in range(gamma + 1, n_eq + 1):
@@ -332,35 +326,22 @@ def _equations(ode: SingularODE, a, n_eq: int):
         p_poly = _eval_series(ode.p[i], y_polys, n_eq)
         lhs = _poly_mul(q_poly, dy_shifted, n_eq)
         components.append([l.add(r.scale(CR(-1))) for l, r in zip(lhs, p_poly)])
-    return list(zip(*components))
+    return seed, a, list(zip(*components))
 
 
 def _eliminate(ode: SingularODE, seed, a, equations, n_target: int):
     """Row-reduce the equations order by order.
 
-    An order with an opaque equation is evaluated again with the values
-    pinned by the lower orders substituted into ``a``; what is still a
-    product of two unpinned symbols stays opaque.  Returns the solver,
-    the orders of the opaque equations (left out) and the frontier
-    kernels: for each unseeded s <= n_target whose own equation, at order
-    s + gamma, is in the data, the number of components of a_s still
-    unpinned once that equation is added.  Raises ``InconsistentSeed`` at
-    the first order that contradicts.
+    Returns the solver, the orders of the opaque equations (left out) and
+    the frontier kernels: for each unseeded s <= n_target whose own
+    equation, at order s + gamma, is in the data, the number of
+    components of a_s still unpinned once that equation is added.
+    Raises ``InconsistentSeed`` at the first order that contradicts.
     """
     solver = _LinearSolver()
     opaque_orders = set()
     frontier_kernel: dict[int, int] = {}
-    substituted = None  # (pivot count, equations) of the last evaluation
     for m, row in enumerate(equations):
-        if any(eq.opaque for eq in row):
-            # a new pivot is the only way a value gets pinned
-            if substituted is None or substituted[0] != len(solver.pivots):
-                pinned = {
-                    s: [_Aff(v) if (v := solver.value(aff)) is not None else aff for aff in vec]
-                    for s, vec in a.items()
-                }
-                substituted = (len(solver.pivots), _equations(ode, pinned, len(equations) - 1))
-            row = [new if old.opaque else old for old, new in zip(row, substituted[1][m])]
         for eq in row:
             if eq.opaque:
                 opaque_orders.add(m)
@@ -539,23 +520,21 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
 
     The formal system is built and eliminated once, at k = 0, and step k
     adds the seed equations a_k = base_k to that same elimination.  This is
-    exact when no equation is left out: an equation evaluated with values
-    that the lower orders pin agrees with the full one on the solution set
-    of those orders, so each run's solution set is that of the full
-    equations, and the run seeded through k (whose pinned values include
-    the k = 0 ones, so it leaves nothing out either) has the k = 0
-    solution set cut by the seed equations, with the seeded coordinates
-    dropped.  Both are consistent or inconsistent together, and a
-    coefficient is pinned (constant on the solution set) to the same value
-    in both, whatever order the equations are eliminated in.  An inconsistent step reruns that one seeded
+    exact: an equation that is not opaque is never the product of two
+    deferred symbols, so it is affine in them, and the run seeded through k
+    has those same affine equations with a_1..a_k replaced by constants.
+    Its solution set is therefore the k = 0 solution set cut by the seed
+    equations, with the seeded coordinates dropped.  Both are consistent or
+    inconsistent together, and a coefficient is pinned (constant on the
+    solution set) to the same value in both, whatever order the equations
+    are eliminated in.  An inconsistent step reruns that one seeded
     ``formal_coefficients`` run for the order it names.
 
-    An opaque equation (a product of two symbols that the lower orders
-    leave unpinned) is left out of a run, and seeding can make it linear,
-    so on a system with one every step k >= 1 is a seeded
-    ``formal_coefficients`` run.  Leaving such equations out can leave
-    orders free that the full equations pin, so on such a system the answer
-    can exceed the least k.
+    An opaque equation (a product of two deferred symbols) is left out of a
+    run, and seeding can make it linear, so on a system with one every step
+    k >= 1 is a seeded ``formal_coefficients`` run.  Leaving such equations
+    out can leave orders free that the full equations pin, so on such a
+    system the answer can exceed the least k.
 
     An unknown order (its pinning equation beyond the truncation) is never
     pinned, so it keeps a run from settling.  If run k - 1 fails to settle

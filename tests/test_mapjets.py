@@ -382,9 +382,15 @@ def test_segre_scan_script_passes(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--order", "8", "--k-max", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "MISMATCH" not in out
-    assert "quartic        k=3  indeterminate (certified order 8)" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 * 5  # seven cases, k = 0..4
+    verdicts = {(i // 5, i % 5): line.split(maxsplit=2)[2] for i, line in enumerate(lines)}
+    # at order 8 only the Möbius maps at k = 4 and the quartic dilations at
+    # k = 3, 4 run past the truncation; every other (case, k) reconstructs
+    undecided = {(0, 4), (1, 4), (2, 4), (4, 3), (4, 4), (5, 3), (5, 4)}
+    for key, verdict in verdicts.items():
+        expected = "indeterminate (certified order 8)" if key in undecided else "ok"
+        assert verdict == expected, key
 
 
 def test_order_sweep_script_writes_a_record(capsys, tmp_path):
