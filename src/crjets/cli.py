@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 # The interpreter's builtin SHA-256, as the random module takes its SHA-512:
 # hashlib would load OpenSSL, about 3.5 MB of resident memory per process.
@@ -471,6 +472,7 @@ def cmd_ode(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@cache  # one parser per process, built by the first main call; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -7,6 +7,8 @@ Grammar (everything else is a located syntax error):
     factor ::= rational | 'i' | '(' coeff ')' | var ('^' nat)?
     coeff  ::= ['-'] cterm (('+'|'-') cterm)*     # inside parentheses
     cterm  ::= rational ('*' 'i')? | 'i'
+    rational ::= nat ('/' nat)?
+    nat    ::= [0-9]+                             # ASCII digits only
 
 Documents are key/value lines; '#' starts a comment.  Parsing never raises
 anything but :class:`ParseError`, which always carries line and column.
@@ -49,9 +51,9 @@ def _tokenize(text: str, line: int, columns) -> list[_Token]:
         if ch in " \t":
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("NUM", text[i:j], line, columns[i]))
             i = j
@@ -67,6 +69,8 @@ def _tokenize(text: str, line: int, columns) -> list[_Token]:
             tokens.append(_Token("OP", ch, line, columns[i]))
             i += 1
             continue
+        if ch.isdigit():
+            raise ParseError(f"digits must be ASCII 0-9, found {ch!r}", line, columns[i])
         raise ParseError(f"unexpected character {ch!r}", line, columns[i])
     tokens.append(_Token("EOF", "", line, columns[n]))
     return tokens
@@ -93,23 +97,23 @@ class _SeriesParser:
         raise ParseError(message, tok.line, tok.column)
 
     def parse(self) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(self.variables, self.order)
+        table: dict = {}  # every term adds here: a series sum per term would copy it each time
         sign = CR(1)
         if self.peek().kind == "OP" and self.peek().text == "-":
             self.take()
             sign = CR(-1)
-        acc = acc + self.term(sign)
+        self.term(sign, table)
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.take()
-                acc = acc + self.term(CR(1) if tok.text == "+" else CR(-1))
+                self.term(CR(1) if tok.text == "+" else CR(-1), table)
             elif tok.kind == "EOF":
-                return acc
+                return TruncatedSeries(self.variables, self.order, table)
             else:
                 self.error(f"expected '+', '-' or end of series, found {tok.text!r}")
 
-    def term(self, sign: CR) -> TruncatedSeries:
+    def term(self, sign: CR, table: dict) -> None:
         coeff = sign
         exps = [0] * len(self.variables)
         start = self.peek()
@@ -159,8 +163,9 @@ class _SeriesParser:
                 f"monomial of degree {degree} exceeds declared order {self.order}; "
                 f"dropped (line {start.line}, column {start.column})"
             )
-            return TruncatedSeries.zero(self.variables, self.order)
-        return TruncatedSeries(self.variables, self.order, {tuple(exps): coeff})
+            return
+        mi = tuple(exps)
+        table[mi] = table[mi] + coeff if mi in table else coeff
 
     def rational(self) -> CR:
         tok = self.take()
@@ -238,7 +243,7 @@ def _parse_tokens(tokens, variables, order, warnings) -> TruncatedSeries:
 
 DOCUMENT_KINDS = ("surface", "map", "ode")
 
-_THETA = re.compile(r"\btheta(\d+)\b")
+_THETA = re.compile(r"\btheta([0-9]+)\b")
 
 _REQUIRED_KEYS = {
     "surface": ({"vars", "order"}, {"Q", "phi"}),
@@ -299,10 +304,12 @@ def _split_lines(text: str):
 
 
 def _parse_fraction_token(text: str, line: int, column: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", line, column) from None
+    if text.isascii():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational {text!r}", line, column)
 
 
 def parse_document(text: str) -> Document:
@@ -342,10 +349,10 @@ def parse_document(text: str) -> Document:
 
     def intval(key):
         line, col = positions[key]
-        try:
-            v = int(entries[key])
-        except ValueError:
-            raise ParseError(f"{key} must be an integer", line, col) from None
+        value = entries[key]
+        if not (value.isascii() and value.removeprefix("-").isdigit()):
+            raise ParseError(f"{key} must be an integer", line, col)
+        v = int(value)
         if v < 0:
             raise ParseError(f"{key} must be nonnegative", line, col)
         return v

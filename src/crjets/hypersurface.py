@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .rational import ComplexRational as CR
-from .series import TruncatedSeries, UnknownOrder, implicit_solve
+from .series import TruncatedSeries, implicit_solve
 
 SURFACE_VARS = ("z", "x", "t")
 GRAPH_VARS = ("z", "x", "s")
@@ -211,30 +211,18 @@ class NormalFormSurface:
         return self._invariants
 
     def _vanishing_pattern(self) -> InvariantReport:
+        """One pass over Q's monomials z^a x^b t^c with a >= 1: (m0, mu0) is
+        the least (a + c, c), ell the least b there, beta0 the least a with
+        c = 0; the same as scanning q_function and r_function slot by slot."""
         n = self.order
-        m0 = None
-        alpha0 = mu0 = None
-        for m in range(1, n + 1):
-            for mu in range(0, m):  # ties resolved by minimal mu
-                alpha = m - mu
-                if not self.q_function(alpha, mu).is_zero:
-                    m0, alpha0, mu0 = m, alpha, mu
-                    break
-            if m0 is not None:
-                break
-
-        ell = None
-        if m0 is not None:
-            v = self.q_function(alpha0, mu0).vanishing_order("x")
-            ell = v if not isinstance(v, UnknownOrder) else None
-
-        beta0 = None
-        for beta in range(1, n + 1):
-            if not self.r_function(beta).is_zero:
-                beta0 = beta
-                break
-
-        if m0 is None:
+        lead = beta0 = None
+        for a, b, c in self.q.coefficients:
+            if a >= 1:
+                if lead is None or (a + c, c, b) < lead:
+                    lead = (a + c, c, b)
+                if c == 0 and (beta0 is None or a < beta0):
+                    beta0 = a
+        if lead is None:
             return InvariantReport(
                 m0=InfiniteUpTo(n),
                 alpha0=None,
@@ -245,16 +233,17 @@ class NormalFormSurface:
                 levi_flat=UnknownAbove(n),
                 certified_order=n,
             )
+        m0, mu0, ell = lead
         return InvariantReport(
             m0=m0,
-            alpha0=alpha0,
+            alpha0=m0 - mu0,
             mu0=mu0,
             ell=ell,
             beta0=beta0,
             finite_type=beta0 is not None,
             levi_flat=False,
             certified_order=n,
-            ell_below_alpha0=(ell is not None and ell < alpha0),
+            ell_below_alpha0=ell < m0 - mu0,
         )
 
 

@@ -1,9 +1,13 @@
 """CLI subcommands: golden reports, determinism, exit codes."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from crjets import cli
 from crjets.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -465,3 +469,57 @@ def test_a_degenerate_linear_part_is_input_error(capsys, tmp_path, command, comp
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize(
+    "literal", ["Q: t + ²*z*x", "Q: t + 2*i*z*x^²", "Q: t + 1/²*z*x", "Q: t + ٣*i*z*x"]
+)
+def test_a_non_ascii_digit_is_input_error(capsys, tmp_path, literal):
+    doc = tmp_path / "digits.surf"
+    doc.write_text(f"vars: z x t\norder: 4\n{literal}\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "analyze", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: digits must be ASCII 0-9") and "(line 3, column" in err
+
+
+def run_fresh(argv):
+    """The same call as a fresh ``python -m crjets`` process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crjets", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_shared(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_carries_no_state_between_calls(capsys):
+    heis = str(CORPUS / "heisenberg.surf")
+    segre = ["segre", heis, heis, str(CORPUS / "h_mobius_half.map"), "2"]
+    gamma1 = str(CORPUS / "gamma1.ode")
+    calls = [
+        segre + ["--jet-only"],
+        segre,
+        ["analyze", heis, "--order", "4"],
+        ["analyze", heis],
+        ["ode", gamma1, "chain", "--r-max", "2"],
+        ["ode", gamma1, "chain"],
+        segre[:-1] + ["two"],
+        segre,
+    ]
+    shared = cli.build_parser()  # the parser every main call uses
+    results = [run_shared(capsys, argv) for argv in calls]
+    assert cli.build_parser() is shared
+    golden = (GOLDEN / "segre_mobius_half_k2.txt").read_text(encoding="utf-8")
+    assert results[1] == results[7] == (0, golden, "")
+    assert results[6][0] == 2 and "invalid int value: 'two'" in results[6][2]
+    for argv, result in zip(calls, results):
+        assert result == run_fresh(argv), argv

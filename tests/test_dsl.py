@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS, format_series
@@ -200,3 +202,151 @@ def test_malformed_documents_located(text):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert err.value.line >= 1
+
+
+# ----------------------------------------------------------------------
+# digits are ASCII
+
+
+@pytest.mark.parametrize(
+    "text,column", [("t + ²*z*x", 5), ("z^²", 3), ("1/²*z", 3), ("٣*z", 1), ("2٣*z", 2)]
+)
+def test_non_ascii_digit_is_a_located_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, ZXT, 6)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "ASCII" in err.value.message
+
+
+def test_superscript_after_a_letter_stays_part_of_the_name():
+    with pytest.raises(ParseError) as err:
+        parse_series("x²", ZXT, 6)
+    assert err.value.message.startswith("unknown variable 'x²'")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vars: z x t\norder: ٣\nQ: t\n",
+        "gamma: ٣\nvars: x y\norder: 4\np: y\nq: 1\n",
+        "gamma: 0\nvars: x y\norder: 4\np: y\nq: 1\ntheta: ٣\n",
+        "gamma: 0\nvars: x y\norder: 4\np: theta٣*y\nq: 1\ntheta: 1 2 3\n",
+    ],
+)
+def test_non_ascii_digits_in_documents_are_rejected(text):
+    with pytest.raises(ParseError):
+        parse_document(text)
+
+
+# ----------------------------------------------------------------------
+# properties: only located ParseErrors, and a literal is the sum of its terms
+
+_ANY_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from("²٣½zxtswyi0123456789+-*/^() :;\n#")),
+    max_size=60,
+)
+_LINE_TEXT = _ANY_TEXT.map(lambda v: v.replace("\n", " "))
+_KEYS = ("kind", "vars", "order", "Q", "phi", "F", "G", "gamma", "p", "q", "theta")
+_VALUES = st.one_of(
+    st.sampled_from(["z x t", "z x s", "z w", "x y", "x y1 y2", "0", "4", "٣", "surface"]),
+    _LINE_TEXT,
+)
+_ORDERS = st.one_of(st.sampled_from(["4", "12", "٣", "-1"]), _LINE_TEXT)
+_SERIES = st.one_of(
+    st.sampled_from(["t + ²*z*x", "z^²", "1/²*z", "٣*z", "x²", "t + 2*i*z*x", "z + theta1"]),
+    _LINE_TEXT,
+)
+_TEMPLATES = (
+    "vars: z x t\norder: {}\nQ: {}\n",
+    "order: {}\nF: {}\nG: w\n",
+    "gamma: 0\nvars: x y\norder: {}\np: {}\nq: 1\ntheta: 1/2\n",
+)
+_DOCUMENTS = st.one_of(
+    st.lists(
+        st.one_of(st.builds("{}: {}".format, st.sampled_from(_KEYS), _VALUES), _ANY_TEXT),
+        max_size=7,
+    ).map("\n".join),
+    st.builds(str.format, st.sampled_from(_TEMPLATES), _ORDERS, _SERIES),
+)
+
+
+def _raises_only_located_parse_errors(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT)
+def test_parse_series_raises_only_located_parse_errors(text):
+    _raises_only_located_parse_errors(lambda s: parse_series(s, ZXT, 6), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_parse_document_raises_only_located_parse_errors(text):
+    _raises_only_located_parse_errors(parse_document, text)
+
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _coefficients(draw):
+    """(source text or None for an implicit 1, value)."""
+    form = draw(st.sampled_from(["none", "int", "fraction", "paren", "i"]))
+    if form == "none":
+        return None, CR(1)
+    if form == "i":
+        return "i", I
+    if form == "paren":
+        re_, im = draw(_FRACTIONS), draw(_FRACTIONS)
+        sign = "-" if im < 0 else "+"
+        return f"({re_}{sign}{abs(im)}*i)", CR(re_, im)
+    value = abs(draw(_FRACTIONS)) if form == "fraction" else Fraction(draw(st.integers(0, 9)))
+    return str(value), CR(value)
+
+
+@st.composite
+def _literals(draw):
+    """A literal built term by term, with its term-by-term sum and warnings.
+
+    Monomials come from a small pool, so they repeat; a term may be followed
+    by its negation, so it cancels; exponents reach past the order, so some
+    terms are dropped with a warning."""
+    order = draw(st.integers(0, 5))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=4))
+    text, expected, warnings = "", TS.zero(ZXT, order), []
+    for index in range(draw(st.integers(1, 8))):
+        mi = draw(st.sampled_from(pool))
+        coeff_text, value = draw(_coefficients())
+        negative = draw(st.booleans())
+        factors = [coeff_text] if coeff_text else []
+        for name, e in zip(ZXT, mi):
+            if e:
+                factors.append(draw(st.sampled_from([f"{name}^{e}", "*".join([name] * e)])))
+        term = "*".join(factors) or "1"
+        for repeat in range(1 + (draw(st.booleans()) and index > 0)):
+            if text or negative:
+                text += (" - " if negative else " + ") if text else "-"
+            column = len(text) + 1
+            text += term
+            if sum(mi) > order:
+                warnings.append(
+                    f"monomial of degree {sum(mi)} exceeds declared order {order}; "
+                    f"dropped (line 1, column {column})"
+                )
+            else:
+                expected = expected + TS(ZXT, order, {mi: -value if negative else value})
+            negative = not negative  # the repeat cancels the term
+    return text, order, expected, warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literals())
+def test_a_literal_is_the_sum_of_its_terms(literal):
+    text, order, expected, expected_warnings = literal
+    warnings = []
+    assert parse_series(text, ZXT, order, warnings=warnings) == expected
+    assert warnings == expected_warnings

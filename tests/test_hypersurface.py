@@ -200,3 +200,81 @@ def test_from_real_graph_always_normal_and_real(g):
     surf = from_real_graph(g)
     assert surf.check_normal().passed
     assert surf.check_reality().passed
+
+
+# ----------------------------------------------------------------------
+# the one-pass vanishing pattern against a slot-by-slot scan
+
+
+def scanned_pattern(surf) -> tuple:
+    """(m0, alpha0, mu0, ell, beta0) read slot by slot from q_function and
+    r_function, in the order the definitions state them."""
+    n = surf.order
+    lead = None
+    for m in range(1, n + 1):
+        for mu in range(0, m):  # ties resolved by minimal mu
+            if not surf.q_function(m - mu, mu).is_zero:
+                lead = (m, m - mu, mu)
+                break
+        if lead is not None:
+            break
+    beta0 = next((b for b in range(1, n + 1) if not surf.r_function(b).is_zero), None)
+    if lead is None:
+        return (InfiniteUpTo(n), None, None, None, beta0)
+    m0, alpha0, mu0 = lead
+    return (m0, alpha0, mu0, surf.q_function(alpha0, mu0).vanishing_order("x"), beta0)
+
+
+def assert_pattern_matches_scan(surf):
+    report = surf._vanishing_pattern()
+    expected = scanned_pattern(surf)
+    assert report.tuple() == expected
+    assert report.finite_type == (expected[4] is not None)
+    finite = not isinstance(expected[0], InfiniteUpTo)
+    assert report.levi_flat == (False if finite else UnknownAbove(surf.order))
+    assert report.ell_below_alpha0 == (finite and expected[3] < expected[1])
+    assert report.certified_order == surf.order
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_vanishing_pattern_matches_scan_on_models(order):
+    for make in (heisenberg, quartic_model, infinite_type_model, levi_flat_model):
+        assert_pattern_matches_scan(make(order))
+
+
+def seeded_dense_graph(rng, order) -> RealGraph:
+    base = {}
+    for a in range(1, order):
+        for b in range(1, order - a + 1):
+            for m in range(order - a - b + 1):
+                if rng.random() < 0.4:
+                    base[(a, b, m)] = CR(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                         Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    rho = TS(GRAPH_VARS, order, base)
+    return RealGraph(rho + rho.conjugate().rename_variables({"z": "x", "x": "z"}))
+
+
+def test_vanishing_pattern_matches_scan_on_dense_graphs():
+    import random
+
+    rng = random.Random(13)
+    for _ in range(40):
+        assert_pattern_matches_scan(from_real_graph(seeded_dense_graph(rng, rng.randint(2, 6))))
+
+
+def test_vanishing_pattern_matches_scan_on_random_q():
+    """Random Q = t + monomials z^a x^b t^c: in normal form (a, b >= 1), and
+    with monomials off it (x^0, z^0) to reach ell = 0 and every slot."""
+    import random
+
+    rng = random.Random(1313)
+    for trial in range(400):
+        order = rng.randint(0, 9)
+        normal = trial % 4 != 0
+        coeffs = {(0, 0, 1): 1}
+        for _ in range(rng.randint(0, 6)):
+            a = rng.randint(1 if normal else 0, order + 1)
+            b = rng.randint(1 if normal else 0, order + 1)
+            c = rng.randint(0, order + 1)
+            coeffs[(a, b, c)] = CR(rng.randint(-2, 2), rng.randint(-1, 1))
+        assert_pattern_matches_scan(NormalFormSurface(TS(SURFACE_VARS, order, coeffs)))
