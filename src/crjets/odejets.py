@@ -12,15 +12,17 @@ The equation at order ``s + gamma`` is the one that pins ``a_s`` at its own
 order; for ``s > order - gamma`` it lies beyond the stored truncation, so an
 unpinned coefficient there is reported unknown, not free.
 
-Products of two still-deferred symbols would leave the linear regime; such
-an equation is recorded as opaque and not used.  The equations are built
-before any is solved, so an equation stays opaque even when a lower order
-pins one of its factors, and the run can report an order free that the
-full equation pins (x y' = 2y + y^2 leaves a_3^2 opaque at order 6).  The
-linear test corpus never produces one.  ``determination_order`` builds and
-eliminates the system once and scans k = 0, 1, 2, ..., adding the seed
-equations a_k = base_k to that one elimination at each step, unless an
-equation is opaque.
+Products of two still-deferred symbols would leave the linear regime, so
+each order's equations are evaluated against the solver, with what the
+lower orders have pinned put in.  An equation that still holds a product
+of two unpinned forms is left out (recorded as opaque) and evaluated again
+whenever the solver gains a pivot.  So x y' = 2y + y^2, which pins a_3 at
+order 3, uses its order-6 equation with a_3^2 = 0.  A left-out equation can
+leave an order free that the full equation pins.  The linear test corpus
+never produces one.  ``determination_order`` builds and eliminates the
+system once and scans k = 0, 1, 2, ..., adding the seed equations
+a_k = base_k to that one elimination at each step, unless an equation is
+left out.
 
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
@@ -161,53 +163,64 @@ class _Aff:
         return not self.opaque and self.const.is_zero and not self.lin
 
 
-def _poly_add(a, b):
-    return [x.add(y) for x, y in zip(a, b)]
+class _Evaluation:
+    """The x^m coefficients of q x^(gamma+1) y' - p along the table ``a``,
+    evaluated against ``solver``: a product of two forms that both hold a
+    symbol is taken after the solver has put in its pivots, so it is opaque
+    only while both factors still hold an unpinned symbol.  The result
+    agrees with the full equation on the solution set of the equations
+    already added.  The x^c coefficients of the powers y^d are kept; an
+    opaque one is computed again once the solver has gained a pivot."""
 
+    def __init__(self, ode: SingularODE, a, solver):
+        self.ode, self.a, self.solver = ode, a, solver
+        self.powers: dict[tuple, tuple] = {}  # (d, c) -> (pivot count, form)
 
-def _poly_mul(a, b, n_max):
-    out = [_Aff() for _ in range(n_max + 1)]
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            if i + j > n_max:
+    def _times(self, u: _Aff, v: _Aff) -> _Aff:
+        if u.lin and v.lin:
+            u = self.solver.reduce(u)
+            if u.lin:
+                v = self.solver.reduce(v)
+        return u.mul(v)
+
+    def power(self, d: tuple, c: int) -> _Aff:
+        """The x^c coefficient of prod_i y_i^d_i."""
+        total = sum(d)
+        if total == 0:
+            return _Aff(CR(1)) if c == 0 else _Aff()
+        if c < total:  # y(0) = 0
+            return _Aff()
+        i = next(k for k, e in enumerate(d) if e)
+        if total == 1:
+            return self.a[c][i]
+        stamp = len(self.solver.pivots)
+        kept = self.powers.get((d, c))
+        if kept is not None and (kept[0] == stamp or not kept[1].opaque):
+            return kept[1]
+        rest = d[:i] + (d[i] - 1,) + d[i + 1 :]
+        acc = _Aff()
+        for j in range(1, c - total + 2):
+            acc = acc.add(self._times(self.a[j][i], self.power(rest, c - j)))
+            if acc.opaque:
                 break
-            if y.is_zero:
-                continue
-            out[i + j] = out[i + j].add(x.mul(y))
-    return out
+        self.powers[(d, c)] = (stamp, acc)
+        return acc
 
-
-def _eval_series(series: TruncatedSeries, y_polys, n_max):
-    """x-coefficient list of series(x, y(x)) with affine y coefficients."""
-    zero = [_Aff() for _ in range(n_max + 1)]
-    acc = list(zero)
-    power_cache: list[dict[int, list]] = [{1: poly} for poly in y_polys]
-
-    def power_of(idx, d):
-        cache = power_cache[idx]
-        if d not in cache:
-            k = max(key for key in cache if key <= d)
-            current = cache[k]
-            while k < d:
-                current = _poly_mul(current, y_polys[idx], n_max)
-                k += 1
-                cache[k] = current
-        return cache[d]
-
-    for mi, c in series.coefficients.items():
-        e_x = mi[0]
-        if e_x > n_max:
-            continue
-        term = list(zero)
-        term[e_x] = _Aff(c)
-        for idx, d in enumerate(mi[1:]):
-            if d == 0:
-                continue
-            term = _poly_mul(term, power_of(idx, d), n_max)
-        acc = _poly_add(acc, term)
-    return acc
+    def equation(self, m: int, i: int) -> _Aff:
+        """Component i of the x^m coefficient of q x^(gamma+1) y' - p."""
+        acc = _Aff()
+        for mi, coeff in self.ode.p[i].coefficients.items():
+            if mi[0] <= m:
+                acc = acc.add(self.power(mi[1:], m - mi[0]).scale(-coeff))
+        for mi, coeff in self.ode.q.coefficients.items():
+            # x^e y^d of q, the x^c coefficient of y^d and s a_s x^(s+gamma)
+            # of x^(gamma+1) y'_i, with e + c + s + gamma = m
+            top, d = m - self.ode.gamma - mi[0], mi[1:]
+            for s in range(1 if any(d) else max(top, 1), top - sum(d) + 1):
+                y_part = self.power(d, top - s)
+                if not y_part.is_zero:
+                    acc = acc.add(self._times(y_part, self.a[s][i]).scale(coeff * s))
+        return acc
 
 
 class _LinearSolver:
@@ -286,13 +299,11 @@ class JetRecursionResult:
 
 
 def _formal_system(ode: SingularODE, seed, n_target: int):
-    """The unknowns and the equations of a seeded run, from one
-    ``_eval_series`` pass over p and q.
+    """The unknowns of a seeded run.
 
     Returns the coerced seed, the table ``a`` (a seeded order holds
     constants, any other order one deferred symbol per component) and
-    ``equations[m]``, the n components of the x^m coefficient of
-    q x^(gamma+1) y' - p.
+    ``n_eq``, the last order whose equations the run uses.
     """
     n, gamma = ode.n, ode.gamma
     if n_target > ode.order:
@@ -314,43 +325,48 @@ def _formal_system(ode: SingularODE, seed, n_target: int):
         else:
             a[s] = [_Aff.symbol(next_sym + i) for i in range(n)]
             next_sym += n
-
-    y_polys = [[a[s][i] for s in range(n_eq + 1)] for i in range(n)]
-    q_poly = _eval_series(ode.q, y_polys, n_eq)
-    components = []
-    for i in range(n):
-        # x^(gamma+1) y'_i has coefficient (m - gamma) a_{m-gamma} at x^m
-        dy_shifted = [_Aff() for _ in range(n_eq + 1)]
-        for m in range(gamma + 1, n_eq + 1):
-            dy_shifted[m] = a[m - gamma][i].scale(CR(m - gamma))
-        p_poly = _eval_series(ode.p[i], y_polys, n_eq)
-        lhs = _poly_mul(q_poly, dy_shifted, n_eq)
-        components.append([l.add(r.scale(CR(-1))) for l, r in zip(lhs, p_poly)])
-    return seed, a, list(zip(*components))
+    return seed, a, n_eq
 
 
-def _eliminate(ode: SingularODE, seed, a, equations, n_target: int):
-    """Row-reduce the equations order by order.
+def _eliminate(ode: SingularODE, seed, a, n_eq: int, n_target: int):
+    """Evaluate and row-reduce the equations order by order, each against
+    the solver (see ``_Evaluation``).
 
-    Returns the solver, the orders of the opaque equations (left out) and
-    the frontier kernels: for each unseeded s <= n_target whose own
-    equation, at order s + gamma, is in the data, the number of
-    components of a_s still unpinned once that equation is added.
-    Raises ``InconsistentSeed`` at the first order that contradicts.
+    An opaque equation is left out and evaluated again after each later
+    order that gains a pivot.  Returns the solver, the orders of the
+    equations still opaque (left out) and the frontier kernels: for each
+    unseeded s <= n_target whose own equation, at order s + gamma, is in
+    the data, the number of components of a_s still unpinned once that
+    order is added.  Raises ``InconsistentSeed`` at the first order that
+    contradicts.
     """
     solver = _LinearSolver()
-    opaque_orders = set()
+    evaluation = _Evaluation(ode, a, solver)
+    left_out: list[tuple[int, int]] = []  # (order, component)
+    tried = 0  # the pivot count when they were last evaluated
     frontier_kernel: dict[int, int] = {}
-    for m, row in enumerate(equations):
-        for eq in row:
+    for m in range(n_eq + 1):
+        for i in range(ode.n):
+            eq = evaluation.equation(m, i)
             if eq.opaque:
-                opaque_orders.add(m)
+                left_out.append((m, i))
             elif solver.add_equation(eq) == "inconsistent":
                 raise InconsistentSeed(m)
+        # a new pivot is the only way a factor gets pinned
+        while left_out and tried != len(solver.pivots):
+            tried = len(solver.pivots)
+            still = []
+            for order, i in left_out:
+                eq = evaluation.equation(order, i)
+                if eq.opaque:
+                    still.append((order, i))
+                elif solver.add_equation(eq) == "inconsistent":
+                    raise InconsistentSeed(m)
+            left_out = still
         s = m - ode.gamma
         if 0 <= s <= n_target and s not in seed:
             frontier_kernel[s] = sum(1 for aff in a[s] if solver.value(aff) is None)
-    return solver, opaque_orders, frontier_kernel
+    return solver, {order for order, _ in left_out}, frontier_kernel
 
 
 def _read(ode: SingularODE, a, solver, n_target: int):
@@ -375,8 +391,8 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
     ``seed`` maps orders to coefficient vectors (Taylor-normalized); order 0
     defaults to the zero vector and must be zero when given.
     """
-    seed, a, equations = _formal_system(ode, seed, n_target)
-    solver, opaque_orders, frontier_kernel = _eliminate(ode, seed, a, equations, n_target)
+    seed, a, n_eq = _formal_system(ode, seed, n_target)
+    solver, opaque_orders, frontier_kernel = _eliminate(ode, seed, a, n_eq, n_target)
     coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_target)
     ledger = []
     for s in range(0, n_target + 1):
@@ -520,21 +536,22 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
 
     The formal system is built and eliminated once, at k = 0, and step k
     adds the seed equations a_k = base_k to that same elimination.  This is
-    exact: an equation that is not opaque is never the product of two
-    deferred symbols, so it is affine in them, and the run seeded through k
-    has those same affine equations with a_1..a_k replaced by constants.
-    Its solution set is therefore the k = 0 solution set cut by the seed
-    equations, with the seeded coordinates dropped.  Both are consistent or
+    exact when no equation is left out: each equation is added in a form
+    that is affine in the deferred symbols and agrees with the full
+    equation on the solution set of the equations added before it, so the
+    k = 0 elimination cuts out the solution set of the full equations, and
+    the run seeded through k cuts out that set with the seed equations
+    added, with the seeded coordinates dropped.  Both are consistent or
     inconsistent together, and a coefficient is pinned (constant on the
     solution set) to the same value in both, whatever order the equations
     are eliminated in.  An inconsistent step reruns that one seeded
     ``formal_coefficients`` run for the order it names.
 
-    An opaque equation (a product of two deferred symbols) is left out of a
-    run, and seeding can make it linear, so on a system with one every step
-    k >= 1 is a seeded ``formal_coefficients`` run.  Leaving such equations
-    out can leave orders free that the full equations pin, so on such a
-    system the answer can exceed the least k.
+    An opaque equation (a product of two forms that the solver leaves
+    unpinned) is left out of a run, and seeding can make it linear, so on
+    a system with one every step k >= 1 is a seeded ``formal_coefficients``
+    run.  Leaving such equations out can leave orders free that the full
+    equations pin, so on such a system the answer can exceed the least k.
 
     An unknown order (its pinning equation beyond the truncation) is never
     pinned, so it keeps a run from settling.  If run k - 1 fails to settle
@@ -550,8 +567,8 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     def seed(k):
         return {s: base.coefficients[s] for s in range(0, k + 1)}
 
-    seed0, a, equations = _formal_system(ode, seed(0), n_max)
-    solver, opaque_orders, _ = _eliminate(ode, seed0, a, equations, n_max)
+    seed0, a, n_eq = _formal_system(ode, seed(0), n_max)
+    solver, opaque_orders, _ = _eliminate(ode, seed0, a, n_eq, n_max)
     top = min(n_max, ode.order - ode.gamma)  # the orders that can be free
     below = ()  # the unknown orders that alone kept run k - 1 from settling
     for k in range(0, n_max + 1):

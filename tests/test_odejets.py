@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crjets import odejets
@@ -292,7 +292,7 @@ def test_determination_matches_scan_on_random_nonlinear_systems():
     rng = random.Random(7)
     n_max = 10
     with_opaque = 0
-    for _ in range(48):
+    for _ in range(72):
         ode = random_nonlinear_system(
             rng, rng.choice([1, 2]), rng.choice([0, 1]), n_max + 6
         )
@@ -302,7 +302,7 @@ def test_determination_matches_scan_on_random_nonlinear_systems():
         assert determination_order(ode, base, n_max) == scan_determination_order(
             ode, base, n_max
         )
-    assert 24 <= with_opaque < 48
+    assert 24 <= with_opaque < 72
 
 
 def test_determination_nonzero_resonant_base():
@@ -383,11 +383,11 @@ def check_scan_steps(ode, base, n_max):
     """The steps of determination_order's scan: one k = 0 elimination, the
     seed equations a_k = base_k added upward, each step against the seeded
     formal_coefficients run.  Returns the order of the first inconsistent
-    step, or None; the equations' forms must come out unchanged."""
-    seed, a, equations = odejets._formal_system(ode, {0: base.coefficients[0]}, n_max)
-    forms = [aff for row in equations for aff in row] + [aff for s in a for aff in a[s]]
+    step, or None; the table's forms must come out unchanged."""
+    seed, a, n_eq = odejets._formal_system(ode, {0: base.coefficients[0]}, n_max)
+    forms = [aff for s in a for aff in a[s]]
     before = snapshot(forms)
-    solver, opaque_orders, _ = odejets._eliminate(ode, seed, a, equations, n_max)
+    solver, opaque_orders, _ = odejets._eliminate(ode, seed, a, n_eq, n_max)
     assert not opaque_orders
     for k in range(n_max + 1):
         seed = {s: base.coefficients[s] for s in range(k + 1)}
@@ -463,13 +463,38 @@ def test_wrong_base_on_a_planted_system_raises_at_the_scanned_order():
     assert error.value.order == scan_error.value.order is not None
 
 
-@pytest.mark.xfail(strict=True, reason="opaque equations are built before solving")
 def test_determination_of_a_quadratic_resonance():
     # x y' = 2y + y^2: a_1 = 0, and with a_2 = 0 the equation
-    # (m - 2) a_m = sum a_s a_(m-s) forces every a_m to 0, so k = 2; but
-    # a_3^2 at order 6 stays opaque after a_3 is pinned at order 3
+    # (m - 2) a_m = sum a_s a_(m-s) forces every a_m to 0, so k = 2; a_3^2
+    # at order 6 is linear once a_3 is pinned at order 3
     ode = scalar_ode(0, {(0, 1): 2, (0, 2): 1}, order=20)
     assert determination_order(ode, zero_solution(ode, 20), 20) == 2
+    # unseeded, a_2 is free and the odd orders are 0; a_4 = a_2^2 / 2 and
+    # the other even orders are not constants, so they stay unpinned
+    run = formal_coefficients(ode, {}, 20)
+    assert run.free_orders == tuple(range(2, 21, 2))
+    assert all(run.coefficients[s] == (0,) for s in range(1, 20, 2))
+
+
+def test_an_opaque_equation_is_used_once_a_later_order_pins_its_factor():
+    # x y1' = y1 + y1^2, x y2' = 3 y2 + x^2 y1: the y1 block is singular at
+    # order 1 and the y2 block at order 3, whose equation 0 = a_1 pins the
+    # y1 part of a_1 to 0.  The y1 equations at orders 2 and 3, which hold
+    # a_1^2 and a_1 a_2, are then linear and pin a_2 and a_3 of y1, so only
+    # the y2 part of a_3 (y2 = c x^3) stays free
+    variables = ("x", "y1", "y2")
+    p = [
+        TS(variables, 10, {(0, 1, 0): 1, (0, 2, 0): 1}),
+        TS(variables, 10, {(0, 0, 1): 3, (2, 1, 0): 1}),
+    ]
+    ode = SingularODE(0, p, TS(variables, 10, {(0, 0, 0): 1}))
+    run = formal_coefficients(ode, {}, 8)
+    assert run.free_orders == (3,)
+    assert run.opaque_orders == ()
+    assert all(run.coefficients[s] == (0, 0) for s in (1, 2, 4, 5, 6, 7, 8))
+    status = {e.order: e.status for e in run.obstruction_ledger}
+    assert (status[1], status[2], status[3], status[4]) == ("deferred", "deferred", "free", "resolved")
+    assert determination_order(ode, zero_solution(ode, 8), 8) == 3
 
 
 def test_back_substitution_of_nonzero_solution():
@@ -615,6 +640,14 @@ def stored(n, gamma, p, q, order):
     st.sampled_from([1, 2]),
     st.integers(min_value=3, max_value=9),
 )
+# draws where an equation built with a product of two coefficients, one of
+# them pinned by a lower order, was left out at the shorter truncation
+@example(seed=226, n=2, gamma=1, order=3)
+@example(seed=524287, n=2, gamma=1, order=6)
+@example(seed=4259, n=2, gamma=1, order=5)
+@example(seed=23, n=2, gamma=2, order=8)
+@example(seed=837, n=2, gamma=2, order=6)
+@example(seed=1182, n=2, gamma=2, order=7)
 def test_truncation_edge_agrees_with_a_longer_truncation(seed, n, gamma, order):
     p, q = edge_system(random.Random(seed), n, gamma)
     short = formal_coefficients(stored(n, gamma, p, q, order), {}, order)
