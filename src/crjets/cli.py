@@ -472,11 +472,19 @@ def cmd_ode(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer argument by the rule for documents, ``-?[0-9]+``: ``int``
+    alone would also read ``٣`` as 3, and ``+3`` and ``1_0``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} (ASCII digits 0-9 only)")
+    return int(text)
+
+
 @cache  # one parser per process, built by the first main call; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--order", type=int, default=None, help="truncate inputs to this order"
+        "--order", type=_integer, default=None, help="truncate inputs to this order"
     )
     common.add_argument("--out", default=None, help="also write the report to this path")
 
@@ -500,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("surface2")
     p.add_argument("map")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.add_argument(
         "--jet-only",
         action="store_true",
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("map")
     p.add_argument("map2")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.set_defaults(func=cmd_determine)
 
     p = sub.add_parser(
@@ -525,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ode", parents=[common], help="formal solutions of x^(g+1) y' = p/q")
     p.add_argument("ode")
     p.add_argument("mode", choices=("solve", "determine", "chain"))
-    p.add_argument("--r-max", type=int, default=6)
+    p.add_argument("--r-max", type=_integer, default=6)
     p.set_defaults(func=cmd_ode)
 
     return parser

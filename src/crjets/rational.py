@@ -44,7 +44,7 @@ def numerators(values) -> tuple[list[tuple[int, int]], int]:
     """The values as Gaussian integers ``(a, b)`` over one common
     denominator ``d``, the least: ``value = (a + b*i) / d`` for each."""
     d = lcm(*[z._d for z in values])
-    return [(z._a * (d // z._d), z._b * (d // z._d)) for z in values], d
+    return [(z._a * s, z._b * s) for z in values for s in (d // z._d,)], d
 
 
 def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> "ComplexRational":

@@ -16,15 +16,20 @@ Two coefficient backends share one implementation:
 * float: complex coefficients with a zero-test ``tolerance``; any
   coefficient of magnitude below the tolerance is normalized to absent.
 
-Every series product runs one kernel, :func:`_product`.  It packs the
-exponents of a monomial into one int (Monagan & Pearce, CASC 2007), writes
-each operand as Gaussian integers over one common denominator (as FLINT's
-``fmpq_poly`` does), sums the real and imaginary parts of each result
-coefficient as plain ints and reduces each result coefficient once, so the
-results are the canonical values term-by-term arithmetic gives.  The float
-backend runs the same sums with denominator 1.  The packed right operand is
-kept on its series, beside the composition powers: Horner accumulators,
-power lists and Newton steps multiply by one series many times.
+Every series product runs one kernel, :func:`_product`, on packed tables:
+the exponents of a monomial and its total degree packed into one int
+(Monagan & Pearce, CASC 2007; see :class:`_Layout`), and the coefficients
+written as Gaussian integers over one common denominator (as FLINT's
+``fmpq_poly`` does), so the real and imaginary parts of each result
+coefficient are sums of plain int products.  ``__mul__`` packs its left
+operand, multiplies and unpacks; :meth:`TruncatedSeries.compose` packs its
+leaves and stays packed through every inner product and sum, dividing out
+the content after each product.  Either unpacks its result once and
+reduces each coefficient once, so the results are the canonical values
+term-by-term arithmetic gives.  The float backend runs the same code with
+denominator 1.  The packed right operand is kept on its series, beside the
+composition powers: Horner accumulators, power lists and Newton steps
+multiply by one series many times.
 
 Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
@@ -43,8 +48,9 @@ one composition at the full order.
 The public constructor checks every multi-index and coerces every
 coefficient.  Ring operations build their results through a trusted path
 that only drops zero coefficients and monomials above the order, since
-their inputs were checked when they were built; products leave the kernel
-with neither and are wrapped as they are.
+their inputs were checked when they were built; products and
+compositions unpack their packed result without either and wrap it as it
+is.
 
 Mixed-backend arithmetic is refused.  On the exact backend a k-th root is
 taken only when it stays in the field (a leading coefficient of 1 always
@@ -56,7 +62,10 @@ series themselves, such as the benchmark's series oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping
 
@@ -275,8 +284,13 @@ class TruncatedSeries:
             return self._make({mi: c * scal for mi, c in self.coefficients.items()})
         self._check_partner(other)
         order = min(self.order, other.order)
-        table = _product(self.coefficients, other, order)
-        return _series(self.variables, order, table, self.tolerance)
+        b = other._packed
+        if b is None:
+            b = _Packed.of(other)
+            object.__setattr__(other, "_packed", b)
+        tol = self.tolerance
+        table, d = _product(*b.layout.pack(self.coefficients.items(), order, tol), b, order)
+        return _series(self.variables, order, b.layout.unpack(table, d, tol), tol)
 
     __rmul__ = __mul__
 
@@ -430,11 +444,12 @@ class TruncatedSeries:
         Only the products the result needs are made, each once:
 
         * a substitution with one term ``c*m`` below the order costs no
-          series product: an outer exponent ``e`` in its slot adds ``e*m``
-          to the target exponents and multiplies the coefficient by
-          ``c^e`` (powers of ``c`` cached per call), and a monomial whose
-          moved degree exceeds the order is skipped; a bare variable is the
-          case ``c = 1``;
+          series product: an outer exponent ``e`` in its slot adds ``e``
+          times the packed key of ``m`` to the target key and multiplies
+          the coefficient by ``c^e`` (Gaussian integer powers of ``c``
+          computed once per call), and a monomial whose moved degree
+          exceeds the order is skipped; a bare variable is the case
+          ``c = 1``;
         * a zero substitution drops every outer monomial that has a
           positive exponent in its slot;
         * the moved terms are grouped by their exponents in the remaining
@@ -461,6 +476,17 @@ class TruncatedSeries:
           iterate of :func:`implicit_solve` or the inner series of the
           reality identity, takes Horner, which needs one product per
           exponent and no powers.
+
+        All of it runs on packed tables ``{key: (re, im)}`` over one
+        denominator, in the :class:`_Layout` of ``width =
+        max(order.bit_length(), 1)`` bits per target slot with the total
+        degree in a top field.  The leaves are built packed, the outer
+        coefficients and the factors ``c^e`` of scaled moves over one
+        common denominator; the powers kept on ``S`` are packed; every
+        inner product calls :func:`_product`, which divides out the content
+        of its result, not ``__mul__``; sums add numerators over the least
+        common denominator.  The result is unpacked once and each of its
+        coefficients reduced once.
         """
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
@@ -475,18 +501,21 @@ class TruncatedSeries:
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
         tol = target.tolerance
+        if (self.tolerance is None) != (tol is None):
+            raise BackendMismatch("cannot mix exact and float series")
         variables = target.variables
+        layout = _layout(max(order.bit_length(), 1), len(variables))
         limits = ()  # (target slot, largest exponent kept) of each boxed variable
         if box:
             for v in box:
                 if v not in variables:
                     raise UnknownVariable(v)
             limits = tuple(sorted((variables.index(v), bound) for v, bound in box.items()))
-        steps = []  # (outer slot, target slot, exponent) of each one-term move
+        moves = []  # (outer slot, packed monomial) of each one-term move
         heavy = []  # (outer slot, degree - 1) of one-term moves of degree > 1
-        scaled = []  # (outer slot, [1, c, c^2, ...]) of one-term moves with c != 1
+        scaled = []  # (outer slot, c) of one-term moves c*m with c != 1
         zeros = []  # outer slots substituted by zero
-        general = []  # (outer slot, [S, S^2, ...]) of the remaining slots
+        general = []  # (outer slot, packed [S, S^2, ...]) of the remaining slots
         for pos, s in enumerate(subs):
             terms = [(mi, c) for mi, c in s.coefficients.items() if sum(mi) <= order]
             if limits:
@@ -500,19 +529,17 @@ class TruncatedSeries:
                     object.__setattr__(s, "_powers", cache)
                 powers = cache.get((order, limits))
                 if powers is None:
-                    powers = cache[order, limits] = [_trusted(variables, order, dict(terms), tol)]
+                    first = _Packed(layout, order, tol, *layout.pack(terms, order, tol))
+                    powers = cache[order, limits] = [first]
                 general.append((pos, powers))
             else:
                 (mi, c), = terms
-                steps += [(pos, j, a) for j, a in enumerate(mi) if a]
+                moves.append((pos, sum(map(mul, mi, layout.scale))))
                 if sum(mi) > 1:
                     heavy.append((pos, sum(mi) - 1))
                 if c != 1:
-                    scaled.append((pos, [target._scalar(1), c]))
-        # nested groups: one level per general slot, keyed by its exponent;
-        # the leaves map moved target exponents to coefficients
-        root: dict = {}
-        width = len(variables)
+                    scaled.append((pos, c))
+        kept = []  # (outer exponents, packed moved monomial, coefficient)
         for mi, c in self.coefficients.items():
             # every substitution has valuation >= 1, so sum(mi) bounds the degree
             if sum(mi) > order:
@@ -521,29 +548,49 @@ class TruncatedSeries:
                 continue
             if zeros and any(mi[pos] for pos in zeros):
                 continue
-            mk = [0] * width
-            for pos, j, a in steps:
-                mk[j] += a * mi[pos]
-            if limits and any(mk[j] > b for j, b in limits):
+            key = 0
+            for pos, step in moves:
+                key += mi[pos] * step
+            if limits and any(layout.slot(key, j) > b for j, b in limits):
                 continue
-            mk = tuple(mk)
-            c = target._scalar(c)
-            for pos, cache in scaled:
-                e = mi[pos]
-                if e:
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * cache[1])
-                    c = c * cache[e]
+            kept.append((mi, key, c))
+        nums, d = _numerators([c for _, _, c in kept], tol)
+        # a scaled slot contributes c^e = (a + b*i)^e / dc^e; written over
+        # dc^emax as (a + b*i)^e * dc^(emax - e), every leaf keeps one denominator
+        factors = []
+        for pos, c in scaled:
+            ((a, b),), dc = _numerators([c], tol)
+            emax = max((mi[pos] for mi, _, _ in kept), default=0)
+            pw = [(1, 0)]
+            for _ in range(emax):
+                x, y = pw[-1]
+                pw.append((x * a - y * b, x * b + y * a))
+            if dc != 1:
+                pw = [(x * dc ** (emax - e), y * dc ** (emax - e)) for e, (x, y) in enumerate(pw)]
+                d *= dc**emax
+            factors.append((pos, pw))
+        # nested groups: one level per general slot, keyed by its exponent;
+        # the leaves map packed moved monomials to numerators over d
+        root: dict = {}
+        for (mi, key, _), (re, im) in zip(kept, nums):
+            for pos, pw in factors:
+                x, y = pw[mi[pos]]
+                re, im = re * x - im * y, re * y + im * x
             node = root
             for pos, _ in general:
                 node = node.setdefault(mi[pos], {})
-            node[mk] = node[mk] + c if mk in node else c
-        slots = [(powers, min(map(sum, powers[0].coefficients))) for _, powers in general]
-        horner = False
-        if general:
-            pos, powers = general[-1]
-            horner = len({mi[pos] for mi in self.coefficients}) <= len(powers[0].coefficients)
-        return _trusted(variables, order, _substitute(root, slots, 0, order, horner, limits), tol)
+            if key in node:
+                x, y = node[key]
+                node[key] = (x + re, y + im)
+            else:
+                node[key] = (re, im)
+        if not general:  # moves only: no product
+            return _series(variables, order, layout.unpack(root, d, tol), tol)
+        slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
+        pos, powers = general[-1]
+        horner = len({mi[pos] for mi in self.coefficients}) <= len(powers[0].table)
+        table, d = _substitute(root, d, slots, 0, order, horner, limits)
+        return _series(variables, order, layout.unpack(table, d, tol), tol)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -700,21 +747,112 @@ def _series(variables, order, clean, tolerance) -> TruncatedSeries:
     return s
 
 
+class _Layout:
+    """How a monomial in ``n`` variables packs into one int key.
+
+    Slot ``i`` takes ``width`` bits at bit ``width * i``, and the total
+    degree takes a top field at bit ``top = width * n``, so a key is
+    ``sum(map(mul, mi, scale))``, a product monomial is one int addition,
+    a degree budget is ``key >> top`` and a box bound one shift and mask
+    (Monagan & Pearce, CASC 2007).  Callers take ``width =
+    max(order.bit_length(), 1)`` and read only monomials of degree at most
+    ``order``, so no field overflows.  One layout per ``(width, n)`` is
+    kept for the process, with the multi-index of every key it has
+    unpacked.
+    """
+
+    __slots__ = ("width", "top", "mask", "scale", "shifts", "monomials")
+
+    def __init__(self, width: int, n: int):
+        self.width, self.top, self.mask = width, width * n, (1 << width) - 1
+        self.scale = [1 << width * i | 1 << width * n for i in range(n)]
+        self.shifts = range(0, width * n, width)
+        self.monomials = {}  # key -> multi-index
+
+    def slot(self, key: int, j: int) -> int:
+        return key >> self.width * j & self.mask
+
+    def pack(self, items, order, tolerance) -> tuple[dict, int]:
+        """The terms ``(mi, c)`` of degree at most ``order`` as a packed
+        table ``{key: (re, im)}`` over one denominator."""
+        top, scale = self.top, self.scale
+        keys, values = [], []
+        for mi, c in items:
+            # the top field reads at least the degree, so a carry out of a
+            # slot above the order cannot bring a monomial back in
+            key = sum(map(mul, mi, scale))
+            if key >> top <= order:
+                keys.append(key)
+                values.append(c)
+        nums, d = _numerators(values, tolerance)
+        return dict(zip(keys, nums)), d
+
+    def unpack(self, table, d, tolerance) -> dict:
+        """The coefficient table of a packed table over ``d``: each value
+        reduced once to its canonical ``ComplexRational`` (or ``complex``),
+        zeros dropped."""
+        monomials, mask, shifts = self.monomials, self.mask, self.shifts
+        out = {}
+        for k, (x, y) in table.items():
+            if tolerance is None:
+                if not (x or y):
+                    continue
+                c = _reduced(x, y, d)
+            else:
+                c = complex(x, y)
+                if abs(c) < tolerance:
+                    continue
+            mk = monomials.get(k)
+            if mk is None:
+                mk = monomials[k] = tuple([k >> shift & mask for shift in shifts])
+            out[mk] = c
+        return out
+
+
+@cache
+def _layout(width: int, n: int) -> _Layout:
+    """The one layout of ``n`` slots of ``width`` bits."""
+    return _Layout(width, n)
+
+
 class _Packed:
-    """A series as the right operand of :func:`_product`, kept on it."""
+    """A packed table, the right operand of :func:`_product`: its layout
+    (``width`` bits per slot and the total degree in the top field, see
+    :class:`_Layout`), the order through which it is exact, and ``{key:
+    (re, im)}`` with Gaussian integer values over one ``denominator``
+    (floats over 1), with no common content.
 
-    __slots__ = ("width", "scale", "rows", "denominator", "partners", "monomials")
+    A series' own packed form is kept on it, and compose keeps the powers
+    of a substituted series packed on it, so Horner accumulators, power
+    lists and Newton steps pack each right operand once.
+    """
 
-    def __init__(self, s: TruncatedSeries):
-        self.width = width = max(s.order.bit_length(), 1)
-        self.scale = scale = [1 << width * i for i in range(len(s.variables))]
-        nums, self.denominator = _numerators(s.coefficients.values(), s.tolerance)
-        self.rows = [
-            (mi, sum(mi), sum(map(mul, mi, scale)), re, im)
-            for mi, (re, im) in zip(s.coefficients, nums)
-        ]
+    __slots__ = ("layout", "order", "tolerance", "table", "denominator", "partners")
+
+    def __init__(self, layout, order, tolerance, table, denominator):
+        self.layout, self.order, self.tolerance = layout, order, tolerance
+        self.table, self.denominator = table, denominator
         self.partners = {}  # degree budget -> [(key, re, im)] that fit it
-        self.monomials = {}  # packed product exponents -> multi-index
+
+    @classmethod
+    def of(cls, s: TruncatedSeries) -> "_Packed":
+        layout = _layout(max(s.order.bit_length(), 1), len(s.variables))
+        table = layout.pack(s.coefficients.items(), s.order, s.tolerance)
+        return cls(layout, s.order, s.tolerance, *table)
+
+    def fitting(self, budget) -> list:
+        """The ``(key, re, im)`` that fit ``budget``: a degree, or
+        ``(limits, degree, room in each boxed slot)``."""
+        top = self.layout.top
+        if type(budget) is int:
+            return [(k, re, im) for k, (re, im) in self.table.items() if k >> top <= budget]
+        limits, room, *rest = budget
+        slot = self.layout.slot
+        return [
+            (k, re, im)
+            for k, (re, im) in self.table.items()
+            if k >> top <= room and all(slot(k, j) <= r for (j, _), r in zip(limits, rest))
+        ]
 
 
 def _numerators(values, tolerance):
@@ -725,171 +863,146 @@ def _numerators(values, tolerance):
     return [(c.real, c.imag) for c in values], 1
 
 
-def _product(a: dict, b: TruncatedSeries, order: int, limits=()) -> dict:
-    """Coefficient table of ``a * b`` through ``order``: the one product kernel.
+def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]:
+    """The packed table ``a`` (over ``da``) times ``b`` through ``order``,
+    as a packed table and its denominator: the one product kernel, which
+    ``__mul__`` and every product inside a composition call directly.
 
-    ``a`` is a coefficient table and ``b.order >= order``; ``limits`` holds
-    the (slot, largest exponent) pairs of a box (see
-    :meth:`TruncatedSeries.compose`).  The table is clean: no zero
-    coefficient and no monomial above ``order``.
+    ``a`` is in the layout of ``b`` and ``b.order >= order``; ``limits``
+    holds the (slot, largest exponent) pairs of a box (see
+    :meth:`TruncatedSeries.compose`).  The result, ``{key: [re, im]}``,
+    has no monomial above ``order`` or outside the box, but may hold a
+    zero that cancelled.  On the exact backend its content is divided out
+    with one ``gcd(d, *numerators)``, so integers do not grow along a
+    chain of products.  Nothing is reduced per coefficient here:
+    :meth:`_Layout.unpack` does that once, for the table a caller returns.
 
-    Exponents are packed into one int per monomial, ``width`` bits a slot
-    (Monagan & Pearce, CASC 2007), so a product monomial is one int
-    addition.  ``width`` comes from ``b.order``, so every exponent of a
-    product through ``order`` fits its field.  Each operand is written as
-    Gaussian integers over one common denominator, as in FLINT's
-    ``fmpq_poly``: the real and imaginary parts of each product coefficient
-    are summed as plain ints and reduced once at the end, to the same
-    canonical value the per-term arithmetic gives.  The float backend runs
+    Exponents are packed into one int per monomial (Monagan & Pearce, CASC
+    2007), so a product monomial is one int addition; each operand is
+    written as Gaussian integers over one common denominator, as in
+    FLINT's ``fmpq_poly``, so the real and imaginary parts of each product
+    coefficient are sums of plain int products.  The float backend runs
     the same sums with denominator 1, in the order of complex
-    multiplication and addition, term by term.
+    multiplication and addition, term by term, and has no content step.
 
-    The packed rows of ``b`` are kept on ``b``: Horner accumulators, power
-    lists and Newton steps multiply by one series many times.  Each term
-    of ``a`` meets only the rows of ``b`` that fit its degree budget and
-    its room in the box, listed once per budget in ``b``'s term order, and
-    each packed result monomial is unpacked once per ``b``.  The result's
-    terms come in the order of their first products, as in a schoolbook
-    loop over ``a`` and then ``b``.
+    Each term of ``a`` meets only the terms of ``b`` that fit its degree
+    budget and its room in the box, listed once per budget in ``b``'s term
+    order.  The result's terms come in the order of their first products,
+    as in a schoolbook loop over ``a`` and then ``b``.
     """
-    packed = b._packed
-    if packed is None:
-        packed = _Packed(b)
-        object.__setattr__(b, "_packed", packed)
-    scale, partners = packed.scale, packed.partners
-    left = []
-    cs = []
-    for mi, c in a.items():
-        room = order - sum(mi)
-        if room < 0:
+    top, slot, partners = b.layout.top, b.layout.slot, b.partners
+    exact = b.tolerance is None
+    out: dict = {}  # key -> [re, im]
+    get = out.get
+    for ka, (ra, ia) in a.items():
+        budget = order - (ka >> top)
+        if budget < 0:
             continue
         if limits:  # the box is part of the key of the partner lists
-            room = (limits, room, *[bound - mi[j] for j, bound in limits])
-            if min(room[1:]) < 0:
+            budget = (limits, budget, *[bound - slot(ka, j) for j, bound in limits])
+            if min(budget[1:]) < 0:
                 continue
-        left.append((sum(map(mul, mi, scale)), room))
-        cs.append(c)
-    nums, da = _numerators(cs, b.tolerance)
-    exact = b.tolerance is None
-    re: dict = {}
-    im: dict = {}
-    for (ka, budget), (ra, ia) in zip(left, nums):
         fits = partners.get(budget)
         if fits is None:
-            fits = partners[budget] = _partners(packed.rows, budget)
+            fits = partners[budget] = b.fitting(budget)
         # a real term of a skips half the products; floats keep the full
         # formula of complex multiplication, signed zeros included
         if ia or not exact:
             for kb, rb, ib in fits:
                 k = ka + kb
-                if k in re:
-                    re[k] += ra * rb - ia * ib
-                    im[k] += ra * ib + ia * rb
+                v = get(k)
+                if v is None:
+                    out[k] = [ra * rb - ia * ib, ra * ib + ia * rb]
                 else:
-                    re[k] = ra * rb - ia * ib
-                    im[k] = ra * ib + ia * rb
+                    v[0] += ra * rb - ia * ib
+                    v[1] += ra * ib + ia * rb
         else:
             for kb, rb, ib in fits:
                 k = ka + kb
-                if k in re:
-                    re[k] += ra * rb
-                    im[k] += ra * ib
+                v = get(k)
+                if v is None:
+                    out[k] = [ra * rb, ra * ib]
                 else:
-                    re[k] = ra * rb
-                    im[k] = ra * ib
-    d = da * packed.denominator
-    tol = b.tolerance
-    monomials = packed.monomials
-    out = {}
-    for (k, x), y in zip(re.items(), im.values()):  # one insertion order
-        if exact:
-            if not (x or y):
-                continue
-            c = _reduced(x, y, d)
-        else:
-            c = complex(x, y)
-            if abs(c) < tol:
-                continue
-        mk = monomials.get(k)
-        if mk is None:
-            mk = monomials[k] = _unpack(k, packed.width, len(scale))
-        out[mk] = c
-    return out
+                    v[0] += ra * rb
+                    v[1] += ra * ib
+    if not exact:
+        return out, 1
+    d = da * b.denominator
+    g = gcd(d, *chain.from_iterable(out.values())) if d != 1 else 1
+    if g != 1:
+        for v in out.values():
+            v[0] //= g
+            v[1] //= g
+        d //= g
+    return out, d
 
 
-def _partners(rows, budget):
-    """The ``(key, re, im)`` of the rows that fit ``budget``: a degree, or
-    ``(limits, degree, room in each boxed slot)``."""
-    if type(budget) is int:
-        return [(kb, rb, ib) for _, deg, kb, rb, ib in rows if deg <= budget]
-    limits, room, *rest = budget
-    return [
-        (kb, rb, ib)
-        for mj, deg, kb, rb, ib in rows
-        if deg <= room and all(mj[j] <= r for (j, _), r in zip(limits, rest))
-    ]
+def _add(acc: dict, da, part: dict, dp) -> tuple[dict, int]:
+    """``acc + part`` over their least common denominator.  Either table
+    may be taken over and changed: each is a product's fresh result or a
+    leaf of the nested groups, which is read once."""
+    if not part:
+        return acc, da
+    if not acc:
+        return part, dp
+    if da != dp:
+        m = lcm(da, dp)
+        if m != da:
+            s = m // da
+            acc = {k: (x * s, y * s) for k, (x, y) in acc.items()}
+        if m != dp:
+            s = m // dp
+            part = {k: (x * s, y * s) for k, (x, y) in part.items()}
+        da = m
+    for k, (x, y) in part.items():
+        prev = acc.get(k)
+        acc[k] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+    return acc, da
 
 
-def _unpack(key: int, width: int, n: int) -> MultiIndex:
-    mask = (1 << width) - 1
-    return tuple([key >> shift & mask for shift in range(0, width * n, width)])
-
-
-def _times(a: dict, b: TruncatedSeries, order: int, limits) -> TruncatedSeries:
-    """The product of the table ``a`` with ``b`` through ``order``.
-
-    ``b.order >= order``, and ``a`` need only be exact through ``order``
-    minus the valuation of ``b``, which is all the product reads.  Boxed
-    products run :func:`_product` directly; unboxed ones go through
-    ``__mul__``.
-    """
-    if limits:
-        return _series(b.variables, order, _product(a, b, order, limits), b.tolerance)
-    return _trusted(b.variables, order, a, b.tolerance) * b
-
-
-def _substitute(node, slots, level, top, horner, limits) -> dict:
-    """The nested groups ``node`` of :meth:`TruncatedSeries.compose` with
-    the general slots from ``level`` on substituted, exact through degree
-    ``top``.  ``slots[i]`` is the power list and valuation of slot ``i``.
-    Terms above ``top`` may remain; the caller's product or final
-    truncation drops them."""
+def _substitute(node, d, slots, level, top, horner, limits) -> tuple[dict, int]:
+    """The nested groups ``node`` of :meth:`TruncatedSeries.compose`, with
+    leaves over ``d``, with the general slots from ``level`` on
+    substituted, exact through degree ``top``, as a packed table and its
+    denominator.  ``slots[i]`` is the packed power list and valuation of
+    slot ``i``.  Terms above ``top`` may remain; the caller's product
+    drops them."""
     if level == len(slots):
-        return node
+        return node, d
     powers, valuation = slots[level]
     if horner and level == len(slots) - 1:
-        return _horner(node, powers[0], valuation, top, limits)
-    acc: dict = {}
+        return _horner(node, powers[0], valuation, top, d, limits)
+    acc, da = {}, 1
     for e, child in node.items():
         room = top - e * valuation
         if room < 0:
             continue
-        part = _substitute(child, slots, level + 1, room, horner, limits)
+        part, dp = _substitute(child, d, slots, level + 1, room, horner, limits)
         if e and part:
+            s = powers[0]
             while len(powers) < e:
-                powers.append(_times(powers[-1].coefficients, powers[0], powers[0].order, limits))
-            part = _times(part, powers[e - 1], top, limits).coefficients
-        for mk, v in part.items():
-            prev = acc.get(mk)
-            acc[mk] = v if prev is None else prev + v
-    return acc
+                last = _product(powers[-1].table, powers[-1].denominator, s, s.order, limits)
+                powers.append(_Packed(s.layout, s.order, s.tolerance, *last))
+            part, dp = _product(part, dp, powers[e - 1], top, limits)
+        acc, da = _add(acc, da, part, dp)
+    return acc, da
 
 
-def _horner(node, s, valuation, top, limits) -> dict:
+def _horner(node, s, valuation, top, d, limits) -> tuple[dict, int]:
     """``sum_e node[e] * s^e`` through degree ``top`` by Horner's rule:
     ``acc_e = node[e] + s * acc_{e+1}``, with ``acc_e`` exact through
-    ``top - e * valuation`` because it is multiplied by ``s^e``."""
-    acc: dict = {}
+    ``top - e * valuation`` because it is multiplied by ``s^e``.  The
+    leaves are over ``d``; the result is a packed table and its
+    denominator."""
+    acc, da = {}, 1
     for e in range(max(node, default=-1), -1, -1):
         cut = top - e * valuation
         if cut < 0:
             continue
         if acc:
-            acc = _times(acc, s, cut, limits).coefficients
-        for mk, v in node.get(e, {}).items():
-            prev = acc.get(mk)
-            acc[mk] = v if prev is None else prev + v
-    return acc
+            acc, da = _product(acc, da, s, cut, limits)
+        acc, da = _add(acc, da, node.get(e, {}), d)
+    return acc, da
 
 
 def format_series(s: TruncatedSeries) -> str:

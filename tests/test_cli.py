@@ -483,6 +483,32 @@ def test_a_non_ascii_digit_is_input_error(capsys, tmp_path, literal):
     assert err.startswith("input error: digits must be ASCII 0-9") and "(line 3, column" in err
 
 
+HEIS, MOBIUS = CORPUS / "heisenberg.surf", CORPUS / "h_mobius_1.map"
+
+
+@pytest.mark.parametrize(
+    "argv,argument",
+    [
+        (("analyze", HEIS, "--order", "٣"), "--order"),
+        (("segre", HEIS, HEIS, CORPUS / "h_mobius_half.map", "٣"), "k"),
+        (("determine", HEIS, MOBIUS, MOBIUS, "٣"), "k"),
+        (("ode", CORPUS / "gamma1.ode", "chain", "--r-max", "٣"), "--r-max"),
+        (("analyze", HEIS, "--order", "+3"), "--order"),
+        (("analyze", HEIS, "--order", "1_0"), "--order"),
+        (("determine", HEIS, MOBIUS, MOBIUS, "²"), "k"),
+    ],
+)
+def test_a_non_ascii_digit_in_an_argument_is_an_argument_error(capsys, argv, argument):
+    # integer arguments follow the rule for documents: -?[0-9]+
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {argument}: invalid int value: {argv[-1]!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def run_fresh(argv):
     """The same call as a fresh ``python -m crjets`` process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -18,6 +18,7 @@ sympy checks the solution: ``implicit_solve`` (u = rhs(vars, u)),
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -444,3 +445,146 @@ def test_kth_root_against_sympy(seed, k):
     root = kth_root(s, k)
     assert root.coefficient(lead) == CR(1)
     assert from_sympy(to_sympy(root) ** k, zx, s.order) == s
+
+
+# ----------------------------------------------------------------------
+# the packed kernel: exponents at `width = max(order.bit_length(), 1)` bits
+# a slot with the degree in a top field, Gaussian integers over one
+# denominator, content divided out after each product
+
+
+def assert_lowest_terms(s):
+    """Each coefficient is stored as (a + b*i) / d with gcd(a, b, d) == 1."""
+    for c in s.coefficients.values():
+        assert c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_orders_at_the_field_width_edges(order):
+    # order 2**k - 1 fills a field of k bits; 2**k needs one more.  Every
+    # slot and the degree field reach the order: a^order becomes z^order
+    zx = ("z", "x")
+    outer = TS(
+        ("a", "b", "c"),
+        order,
+        {
+            (order, 0, 0): CR(Fraction(1, 3), 1),
+            (0, order, 0): CR(2, Fraction(-1, 7)),
+            (0, 0, order): 5,
+            (order // 2, order - order // 2, 0): CR(0, Fraction(1, 2)),
+            (1, 0, 0): 1,
+            (0, 0, 1): CR(-1, 1),
+        },
+    )
+    subs = {
+        "a": TS(zx, order, {(1, 0): 1, (0, 2): CR(Fraction(2, 3), -1)}),
+        "b": TS(zx, order, {(0, 1): CR(1, Fraction(1, 5)), (1, 1): Fraction(-1, 2), (2, 1): 3}),
+        "c": monomial(zx, order, (0, 1), CR(Fraction(1, 2), Fraction(1, 2))),
+    }
+    full = outer.compose(subs)
+    assert full == oracle(outer, subs)
+    assert full.coefficient((order, 0)) and full.coefficient((0, order))
+    assert_lowest_terms(full)
+    for box in ({"z": 1}, {"x": 2, "z": 3}, {"z": order, "x": order}):
+        boxed = outer.compose(subs, box=box)
+        assert boxed == restrict(full, {zx.index(v): b for v, b in box.items()})
+        assert_lowest_terms(boxed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_denominators_that_do_not_cancel(seed):
+    # coprime denominators in the outer, the substitutions and a scaled
+    # one-term move: the result's denominators are their products, which
+    # the content step must keep while it divides out common factors
+    rng = random.Random(seed)
+    primes = [7, 11, 13, 17, 19, 23]
+    zx = ("z", "x")
+
+    def gaussian():
+        re = Fraction(rng.randint(1, 9), rng.choice(primes))
+        return CR(re, Fraction(rng.randint(-9, 9), rng.choice(primes)))
+
+    slots = [(1, 0, 0), (0, 1, 0), (2, 1, 0), (1, 2, 1), (0, 3, 2), (3, 0, 1), (2, 2, 2), (0, 0, 4)]
+    outer = TS(("a", "b", "c"), 6, {mi: gaussian() for mi in slots})
+    subs = {
+        "a": TS(zx, 6, {(1, 0): CR(Fraction(1, 3), Fraction(1, 5)), (1, 1): CR(0, Fraction(2, 9))}),
+        "b": TS(zx, 6, {(0, 1): Fraction(4, 25), (2, 0): CR(Fraction(-1, 27), 1)}),
+        "c": monomial(zx, 6, (1, 1), CR(Fraction(2, 29), Fraction(-3, 31))),
+    }
+    subs["b"] = subs["b"] + TS(zx, 6, {(0, 3): gaussian()})
+    out = outer.compose(subs)
+    assert out == oracle(outer, subs)
+    assert_lowest_terms(out)
+    assert max(c.re.denominator for c in out.coefficients.values()) > 29 * 31
+
+
+def truncated(outer, substitutions):
+    """compose by schoolbook arithmetic on (re, im) Fraction pairs, each
+    product truncated at the order: for a chain too long for sympy's
+    expansion, which does not truncate."""
+    target = next(iter(substitutions.values()))
+    order = min([outer.order] + [s.order for s in substitutions.values()])
+    one = {(0,) * len(target.variables): (Fraction(1), Fraction(0))}
+
+    def times(a, b):
+        out = {}
+        for mi, (ar, ai) in a.items():
+            for mj, (br, bi) in b.items():
+                mk = tuple(x + y for x, y in zip(mi, mj))
+                if sum(mk) <= order:
+                    re, im = out.get(mk, (0, 0))
+                    out[mk] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+        return out
+
+    powers = {}
+    for v in outer.variables:
+        s = {mi: (c.re, c.im) for mi, c in substitutions[v].coefficients.items()}
+        powers[v] = [one]
+        for _ in range(order):
+            powers[v].append(times(powers[v][-1], s))
+    total = {}
+    for mi, c in outer.coefficients.items():
+        if sum(mi) > order:
+            continue
+        term = {k: (c.re * re - c.im * im, c.re * im + c.im * re) for k, (re, im) in one.items()}
+        for v, e in zip(outer.variables, mi):
+            term = times(term, powers[v][e])
+        for mk, (re, im) in term.items():
+            r0, i0 = total.get(mk, (0, 0))
+            total[mk] = (r0 + re, i0 + im)
+    return TS(target.variables, order, {mk: CR(re, im) for mk, (re, im) in total.items()})
+
+
+def test_a_long_horner_chain(monkeypatch):
+    # 16 exponent groups over a 19-term substitution: Horner's rule takes
+    # 15 products, each left operand the previous step's packed result
+    order = 16
+    zx = ("z", "x")
+    dense = {(1, 0): 1, (0, 1): CR(0, Fraction(1, 2)), (1, 1): Fraction(1, 3)}
+    dense[(2, 1)] = Fraction(2, 3)
+    for e in range(2, order):
+        dense[(e, 0)] = CR(Fraction(1, e), Fraction(-1, e + 1))
+    s = TS(zx, order, dense)
+    outer = TS(("a", "b"), order, {(e % 2, e): CR(Fraction(1, e + 1), e % 3) for e in range(order)})
+    subs = {"a": TS.variable("x", zx, order), "b": s}
+    calls = spy_on_horner(monkeypatch)
+    out = outer.compose(subs)
+    assert calls == [1]
+    assert out == truncated(outer, subs)
+    assert_lowest_terms(out)
+    # the two oracles agree where sympy's expansion is small enough
+    small = outer.truncate(5)
+    subs = {v: s.truncate(5) for v, s in subs.items()}
+    assert truncated(small, subs) == oracle(small, subs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_products_and_powers_stay_in_lowest_terms(seed):
+    rng = random.Random(seed)
+    zxt = ("z", "x", "t")
+    outer = random_series(rng, ("a", "b", "c"), 5, 10)
+    subs = {v: random_series(rng, zxt, 5, 3, min_degree=1) for v in ("a", "b", "c")}
+    out = outer.compose(subs)
+    assert out == oracle(outer, subs)
+    assert_lowest_terms(out)
+    assert_lowest_terms(subs["a"] * subs["b"])

@@ -262,6 +262,20 @@ def test_vanishing_pattern_matches_scan_on_dense_graphs():
         assert_pattern_matches_scan(from_real_graph(seeded_dense_graph(rng, rng.randint(2, 6))))
 
 
+def test_from_real_graph_on_a_dense_graph_at_order_12():
+    # every sweep of implicit_solve composes a dense iterate into a dense
+    # phi; the surface must pass validate, and agree with the same graph
+    # at order 7, whose packed fields are a bit narrower
+    import random
+
+    graph = seeded_dense_graph(random.Random(12), 12)
+    surf = from_real_graph(graph)
+    surf.validate()
+    assert surf.check_normal().passed and surf.check_reality().passed
+    low = from_real_graph(RealGraph(graph.phi.truncate(7)))
+    assert surf.q.truncate(7) == low.q
+
+
 def test_vanishing_pattern_matches_scan_on_random_q():
     """Random Q = t + monomials z^a x^b t^c: in normal form (a, b >= 1), and
     with monomials off it (x^0, z^0) to reach ell = 0 and every slot."""

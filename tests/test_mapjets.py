@@ -143,6 +143,22 @@ def test_inverse_is_two_sided_on_dense_germs(order, seed):
     assert inv.compose(h) == identity_map(order)
 
 
+@pytest.mark.parametrize("order", [8, 16, 20])
+def test_inverse_of_a_sheared_family_member(order):
+    # rotation, dilation and w-Moebius shear of the quadric composed, the
+    # germs whose inverses the benchmark times; orders 8 and 16 sit at the
+    # edge of a packed field of 3 and 4 bits
+    rotation = dilation(CR(Fraction(3, 5), Fraction(4, 5)), 1, order)
+    scaling = dilation(CR(Fraction(3, 2)), CR(Fraction(9, 4)), order)
+    h = rotation.compose(scaling).compose(w_mobius(Fraction(-1, 3), order))
+    inv = h.inverse()
+    assert inv.order == order
+    assert h.compose(inv) == identity_map(order)
+    assert inv.compose(h) == identity_map(order)
+    m = heisenberg(order)
+    assert verify_mapping(m, m, inv).is_zero
+
+
 def test_inverse_of_singular_linear_part_raises():
     # F = z + w + z^2, G = 2z + 2w: rank-one linear part
     h = mk({(1, 0): 1, (0, 1): 1, (2, 0): 1}, {(1, 0): 2, (0, 1): 2}, order=6)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crjets.rational import ComplexRational as CR
 from crjets.series import (
+    BackendMismatch,
     CompositionError,
     DivisorOrderExceedsDividend,
     NoContraction,
@@ -362,6 +363,24 @@ def test_float_backend_agrees_with_exact():
     exact = a * b + a
     floats = to_float(a) * to_float(b) + to_float(a)
     assert max_coefficient_difference(exact, floats) < 1e-10
+
+
+def test_float_composition_agrees_with_exact():
+    # the packed composition on floats: denominator 1, no content step
+    q = zxt(6, {(1, 1, 0): CR(Fraction(7, 3), -2), (0, 0, 2): 5, (2, 1, 1): CR(0, Fraction(1, 3))})
+    subs = {
+        "z": zxt(6, {(1, 0, 0): CR(Fraction(1, 2), 1)}),
+        "x": zxt(6, {(0, 1, 0): 1, (1, 1, 0): I}),
+        "t": zxt(6, {(0, 0, 1): 2, (1, 1, 0): Fraction(-1, 3), (0, 0, 2): I}),
+    }
+    exact = q.compose(subs)
+    floats = to_float(q).compose({v: to_float(s) for v, s in subs.items()})
+    assert floats.tolerance is not None
+    assert max_coefficient_difference(exact, floats) < 1e-10
+    with pytest.raises(BackendMismatch):
+        q.compose({v: to_float(s) for v, s in subs.items()})
+    with pytest.raises(BackendMismatch):
+        to_float(q).compose(subs)
 
 
 # ----------------------------------------------------------------------
