@@ -421,6 +421,8 @@ def cmd_ode(args) -> int:
         report.add("free_orders", ",".join(map(str, run.free_orders)) or "none")
         if run.unknown_orders:
             report.add("unknown_orders", ",".join(map(str, run.unknown_orders)))
+        if run.opaque_orders:  # left out, so the orders they would pin may show as free
+            report.add("opaque_orders", ",".join(map(str, run.opaque_orders)))
         for s in sorted(run.coefficients):
             vec = run.coefficients[s]
             report.add(

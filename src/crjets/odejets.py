@@ -21,8 +21,8 @@ order 3, uses its order-6 equation with a_3^2 = 0.  A left-out equation can
 leave an order free that the full equation pins.  The linear test corpus
 never produces one.  ``determination_order`` builds and eliminates the
 system once and scans k = 0, 1, 2, ..., adding the seed equations
-a_k = base_k to that one elimination at each step, unless an equation is
-left out.
+a_k = base_k to that one system at each step and evaluating its left-out
+equations again.
 
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
@@ -298,91 +298,97 @@ class JetRecursionResult:
         return not self.free_orders and not self.unknown_orders
 
 
-def _formal_system(ode: SingularODE, seed, n_target: int):
-    """The unknowns of a seeded run.
+class _System:
+    """The unknowns and equations of a seeded run, reduced by one solver.
 
-    Returns the coerced seed, the table ``a`` (a seeded order holds
-    constants, any other order one deferred symbol per component) and
-    ``n_eq``, the last order whose equations the run uses.
+    The table ``a`` holds the seed's constants at a seeded order and one
+    deferred symbol per component at any other; ``n_eq`` is the last order
+    whose equations the run uses.  An equation is added in the form that
+    ``_Evaluation`` gives it against the solver; an opaque one is left out
+    and evaluated again by ``settle``.
     """
-    n, gamma = ode.n, ode.gamma
-    if n_target > ode.order:
-        raise OdeError(
-            f"n_target {n_target} exceeds the equation's truncation order {ode.order}"
-        )
-    seed = {s: [CR.coerce(x) for x in vec] for s, vec in seed.items()}
-    zero_vec = [CR(0)] * n
-    if 0 in seed and any(not x.is_zero for x in seed[0]):
-        raise OdeError("solutions are germs with y(0) = 0")
-    seed.setdefault(0, zero_vec)
-    n_eq = min(ode.order, n_target + gamma + n * gamma + 4)
 
-    a: dict[int, list[_Aff]] = {}
-    next_sym = 0
-    for s in range(0, n_eq + 1):
-        if s in seed:
-            a[s] = [_Aff(c) for c in seed[s]]
-        else:
-            a[s] = [_Aff.symbol(next_sym + i) for i in range(n)]
-            next_sym += n
-    return seed, a, n_eq
+    def __init__(self, ode: SingularODE, seed, n_target: int):
+        n = ode.n
+        if n_target > ode.order:
+            raise OdeError(
+                f"n_target {n_target} exceeds the equation's truncation order {ode.order}"
+            )
+        seed = {s: [CR.coerce(x) for x in vec] for s, vec in seed.items()}
+        if 0 in seed and any(not x.is_zero for x in seed[0]):
+            raise OdeError("solutions are germs with y(0) = 0")
+        seed.setdefault(0, [CR(0)] * n)
+        self.ode, self.seed, self.n_target = ode, seed, n_target
+        self.n_eq = min(ode.order, n_target + ode.gamma + n * ode.gamma + 4)
+        self.a: dict[int, list[_Aff]] = {}
+        next_sym = 0
+        for s in range(0, self.n_eq + 1):
+            if s in seed:
+                self.a[s] = [_Aff(c) for c in seed[s]]
+            else:
+                self.a[s] = [_Aff.symbol(next_sym + i) for i in range(n)]
+                next_sym += n
+        self.solver = _LinearSolver()
+        self.evaluation = _Evaluation(ode, self.a, self.solver)
+        self.left_out: list[tuple[int, int]] = []  # (order, component)
+        self.tried = 0  # the pivot count when they were last evaluated
 
+    def add(self, eq: _Aff, order: int, i: int) -> bool:
+        """Add equation ``eq`` (component i at ``order``) to the solver, or
+        leave it out while it is opaque; false if it contradicts."""
+        if eq.opaque:
+            self.left_out.append((order, i))
+            return True
+        return self.solver.add_equation(eq) != "inconsistent"
 
-def _eliminate(ode: SingularODE, seed, a, n_eq: int, n_target: int):
-    """Evaluate and row-reduce the equations order by order, each against
-    the solver (see ``_Evaluation``).
-
-    An opaque equation is left out and evaluated again after each later
-    order that gains a pivot.  Returns the solver, the orders of the
-    equations still opaque (left out) and the frontier kernels: for each
-    unseeded s <= n_target whose own equation, at order s + gamma, is in
-    the data, the number of components of a_s still unpinned once that
-    order is added.  Raises ``InconsistentSeed`` at the first order that
-    contradicts.
-    """
-    solver = _LinearSolver()
-    evaluation = _Evaluation(ode, a, solver)
-    left_out: list[tuple[int, int]] = []  # (order, component)
-    tried = 0  # the pivot count when they were last evaluated
-    frontier_kernel: dict[int, int] = {}
-    for m in range(n_eq + 1):
-        for i in range(ode.n):
-            eq = evaluation.equation(m, i)
-            if eq.opaque:
-                left_out.append((m, i))
-            elif solver.add_equation(eq) == "inconsistent":
-                raise InconsistentSeed(m)
-        # a new pivot is the only way a factor gets pinned
-        while left_out and tried != len(solver.pivots):
-            tried = len(solver.pivots)
-            still = []
+    def settle(self) -> bool:
+        """Evaluate the left-out equations again for as long as the solver
+        gains pivots, a new pivot being the only way a factor gets pinned;
+        false if one contradicts."""
+        while self.left_out and self.tried != len(self.solver.pivots):
+            self.tried = len(self.solver.pivots)
+            left_out, self.left_out = self.left_out, []
             for order, i in left_out:
-                eq = evaluation.equation(order, i)
-                if eq.opaque:
-                    still.append((order, i))
-                elif solver.add_equation(eq) == "inconsistent":
+                if not self.add(self.evaluation.equation(order, i), order, i):
+                    return False
+        return True
+
+    def eliminate(self) -> dict:
+        """Add the equations order by order, settling after each order.
+
+        Returns the frontier kernels: for each unseeded s <= n_target whose
+        own equation, at order s + gamma, is in the data, the number of
+        components of a_s still unpinned once that order is added.  Raises
+        ``InconsistentSeed`` at the first order that contradicts.
+        """
+        frontier_kernel: dict[int, int] = {}
+        for m in range(self.n_eq + 1):
+            for i in range(self.ode.n):
+                if not self.add(self.evaluation.equation(m, i), m, i):
                     raise InconsistentSeed(m)
-            left_out = still
-        s = m - ode.gamma
-        if 0 <= s <= n_target and s not in seed:
-            frontier_kernel[s] = sum(1 for aff in a[s] if solver.value(aff) is None)
-    return solver, {order for order, _ in left_out}, frontier_kernel
+            if not self.settle():
+                raise InconsistentSeed(m)
+            s = m - self.ode.gamma
+            if 0 <= s <= self.n_target and s not in self.seed:
+                frontier_kernel[s] = sum(
+                    1 for aff in self.a[s] if self.solver.value(aff) is None
+                )
+        return frontier_kernel
 
-
-def _read(ode: SingularODE, a, solver, n_target: int):
-    """Pinned coefficients, free orders and unknown orders through n_target."""
-    coefficients = {}
-    free_orders = []
-    unknown_orders = []
-    for s in range(0, n_target + 1):
-        values = [solver.value(aff) for aff in a[s]]
-        if all(v is not None for v in values):
-            coefficients[s] = tuple(values)
-        elif s + ode.gamma > ode.order:
-            unknown_orders.append(s)
-        else:
-            free_orders.append(s)
-    return coefficients, tuple(free_orders), tuple(unknown_orders)
+    def read(self):
+        """Pinned coefficients, free orders and unknown orders through n_target."""
+        coefficients = {}
+        free_orders = []
+        unknown_orders = []
+        for s in range(0, self.n_target + 1):
+            values = [self.solver.value(aff) for aff in self.a[s]]
+            if all(v is not None for v in values):
+                coefficients[s] = tuple(values)
+            elif s + self.ode.gamma > self.ode.order:
+                unknown_orders.append(s)
+            else:
+                free_orders.append(s)
+        return coefficients, tuple(free_orders), tuple(unknown_orders)
 
 
 def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionResult:
@@ -391,12 +397,12 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
     ``seed`` maps orders to coefficient vectors (Taylor-normalized); order 0
     defaults to the zero vector and must be zero when given.
     """
-    seed, a, n_eq = _formal_system(ode, seed, n_target)
-    solver, opaque_orders, frontier_kernel = _eliminate(ode, seed, a, n_eq, n_target)
-    coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_target)
+    system = _System(ode, seed, n_target)
+    frontier_kernel = system.eliminate()
+    coefficients, free_orders, unknown_orders = system.read()
     ledger = []
     for s in range(0, n_target + 1):
-        if s in seed:
+        if s in system.seed:
             continue
         kernel = frontier_kernel.get(s)
         if kernel == 0:
@@ -413,7 +419,7 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
         free_orders=free_orders,
         obstruction_ledger=tuple(ledger),
         n_target=n_target,
-        opaque_orders=tuple(sorted(opaque_orders)),
+        opaque_orders=tuple(sorted({order for order, _ in system.left_out})),
         unknown_orders=unknown_orders,
     )
 
@@ -434,22 +440,6 @@ def _on_solution(ode: SingularODE, table, order: int) -> dict:
                 coeffs[(s,)] = CR.coerce(vec[i])
         subs[name] = TruncatedSeries((x,), order, coeffs)
     return subs
-
-
-def rhs_jet(ode: SingularODE, table) -> TruncatedSeries:
-    """Taylor expansion in x of p(x, y(x)) / q(x, y(x)) for a coefficient table."""
-    if ode.n != 1:
-        raise OdeError("rhs_jet is scalar; use rhs_jet_vector for systems")
-    return rhs_jet_vector(ode, table)[0]
-
-
-def rhs_jet_vector(ode: SingularODE, table):
-    k0 = max(table) if table else 0
-    order = min(ode.order, k0 if table else 0)
-    order = max(order, 0)
-    subs = _on_solution(ode, table, order)
-    q_comp = ode.q.compose(subs)
-    return [ode.p[i].compose(subs) / q_comp for i in range(ode.n)]
 
 
 def residual(ode: SingularODE, result: JetRecursionResult) -> list[TruncatedSeries]:
@@ -534,24 +524,22 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     contradiction.  At k = n_max every reported order is seeded, so the
     scan ends there at the latest.
 
-    The formal system is built and eliminated once, at k = 0, and step k
-    adds the seed equations a_k = base_k to that same elimination.  This is
-    exact when no equation is left out: each equation is added in a form
-    that is affine in the deferred symbols and agrees with the full
-    equation on the solution set of the equations added before it, so the
-    k = 0 elimination cuts out the solution set of the full equations, and
-    the run seeded through k cuts out that set with the seed equations
-    added, with the seeded coordinates dropped.  Both are consistent or
-    inconsistent together, and a coefficient is pinned (constant on the
-    solution set) to the same value in both, whatever order the equations
-    are eliminated in.  An inconsistent step reruns that one seeded
-    ``formal_coefficients`` run for the order it names.
-
-    An opaque equation (a product of two forms that the solver leaves
-    unpinned) is left out of a run, and seeding can make it linear, so on
-    a system with one every step k >= 1 is a seeded ``formal_coefficients``
-    run.  Leaving such equations out can leave orders free that the full
-    equations pin, so on such a system the answer can exceed the least k.
+    The formal system is built and eliminated once, at k = 0.  Step k adds
+    the seed equations a_k = base_k to that same system and settles it (the
+    left-out equations are evaluated again while the solver gains pivots).
+    This cuts out the solution set of the run seeded through k, because the
+    reduced form of each equation is canonical: the solver pivots on the
+    largest symbol and back-substitutes at once, so its rows are the unique
+    reduced row echelon form of the subspace they cut out, and an equation
+    evaluated against them depends on that subspace alone.  Opacity can only
+    go away as pivots are added.  So after ``settle`` the set of added
+    equations is the same least fixed point whichever order the equations
+    and the seed equations arrive in, and the step and the seeded run are
+    consistent or inconsistent together and pin each coefficient to the same
+    value.  A contradicted step reruns that one seeded
+    ``formal_coefficients`` run for the order it names.  A left-out
+    equation can leave orders free that the full equation pins, so on a
+    system with one the answer can exceed the least k.
 
     An unknown order (its pinning equation beyond the truncation) is never
     pinned, so it keeps a run from settling.  If run k - 1 fails to settle
@@ -564,30 +552,28 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
         if s not in base.coefficients:
             raise OdeError("base solution table is incomplete")
 
-    def seed(k):
-        return {s: base.coefficients[s] for s in range(0, k + 1)}
-
-    seed0, a, n_eq = _formal_system(ode, seed(0), n_max)
-    solver, opaque_orders, _ = _eliminate(ode, seed0, a, n_eq, n_max)
+    system = _System(ode, {0: base.coefficients[0]}, n_max)
+    system.eliminate()
     top = min(n_max, ode.order - ode.gamma)  # the orders that can be free
     below = ()  # the unknown orders that alone kept run k - 1 from settling
     for k in range(0, n_max + 1):
-        if k and opaque_orders:
-            run = formal_coefficients(ode, seed(k), n_max)
-            coefficients, free_orders, unknown_orders = (
-                run.coefficients, run.free_orders, run.unknown_orders
-            )
-        else:
-            # a[0] holds the seed's constants, so step 0 adds nothing
-            for aff, value in zip(a[k], base.coefficients[k]):
-                if solver.add_equation(aff.add(_Aff(-value))) == "inconsistent":
-                    formal_coefficients(ode, seed(k), n_max)
-                    raise AssertionError("the seeded run extends a contradicted seed")
-            if any(solver.value(aff) is None for s in range(k + 1, top + 1) for aff in a[s]):
-                below = ()  # a free order: not settled
-                continue
-            coefficients, free_orders, unknown_orders = _read(ode, a, solver, n_max)
-        if free_orders or any(v != base.coefficients[s] for s, v in coefficients.items()):
+        # a[0] holds the seed's constants, so step 0 adds nothing
+        seeded = all(
+            system.add(aff.add(_Aff(-value)), k, i)
+            for i, (aff, value) in enumerate(zip(system.a[k], base.coefficients[k]))
+        )
+        if not (seeded and system.settle()):
+            formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
+            raise AssertionError("the seeded run extends a contradicted seed")
+        if any(
+            system.solver.value(aff) is None
+            for s in range(k + 1, top + 1)
+            for aff in system.a[s]
+        ):
+            below = ()  # a free order: not settled
+            continue
+        coefficients, _, unknown_orders = system.read()
+        if any(v != base.coefficients[s] for s, v in coefficients.items()):
             below = ()
         elif unknown_orders:
             below = unknown_orders

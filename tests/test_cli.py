@@ -251,6 +251,20 @@ def test_ode_solve_reports_free_order(capsys):
     code, out = run(capsys, "ode", CORPUS / "res2.ode", "solve", "--order", "10")
     assert code == 3
     assert "free_orders: 2" in out
+    assert "opaque_orders" not in out  # a linear equation leaves nothing out
+
+
+def test_ode_solve_reports_opaque_orders(capsys, tmp_path):
+    # x y' = y + y^2: a_2 = a_1^2 and every later equation hold a product of
+    # the free a_1, so they are left out and must be named
+    ode = tmp_path / "opaque.ode"
+    ode.write_text("kind: ode\ngamma: 0\nvars: x y\norder: 12\np: y + y^2\nq: 1\n")
+    code, out = run(capsys, "ode", ode, "solve")
+    assert code == 3
+    assert "opaque_orders: 2,3,4,5,6,7,8,9,10,11,12\n" in out
+    code, out = run(capsys, "ode", ode, "determine")
+    assert code == 0
+    assert "determination_order: 1\n" in out
 
 
 def test_ode_chain(capsys):

@@ -26,7 +26,6 @@ from crjets.odejets import (
     linearization_at_origin,
     residual,
     resonance_set,
-    rhs_jet,
     zero_solution,
 )
 
@@ -56,31 +55,6 @@ def system_ode(gamma, matrix, order=ORDER + 8):
         ps.append(TS(variables, order, coeffs))
     q = TS(variables, order, {(0,) * (n + 1): 1})
     return SingularODE(gamma, ps, q)
-
-
-# ----------------------------------------------------------------------
-# rhs_jet
-
-
-def test_rhs_jet_linear():
-    ode = scalar_ode(0, {(0, 1): 3})
-    out = rhs_jet(ode, {0: (0,), 1: (0,), 2: (Fraction(1, 2),)})
-    assert out == TS(("x",), 2, {(2,): Fraction(3, 2)})
-
-
-def test_rhs_jet_square():
-    ode = scalar_ode(0, {(0, 2): 1})
-    out = rhs_jet(ode, {0: (0,), 1: (1,), 2: (0,)})
-    assert out == TS(("x",), 2, {(2,): 1})
-
-
-def test_rhs_jet_geometric_divisor():
-    # f = y / (1 + x) with y = x: oracle is the alternating geometric series
-    ode = scalar_ode(0, {(0, 1): 1}, {(0, 0): 1, (1, 0): 1})
-    table = {s: (1,) if s == 1 else (0,) for s in range(7)}
-    out = rhs_jet(ode, table)
-    expected = TS(("x",), 6, {(j,): (-1) ** (j - 1) for j in range(1, 7)})
-    assert out == expected
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +312,23 @@ def test_determination_of_resonance_20_takes_one_formal_run(monkeypatch):
     assert len(runs) <= 1
 
 
+def test_determination_of_an_opaque_system_takes_no_formal_run(monkeypatch):
+    # x y' = y + y^2: a_2 = a_1^2 is opaque at k = 0, and seeding a_1 = 0
+    # pins every order, so the one k = 0 system answers 1
+    runs = []
+
+    def counted(*args):
+        runs.append(args[2])
+        return formal_coefficients(*args)
+
+    ode = scalar_ode(0, {(0, 1): 1, (0, 2): 1}, order=12)
+    assert formal_coefficients(ode, {}, 10).opaque_orders
+    base = zero_solution(ode, 10)
+    monkeypatch.setattr(odejets, "formal_coefficients", counted)
+    assert determination_order(ode, base, 10) == 1
+    assert runs == []
+
+
 # ----------------------------------------------------------------------
 # seeded probes: the k = 0 elimination restricted by a_s = base_s, s <= k
 
@@ -360,13 +351,11 @@ def planted_systems():
             yield planted_system(rng, e1, e2)
 
 
-def linear_random_systems(n_max):
-    """The seeded random systems whose k = 0 run has no opaque equation."""
+def random_systems(n_max):
+    """The 48 seeded random systems of the probe tests."""
     rng = random.Random(7)
     for _ in range(48):
-        ode = random_nonlinear_system(rng, rng.choice([1, 2]), rng.choice([0, 1]), n_max + 6)
-        if not formal_coefficients(ode, {}, n_max).opaque_orders:
-            yield ode
+        yield random_nonlinear_system(rng, rng.choice([1, 2]), rng.choice([0, 1]), n_max + 6)
 
 
 def wrong_base(ode, n_max, order):
@@ -380,29 +369,31 @@ def snapshot(affs):
 
 
 def check_scan_steps(ode, base, n_max):
-    """The steps of determination_order's scan: one k = 0 elimination, the
-    seed equations a_k = base_k added upward, each step against the seeded
-    formal_coefficients run.  Returns the order of the first inconsistent
-    step, or None; the table's forms must come out unchanged."""
-    seed, a, n_eq = odejets._formal_system(ode, {0: base.coefficients[0]}, n_max)
-    forms = [aff for s in a for aff in a[s]]
+    """The steps of determination_order's scan: one k = 0 system, the seed
+    equations a_k = base_k added upward and the system settled, each step
+    against the seeded formal_coefficients run.  Returns the order of the
+    first inconsistent step, or None; the table's forms must come out
+    unchanged."""
+    system = odejets._System(ode, {0: base.coefficients[0]}, n_max)
+    forms = [aff for s in system.a for aff in system.a[s]]
     before = snapshot(forms)
-    solver, opaque_orders, _ = odejets._eliminate(ode, seed, a, n_eq, n_max)
-    assert not opaque_orders
+    system.eliminate()
     for k in range(n_max + 1):
         seed = {s: base.coefficients[s] for s in range(k + 1)}
-        if any(
-            solver.add_equation(aff.add(odejets._Aff(-value))) == "inconsistent"
-            for aff, value in zip(a[k], base.coefficients[k])
-        ):
+        seeded = all(
+            system.add(aff.add(odejets._Aff(-value)), k, i)
+            for i, (aff, value) in enumerate(zip(system.a[k], base.coefficients[k]))
+        )
+        if not (seeded and system.settle()):
             with pytest.raises(InconsistentSeed):
                 formal_coefficients(ode, seed, n_max)
             break
         expected = formal_coefficients(ode, seed, n_max)
-        coefficients, free_orders, unknown_orders = odejets._read(ode, a, solver, n_max)
+        coefficients, free_orders, unknown_orders = system.read()
         assert coefficients == expected.coefficients, k
         assert free_orders == expected.free_orders, k
         assert unknown_orders == expected.unknown_orders, k
+        assert tuple(sorted({order for order, _ in system.left_out})) == expected.opaque_orders, k
     else:
         k = None
     assert snapshot(forms) == before
@@ -425,12 +416,26 @@ def test_probes_match_seeded_runs_on_planted_systems():
 
 def test_probes_match_seeded_runs_on_random_systems():
     n_max = 10
-    systems = list(linear_random_systems(n_max))
-    assert len(systems) >= 5
-    for j, ode in enumerate(systems):
+    for j, ode in enumerate(random_systems(n_max)):
         assert check_scan_steps(ode, zero_solution(ode, n_max), n_max) is None
         wrong = wrong_base(ode, n_max, 1 + j % n_max)
         assert check_scan_steps(ode, wrong, n_max) is not None
+
+
+def test_wrong_base_on_opaque_random_systems_raises_at_the_scanned_order():
+    n_max = 10
+    opaque = 0
+    for j, ode in enumerate(random_systems(n_max)):
+        if not formal_coefficients(ode, {}, n_max).opaque_orders:
+            continue
+        opaque += 1
+        base = wrong_base(ode, n_max, 1 + j % n_max)
+        with pytest.raises(InconsistentSeed) as scan_error:
+            scan_determination_order(ode, base, n_max)
+        with pytest.raises(InconsistentSeed) as error:
+            determination_order(ode, base, n_max)
+        assert error.value.order == scan_error.value.order
+    assert opaque >= 5
 
 
 def test_probes_at_the_truncation_edge():
