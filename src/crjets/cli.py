@@ -2,14 +2,17 @@
 
 Subcommands: analyze, verify, segre, determine, dynamics, ode.  Reports are
 plain key/value text with a stable field order, so identical inputs produce
-byte-identical output.  Exit codes: 0 all verdicts pass, 1 mathematical
-failure (with witness), 2 input error, 3 verdict indeterminate at the
-stored truncation order.
+byte-identical output.  Every report ends in one ``verdict:`` line, and
+the exit code is read off it: 0 pass, 1 mathematical failure (with
+witness), 3 indeterminate at the stored truncation order.  An input error,
+such as an input that is not UTF-8 or an unwritable ``--out``, exits 2 with
+a located message and no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from functools import cache
@@ -51,10 +54,10 @@ from .mapjets import (
 from .rational import format_fraction, format_scalar
 from .series import SeriesError, TruncatedSeries, format_series
 
-EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-EXIT_INDETERMINATE = 3
+# the one place a verdict becomes an exit code
+EXIT_CODES = {"pass": 0, "pass (vacuous)": 0, "fail": EXIT_FAIL, "indeterminate": 3}
 
 
 class InputError(Exception):
@@ -76,39 +79,61 @@ class Report:
         for message in warnings:
             self.add("warning", f"{name}: {message}")
 
+    def verdict(self, value: str) -> Report:
+        self.add("verdict", value)
+        return self
+
     def render(self) -> str:
         return "".join(f"{k}: {v}\n" for k, v in self.lines)
 
 
-def _emit(report: Report, out_path: str | None):
+def _emit(report: Report, out_path: str | None) -> int:
+    """Write the report, to ``out_path`` first, and return its verdict's exit code."""
+    key, verdict = report.lines[-1]
+    if key != "verdict":
+        raise ValueError(f"report {report.lines[0][1]} ends in {key!r}, not a verdict")
+    code = EXIT_CODES[verdict]
     text = report.render()
-    sys.stdout.write(text)
     if out_path:
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        tmp, opened = out_path + ".tmp", False
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                opened = True
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError as exc:
+            if opened:  # remove only a file this call wrote
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            raise InputError(f"cannot write {out_path}: {exc}") from None
+    sys.stdout.write(text)
+    return code
 
 
-def _load(path: str, expect_kind: str, order_flag: int | None):
-    if order_flag is not None and order_flag < 0:
-        raise InputError(f"--order must be nonnegative, got {order_flag}")
+def _load(report: Report, path: str, kind: str, order: int | None):
+    """Read, parse and truncate one input, add its ``input:`` and ``warning:``
+    lines to the report, and return the surface, map or ODE it describes."""
+    if order is not None and order < 0:
+        raise InputError(f"--order must be nonnegative, got {order}")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    doc = parse_document(text)
-    if doc.kind != expect_kind:
-        raise InputError(f"{path}: expected a {expect_kind} document, got {doc.kind}")
-    if order_flag is not None:
-        if order_flag > doc.body["order"]:
+    try:
+        doc = parse_document(text)
+    except ParseError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if doc.kind != kind:
+        raise InputError(f"{path}: expected a {kind} document, got {doc.kind}")
+    if order is not None:
+        if order > doc.body["order"]:
             raise InputError(
-                f"{path}: cannot raise order to {order_flag} beyond declared "
-                f"{doc.body['order']}"
+                f"{path}: cannot raise order to {order} beyond declared {doc.body['order']}"
             )
-        _truncate_document(doc, order_flag)
-    return doc, text
+        _truncate_document(doc, order)
+    report.add_input(path, text, doc.warnings)
+    return {"surface": _surface, "map": _map, "ode": _ode}[kind](doc, path)
 
 
 def _truncate_document(doc: Document, order: int):
@@ -178,11 +203,9 @@ def _lowest_witness(series) -> str:
 # subcommands
 
 
-def cmd_analyze(args) -> int:
-    doc, text = _load(args.surface, "surface", args.order)
+def cmd_analyze(args) -> Report:
     report = Report("analyze")
-    report.add_input(args.surface, text, doc.warnings)
-    surface = _surface(doc, args.surface)
+    surface = _load(report, args.surface, "surface", args.order)
     report.add("order", surface.order)
     normal = surface.check_normal()
     reality = surface.check_reality()
@@ -194,9 +217,7 @@ def cmd_analyze(args) -> int:
     if not reality.passed:
         report.add("reality_witness", _lowest_witness(reality.residual))
     if not (normal.passed and reality.passed):
-        report.add("verdict", "fail")
-        _emit(report, args.out)
-        return EXIT_FAIL
+        return report.verdict("fail")
     inv = surface.compute_invariants()
     report.add("m0", _fmt_invariant(inv.m0))
     report.add("alpha0", _fmt_invariant(inv.alpha0))
@@ -208,65 +229,46 @@ def cmd_analyze(args) -> int:
     report.add("certified_order", inv.certified_order)
     if inv.ell_below_alpha0:
         report.add("warning", "ell is smaller than alpha0")
-    indeterminate = isinstance(inv.m0, InfiniteUpTo)
-    report.add("verdict", "indeterminate" if indeterminate else "pass")
-    _emit(report, args.out)
-    return EXIT_INDETERMINATE if indeterminate else EXIT_PASS
+    return report.verdict("indeterminate" if isinstance(inv.m0, InfiniteUpTo) else "pass")
 
 
-def cmd_verify(args) -> int:
-    doc1, text1 = _load(args.surface, "surface", args.order)
-    doc2, text2 = _load(args.surface2, "surface", args.order)
-    docm, textm = _load(args.map, "map", args.order)
+def cmd_verify(args) -> Report:
     report = Report("verify")
-    report.add_input(args.surface, text1, doc1.warnings)
-    report.add_input(args.surface2, text2, doc2.warnings)
-    report.add_input(args.map, textm, docm.warnings)
-    source = _surface(doc1, args.surface)
-    target = _surface(doc2, args.surface2)
-    germ = _map(docm, args.map)
+    source = _load(report, args.surface, "surface", args.order)
+    target = _load(report, args.surface2, "surface", args.order)
+    germ = _load(report, args.map, "map", args.order)
     inv_report = invariance_check(source, target, germ)
     residual = inv_report.residual
     report.add("certified_order", residual.order)
-    if residual.is_zero:
-        report.add("residual", "0")
-        report.add("invariants_match", "true" if inv_report.invariants_match else "false")
-        for name, a, b in inv_report.mismatches:
-            report.add("mismatch", f"{name}: {_fmt_invariant(a)} != {_fmt_invariant(b)}")
-        if inv_report.beta_identity_holds is not None:
-            report.add(
-                "beta_identity",
-                "holds" if inv_report.beta_identity_holds else "fails",
-            )
-        passed = inv_report.passed
-        report.add("verdict", "pass" if passed else "fail")
-        _emit(report, args.out)
-        return EXIT_PASS if passed else EXIT_FAIL
-    report.add("residual_lowest_term", _lowest_witness(residual))
-    return _fail_with_obstructions(report, inv_report.mismatches, args.out)
+    if not residual.is_zero:
+        report.add("residual_lowest_term", _lowest_witness(residual))
+        return _fail_with_obstructions(report, inv_report.mismatches)
+    report.add("residual", "0")
+    report.add("invariants_match", "true" if inv_report.invariants_match else "false")
+    for name, a, b in inv_report.mismatches:
+        report.add("mismatch", f"{name}: {_fmt_invariant(a)} != {_fmt_invariant(b)}")
+    if inv_report.beta_identity_holds is not None:
+        report.add("beta_identity", "holds" if inv_report.beta_identity_holds else "fails")
+    return report.verdict("pass" if inv_report.passed else "fail")
 
 
-def _fail_with_obstructions(report: Report, mismatches, out_path) -> int:
+def _fail_with_obstructions(report: Report, mismatches) -> Report:
     for name, a, b in mismatches:
         report.add(
             "invariant_obstruction",
             f"{name}: {_fmt_invariant(a)} != {_fmt_invariant(b)}",
         )
-    report.add("verdict", "fail")
-    _emit(report, out_path)
-    return EXIT_FAIL
+    return report.verdict("fail")
 
 
-def _levi_flat(report: Report, exc: LeviFlatInput, out_path) -> int:
+def _levi_flat(report: Report, exc: LeviFlatInput) -> Report:
     """No derivative data through the truncation: indeterminate there."""
     report.add("m0", _fmt_invariant(InfiniteUpTo(exc.order)))
     report.add("certified_order", exc.order)
-    report.add("verdict", "indeterminate")
-    _emit(report, out_path)
-    return EXIT_INDETERMINATE
+    return report.verdict("indeterminate")
 
 
-def _truncation_limit(report: Report, exc: TruncationLimit, source, target, germ, out_path) -> int:
+def _truncation_limit(report: Report, exc: TruncationLimit, source, target, germ) -> Report:
     """Reconstruction stopped at the truncation: a nonzero mapping residual
     is a witness that the map does not send source into target; otherwise
     the verdict is indeterminate at that order."""
@@ -274,27 +276,17 @@ def _truncation_limit(report: Report, exc: TruncationLimit, source, target, germ
     if not residual.is_zero:
         report.add("certified_order", residual.order)
         report.add("residual_lowest_term", _lowest_witness(residual))
-        report.add("verdict", "fail")
-        _emit(report, out_path)
-        return EXIT_FAIL
+        return report.verdict("fail")
     report.add("certified_order", exc.work)
-    report.add("verdict", "indeterminate")
-    _emit(report, out_path)
-    return EXIT_INDETERMINATE
+    return report.verdict("indeterminate")
 
 
-def cmd_segre(args) -> int:
-    doc1, text1 = _load(args.surface, "surface", args.order)
-    doc2, text2 = _load(args.surface2, "surface", args.order)
-    docm, textm = _load(args.map, "map", args.order)
+def cmd_segre(args) -> Report:
     report = Report("segre")
-    report.add_input(args.surface, text1, doc1.warnings)
-    report.add_input(args.surface2, text2, doc2.warnings)
-    report.add_input(args.map, textm, docm.warnings)
+    source = _load(report, args.surface, "surface", args.order)
+    target = _load(report, args.surface2, "surface", args.order)
+    germ = _load(report, args.map, "map", args.order)
     report.add("k", args.k)
-    source = _surface(doc1, args.surface)
-    target = _surface(doc2, args.surface2)
-    germ = _map(docm, args.map)
     if args.k < 0:
         raise InputError(f"segre: K must be nonnegative, got {args.k}")
     if args.k + 1 > germ.order:
@@ -304,43 +296,32 @@ def cmd_segre(args) -> int:
         )
     mismatches = invariant_mismatches(source, target)
     if mismatches:
-        return _fail_with_obstructions(report, mismatches, args.out)
+        return _fail_with_obstructions(report, mismatches)
     jet = germ.jet(args.k + 1)
     try:
         recon = segre_jet_reconstruct(source, target, jet, args.k)
     except LeviFlatInput as exc:
-        return _levi_flat(report, exc, args.out)
+        return _levi_flat(report, exc)
     except TruncationLimit as exc:
-        return _truncation_limit(report, exc, source, target, germ, args.out)
+        return _truncation_limit(report, exc, source, target, germ)
     report.add("backend", "exact")
     report.add("reconstructed_F", format_series(recon.f_wk))
     report.add("reconstructed_G", format_series(recon.g_wk))
     report.add("certified_order", min(recon.f_wk.order, recon.g_wk.order))
     if args.jet_only:
-        report.add("verdict", "pass")
-        _emit(report, args.out)
-        return EXIT_PASS
+        return report.verdict("pass")
     direct = segre_restriction_direct(germ, args.k)
     report.add("direct_F", format_series(direct.f_wk))
     report.add("direct_G", format_series(direct.g_wk))
-    match = recon.agrees_with(direct)
     report.add("comparison", "exact")
-    report.add("verdict", "pass" if match else "fail")
-    _emit(report, args.out)
-    return EXIT_PASS if match else EXIT_FAIL
+    return report.verdict("pass" if recon.agrees_with(direct) else "fail")
 
 
-def cmd_determine(args) -> int:
-    doc1, text1 = _load(args.surface, "surface", args.order)
-    docm, textm = _load(args.map, "map", args.order)
-    docm2, textm2 = _load(args.map2, "map", args.order)
+def cmd_determine(args) -> Report:
     report = Report("determine")
-    report.add_input(args.surface, text1, doc1.warnings)
-    report.add_input(args.map, textm, docm.warnings)
-    report.add_input(args.map2, textm2, docm2.warnings)
+    surface = _load(report, args.surface, "surface", args.order)
+    germs = tuple(_load(report, path, "map", args.order) for path in (args.map, args.map2))
     report.add("k", args.k)
-    surface = _surface(doc1, args.surface)
-    germs = (_map(docm, args.map), _map(docm2, args.map2))
     if args.k < 1:
         raise InputError(f"determine: K must be at least 1, got {args.k}")
     for path, germ in zip((args.map, args.map2), germs):
@@ -352,26 +333,18 @@ def cmd_determine(args) -> int:
     verdict = determination_experiment(surface, *germs, args.k)
     report.add("jets_agree", "true" if verdict.jets_agree else "false")
     if verdict.vacuous:
-        report.add("verdict", "pass (vacuous)")
-        _emit(report, args.out)
-        return EXIT_PASS
+        return report.verdict("pass (vacuous)")
     report.add("maps_agree", "true" if verdict.maps_agree else "false")
     if verdict.first_difference is not None:
         name, mi, c = verdict.first_difference
         report.add("first_difference", f"{name} at exponents {mi}")
-    report.add("verdict", "pass" if verdict.passed else "fail")
-    _emit(report, args.out)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    return report.verdict("pass" if verdict.passed else "fail")
 
 
-def cmd_dynamics(args) -> int:
-    doc1, text1 = _load(args.surface, "surface", args.order)
-    docm, textm = _load(args.map, "map", args.order)
+def cmd_dynamics(args) -> Report:
     report = Report("dynamics")
-    report.add_input(args.surface, text1, doc1.warnings)
-    report.add_input(args.map, textm, docm.warnings)
-    surface = _surface(doc1, args.surface)
-    germ = _map(docm, args.map)
+    surface = _load(report, args.surface, "surface", args.order)
+    germ = _load(report, args.map, "map", args.order)
     if germ.order < 1:
         raise InputError(
             f"{args.map}: dynamics needs the 1-jet, beyond the map's stored order {germ.order}"
@@ -379,31 +352,25 @@ def cmd_dynamics(args) -> int:
     try:
         verdict = dynamics_check(surface, germ)
     except LeviFlatInput as exc:
-        return _levi_flat(report, exc, args.out)
+        return _levi_flat(report, exc)
     report.add(
         "reconstructed_fixes_axis",
         "true" if verdict.reconstructed_fixes_axis else "false",
     )
     report.add("stored_fixes_axis", "true" if verdict.stored_fixes_axis else "false")
-    report.add("verdict", "pass" if verdict.passed else "fail")
-    _emit(report, args.out)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    return report.verdict("pass" if verdict.passed else "fail")
 
 
-def _inconsistent(report: Report, exc: odejets.InconsistentSeed, out_path) -> int:
+def _inconsistent(report: Report, exc: odejets.InconsistentSeed) -> Report:
     """No formal solution: the witness is the first contradicting order."""
     report.add("inconsistent_order", exc.order)
-    report.add("verdict", "fail")
-    _emit(report, out_path)
-    return EXIT_FAIL
+    return report.verdict("fail")
 
 
-def cmd_ode(args) -> int:
-    doc, text = _load(args.ode, "ode", args.order)
+def cmd_ode(args) -> Report:
     report = Report("ode")
-    report.add_input(args.ode, text, doc.warnings)
+    ode = _load(report, args.ode, "ode", args.order)
     report.add("mode", args.mode)
-    ode = _ode(doc, args.ode)
     n_target = args.order if args.order is not None else min(ode.order, 24)
     report.add("gamma", ode.gamma)
     report.add("n_target", n_target)
@@ -413,7 +380,7 @@ def cmd_ode(args) -> int:
         try:
             run = odejets.formal_coefficients(ode, {}, n_target)
         except odejets.InconsistentSeed as exc:
-            return _inconsistent(report, exc, args.out)
+            return _inconsistent(report, exc)
         for entry in run.obstruction_ledger:
             # no rank or kernel for a row whose equation lies beyond the data
             measured = "" if entry.rank is None else f"rank={entry.rank} kernel={entry.kernel_dim} "
@@ -424,14 +391,8 @@ def cmd_ode(args) -> int:
         if run.opaque_orders:  # left out, so the orders they would pin may show as free
             report.add("opaque_orders", ",".join(map(str, run.opaque_orders)))
         for s in sorted(run.coefficients):
-            vec = run.coefficients[s]
-            report.add(
-                f"a_{s}", " ".join(str(c) for c in vec)
-            )
-        verdict = "pass" if run.fully_determined else "indeterminate"
-        report.add("verdict", verdict)
-        _emit(report, args.out)
-        return EXIT_PASS if run.fully_determined else EXIT_INDETERMINATE
+            report.add(f"a_{s}", " ".join(str(c) for c in run.coefficients[s]))
+        return report.verdict("pass" if run.fully_determined else "indeterminate")
     if args.mode == "determine":
         try:
             base = odejets.zero_solution(ode, n_target)
@@ -442,15 +403,11 @@ def cmd_ode(args) -> int:
         except odejets.IndeterminateAtTruncation as exc:
             report.add("determination_order", f"indeterminate (at most {exc.at_most})")
             report.add("unknown_orders", ",".join(map(str, exc.unknown_orders)))
-            report.add("verdict", "indeterminate")
-            _emit(report, args.out)
-            return EXIT_INDETERMINATE
+            return report.verdict("indeterminate")
         except odejets.InconsistentSeed as exc:
-            return _inconsistent(report, exc, args.out)
+            return _inconsistent(report, exc)
         report.add("determination_order", k)
-        report.add("verdict", "pass")
-        _emit(report, args.out)
-        return EXIT_PASS
+        return report.verdict("pass")
     # chain
     if args.r_max < 1:
         raise InputError(f"--r-max must be at least 1, got {args.r_max}")
@@ -466,13 +423,10 @@ def cmd_ode(args) -> int:
         step = row.terminated_at if row.terminated_at is not None else "open"
         dims = ",".join(map(str, row.dims))
         report.add(f"r_{row.r}", f"dims=[{dims}] terminated_at={step}")
-    report.add("verdict", "pass" if chain.terminated else "indeterminate")
-    _emit(report, args.out)
-    return EXIT_PASS if chain.terminated else EXIT_INDETERMINATE
+    return report.verdict("pass" if chain.terminated else "indeterminate")
 
 
 # ----------------------------------------------------------------------
-
 
 def _integer(text: str) -> int:
     """An integer argument by the rule for documents, ``-?[0-9]+``: ``int``
@@ -542,14 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, InputError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SurfaceError, PreconditionError) as exc:
+        return _emit(args.func(args), args.out)
+    except (InputError, SurfaceError, PreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MapError, SeriesError, odejets.OdeError) as exc:

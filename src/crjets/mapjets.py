@@ -287,36 +287,6 @@ def verify_mapping(
     return g_on_m - rhs
 
 
-@dataclass(frozen=True)
-class NormalPreservationReport:
-    g_vanishes_on_axis: bool
-    triangular: bool
-    local_biholomorphism: bool
-    g_w_real: bool
-    mapping_verified: bool
-
-    @property
-    def passed(self) -> bool:
-        base = self.g_vanishes_on_axis and self.triangular and self.local_biholomorphism
-        if self.mapping_verified:
-            return base and self.g_w_real
-        return base
-
-
-def normal_preservation_checks(h: MapGerm, mapping_verified: bool = False):
-    g_axis = h.g.zero_out("w")
-    mu10 = h.g.coefficient((1, 0))
-    lam10 = h.f.coefficient((1, 0))
-    mu01 = h.g.coefficient((0, 1))
-    return NormalPreservationReport(
-        g_vanishes_on_axis=g_axis.is_zero,
-        triangular=mu10.is_zero,
-        local_biholomorphism=not (lam10 * mu01).is_zero,
-        g_w_real=mu01.is_real,
-        mapping_verified=mapping_verified,
-    )
-
-
 def segre_restriction_direct(h: MapGerm, k: int) -> SegreJetResult:
     """Oracle side: H_{w^k}(z, 0) read off the stored series."""
     if k > h.order:

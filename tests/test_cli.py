@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -494,7 +495,7 @@ def test_a_non_ascii_digit_is_input_error(capsys, tmp_path, literal):
     code, out, err = run_err(capsys, "analyze", doc)
     assert code == 2
     assert out == ""
-    assert err.startswith("input error: digits must be ASCII 0-9") and "(line 3, column" in err
+    assert err.startswith(f"input error: {doc}: digits must be ASCII 0-9") and "(line 3, column" in err
 
 
 HEIS, MOBIUS = CORPUS / "heisenberg.surf", CORPUS / "h_mobius_1.map"
@@ -563,3 +564,94 @@ def test_the_shared_parser_carries_no_state_between_calls(capsys):
     assert results[6][0] == 2 and "invalid int value: 'two'" in results[6][2]
     for argv, result in zip(calls, results):
         assert result == run_fresh(argv), argv
+
+
+def test_an_unwritable_out_or_a_non_utf8_input_is_input_error(capsys, tmp_path):
+    heis = str(CORPUS / "heisenberg.surf")
+    missing = tmp_path / "missing" / "r.txt"
+    code, out, err = run_err(capsys, "analyze", heis, "--out", missing)
+    assert (code, out) == (2, "") and err.startswith(f"input error: cannot write {missing}: ")
+    code, out, err = run_err(capsys, "analyze", heis, "--out", tmp_path)  # a directory
+    assert (code, out) == (2, "") and err.startswith(f"input error: cannot write {tmp_path}: ")
+    assert sorted(tmp_path.iterdir()) == []  # no PATH.tmp left behind
+    doc = tmp_path / "latin1.surf"
+    doc.write_bytes(b"vars: z x t\norder: 4\nQ: t + 2*i*z*x \xff\n")
+    code, out, err = run_err(capsys, "analyze", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {doc}: ") and "position 36" in err
+
+
+VERDICT_CODES = {"pass": 0, "pass (vacuous)": 0, "indeterminate": 3, "fail": 1}
+
+
+def _mutated(rng, source: pathlib.Path, target: pathlib.Path) -> str:
+    """``source`` after 1-3 line edits, written to ``target``.  No edit adds a
+    digit, so a mutated document never declares a higher order."""
+    lines = source.read_text(encoding="utf-8").split("\n")
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(len(lines))
+        edit = rng.randrange(4)
+        if edit == 0 and len(lines) > 1:
+            del lines[j]
+        elif edit == 1:
+            lines.insert(j, lines[j])
+        elif edit == 2:
+            lines[j] = lines[j][: rng.randrange(len(lines[j]) + 1)]
+        elif lines[j]:
+            c = rng.randrange(len(lines[j]))
+            lines[j] = lines[j][:c] + rng.choice("+-*/^()zxtwi: ²") + lines[j][c + 1 :]
+    target.write_text("\n".join(lines), encoding="utf-8")
+    return str(target)
+
+
+def test_every_call_ends_in_a_verdict_or_an_input_error(capsys, tmp_path):
+    # exit 0 or 3 with a passing or indeterminate report, exit 1 with verdict:
+    # fail, or exit 2 with one error line and no report; never a traceback
+    rng = random.Random(7)
+    docs = {ext: sorted(CORPUS.glob(f"*.{ext}")) for ext in ("surf", "map", "ode")}
+    shapes = {  # subcommand -> its document arguments and its K, if any
+        "analyze": (("surf",), ()),
+        "verify": (("surf", "surf", "map"), ()),
+        "segre": (("surf", "surf", "map"), range(5)),
+        "determine": (("surf", "map", "map"), range(1, 4)),
+        "dynamics": (("surf", "map"), ()),
+        "ode": (("ode",), ("solve", "determine", "chain")),
+    }
+    calls = []
+    for n in range(400):
+        command = rng.choice(sorted(shapes))
+        exts, last = shapes[command]
+        paths = [rng.choice(docs[ext]) for ext in exts]
+        if n >= 300:  # mutate each input of the last 100 calls with probability 1/2
+            paths = [
+                _mutated(rng, p, tmp_path / f"{n}_{i}{p.suffix}") if rng.random() < 0.5 else p
+                for i, p in enumerate(paths)
+            ]
+        argv = [command, *map(str, paths), *([str(rng.choice(last))] if last else [])]
+        order = rng.choice([None, 1, 2, 3, 4, 6, 8, 12])
+        if order is not None:
+            argv += ["--order", str(order)]
+        calls.append(argv)
+    heis = str(CORPUS / "heisenberg.surf")
+    latin1 = tmp_path / "latin1.surf"
+    latin1.write_bytes(b"vars: z x t\norder: 4\nQ: t + 2*i*z*x \xff\n")
+    calls += [
+        ["analyze", str(latin1)],
+        ["verify", heis, heis, str(latin1)],
+        ["analyze", heis, "--out", str(tmp_path / "missing" / "r.txt")],
+        ["analyze", heis, "--order", "٣"],
+    ]
+    codes = set()
+    for argv in calls:
+        code, out, err = run_shared(capsys, argv)
+        codes.add(code)
+        assert "Traceback" not in err and "failure:" not in err, argv
+        if code == 2:
+            errors = [ln for ln in err.splitlines() if ln.startswith("input error: ") or ": error: " in ln]
+            assert out == "" and errors == err.splitlines()[-1:], argv
+            continue
+        *_, last = out.splitlines()
+        assert err == "" and last.startswith("verdict: ") and out.count("\nverdict: ") == 1, argv
+        assert VERDICT_CODES[last.removeprefix("verdict: ")] == code, argv
+    assert codes == {0, 1, 2, 3}
+

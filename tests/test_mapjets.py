@@ -40,7 +40,6 @@ from crjets.mapjets import (
     dynamics_check,
     identity_map,
     invariance_check,
-    normal_preservation_checks,
     segre_jet_reconstruct,
     segre_restriction_direct,
     verify_mapping,
@@ -191,29 +190,6 @@ def test_swapped_residual_nonzero_for_non_preserving_map():
     bad = dilation(Fraction(2), Fraction(4), ORDER)
     assert not verify_mapping(m2, m2, bad).is_zero
     assert not verify_mapping(m2, m2, bad.inverse()).is_zero
-
-
-# ----------------------------------------------------------------------
-# normal_preservation_checks
-
-
-def test_checks_pass_for_mobius():
-    report = normal_preservation_checks(w_mobius(1, 8), mapping_verified=True)
-    assert report.passed
-    assert report.g_w_real
-
-
-def test_checks_fail_for_swap():
-    swapped = mk({(0, 1): 1}, {(1, 0): 1})
-    report = normal_preservation_checks(swapped)
-    assert not report.triangular
-    assert not report.passed
-
-
-def test_checks_fail_for_degenerate():
-    squash = mk({(1, 0): 1}, {(0, 2): 1})
-    report = normal_preservation_checks(squash)
-    assert not report.local_biholomorphism
 
 
 # ----------------------------------------------------------------------
