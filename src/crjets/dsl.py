@@ -245,10 +245,11 @@ DOCUMENT_KINDS = ("surface", "map", "ode")
 
 _THETA = re.compile(r"\btheta([0-9]+)\b")
 
+# in document order, so a document lacking several keys names the first
 _REQUIRED_KEYS = {
-    "surface": ({"vars", "order"}, {"Q", "phi"}),
-    "map": ({"order", "F", "G"}, set()),
-    "ode": ({"gamma", "vars", "order", "p", "q"}, set()),
+    "surface": (("vars", "order"), ("Q", "phi")),
+    "map": (("order", "F", "G"), ()),
+    "ode": (("gamma", "vars", "order", "p", "q"), ()),
 }
 
 
@@ -339,10 +340,8 @@ def parse_document(text: str) -> Document:
     for key in required:
         if key not in entries:
             raise ParseError(f"{kind} document is missing {key!r}", 1, 1)
-    if one_of and not (one_of & set(entries)):
-        raise ParseError(
-            f"{kind} document needs one of {sorted(one_of)}", 1, 1
-        )
+    if one_of and not any(key in entries for key in one_of):
+        raise ParseError(f"{kind} document needs one of {list(one_of)}", 1, 1)
 
     warnings: list[str] = []
     body: dict = {}

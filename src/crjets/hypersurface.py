@@ -69,7 +69,6 @@ class RealGraph:
 @dataclass(frozen=True)
 class NormalityReport:
     violations: tuple
-    order: int
 
     @property
     def passed(self) -> bool:
@@ -79,7 +78,6 @@ class NormalityReport:
 @dataclass(frozen=True)
 class RealityReport:
     residual: TruncatedSeries
-    order: int
 
     @property
     def passed(self) -> bool:
@@ -153,7 +151,7 @@ class NormalFormSurface:
             residual = restricted - t
             for mi, c in residual.terms():
                 violations.append((name, mi, c))
-        return NormalityReport(tuple(violations), self.order)
+        return NormalityReport(tuple(violations))
 
     def check_reality(self) -> RealityReport:
         """Residual of Q(z, x, Qbar(x, z, w)) - w; zero iff the germ is real."""
@@ -168,7 +166,7 @@ class NormalFormSurface:
         wg = TruncatedSeries.variable("w", vars_w, self.order)
         inner = self.q.conjugate().compose({"z": xg, "x": zg, "t": wg})
         outer = self.q.compose({"z": zg, "x": xg, "t": inner})
-        return RealityReport(outer - wg, self.order)
+        return RealityReport(outer - wg)
 
     def validate(self):
         normal = self.check_normal()
@@ -187,16 +185,6 @@ class NormalFormSurface:
             raise SurfaceError("q functions are defined for alpha >= 1 only")
         raw = self.q.extract({"z": alpha, "t": mu}, keep=("x",))
         return raw * (factorial(alpha) * factorial(mu))
-
-    def q_table(self, max_m: int) -> dict[tuple[int, int], TruncatedSeries]:
-        """All q functions with 1 <= alpha, alpha + mu <= max_m."""
-        if max_m > self.order:
-            raise SurfaceError("q_table beyond the certified order")
-        table = {}
-        for m in range(1, max_m + 1):
-            for mu in range(0, m):
-                table[(m - mu, mu)] = self.q_function(m - mu, mu)
-        return table
 
     def r_function(self, beta: int) -> TruncatedSeries:
         """Coefficient series of z^beta at t = 0 in Q (Taylor-normalized)."""

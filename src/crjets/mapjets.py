@@ -599,7 +599,6 @@ def invariance_check(
 
 @dataclass(frozen=True)
 class DeterminationVerdict:
-    jet_order: int
     jets_agree: bool
     maps_agree: bool | None
     first_difference: tuple | None
@@ -622,7 +621,7 @@ def determination_experiment(
             raise PreconditionError("map does not preserve the surface")
     jets_agree = h1.jet(k) == h2.jet(k)
     if not jets_agree:
-        return DeterminationVerdict(k, False, None, None)
+        return DeterminationVerdict(False, None, None)
     diff_f = h1.f - h2.f
     diff_g = h1.g - h2.g
     witness = None
@@ -632,7 +631,7 @@ def determination_experiment(
             if witness is None or (sum(mi), mi) < (sum(witness[1]), witness[1]):
                 witness = entry
             break
-    return DeterminationVerdict(k, True, witness is None, witness)
+    return DeterminationVerdict(True, witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -657,10 +656,7 @@ def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
     )
     if not tangent:
         raise PreconditionError("map is not tangent to the identity")
-    inv = surface.compute_invariants()
-    if isinstance(inv.m0, InfiniteUpTo):
-        raise LeviFlatInput(inv.m0.order)
-    recon = segre_jet_reconstruct(surface, surface, h.jet(1), 0)
+    recon = segre_jet_reconstruct(surface, surface, jet1, 0)
     zg = TruncatedSeries.variable("z", ("z",), recon.f_wk.order)
     recon_ok = recon.f_wk == zg and recon.g_wk.is_zero
     f_axis, g_axis = h.on_axis()

@@ -221,10 +221,6 @@ class ComplexRational:
         return format_scalar(self)
 
 
-ZERO = ComplexRational(0)
-I = ComplexRational(0, 1)
-
-
 def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -243,77 +239,3 @@ def format_scalar(c) -> str:
     if z.imag == 0.0:
         return repr(z.real)
     return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}*i)"
-
-
-def _int_kth_root(n: int, k: int):
-    """Exact integer k-th root of n >= 0, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1):
-        return n
-    lo, hi = 0, 1
-    while hi**k < n:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
-
-
-def fraction_kth_root(q: Fraction, k: int):
-    """Exact k-th root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num = _int_kth_root(q.numerator, k)
-    den = _int_kth_root(q.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def gaussian_sqrt(c: ComplexRational):
-    """Principal square root when it stays in the Gaussian rationals, else None."""
-    if c.is_zero:
-        return ZERO
-    if not c.im:
-        r = fraction_kth_root(abs(c.re), 2)
-        if r is None:
-            return None
-        # principal branch: sqrt of a negative real is purely imaginary with im > 0
-        return ComplexRational(r) if c.re > 0 else ComplexRational(0, r)
-    n = fraction_kth_root(c.norm2(), 2)
-    if n is None:
-        return None
-    x2 = (n + c.re) / 2
-    x = fraction_kth_root(x2, 2)
-    if x is None or x == 0:
-        return None
-    y = c.im / (2 * x)
-    return ComplexRational(x, y)
-
-
-def gaussian_kth_root(c: ComplexRational, k: int):
-    """Principal k-th root when it stays in the field.
-
-    Covers positive reals for any k and powers of two via iterated square
-    roots; returns None otherwise.
-    """
-    if k <= 0:
-        raise ValueError("root index must be positive")
-    if k == 1:
-        return c
-    if c.is_zero:
-        return ZERO
-    if not c.im and c.re > 0:
-        r = fraction_kth_root(c.re, k)
-        if r is not None:
-            return ComplexRational(r)
-    if k % 2 == 0:
-        s = gaussian_sqrt(c)
-        if s is None:
-            return None
-        return gaussian_kth_root(s, k // 2)
-    return None

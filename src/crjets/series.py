@@ -52,11 +52,13 @@ their inputs were checked when they were built; products and
 compositions unpack their packed result without either and wrap it as it
 is.
 
-Mixed-backend arithmetic is refused.  On the exact backend a k-th root is
-taken only when it stays in the field (a leading coefficient of 1 always
-does); the float backend takes the principal branch.  No computation in the
-package runs on the float backend; it stays for callers that build float
-series themselves, such as the benchmark's series oracle.
+Mixed-backend arithmetic is refused.  On the exact backend k-th roots are
+taken of monic series only: the unit part's leading coefficient must be 1,
+so the root is a binomial series over Q(i) and no branch is ever chosen;
+callers divide the leading coefficient out first.  The float backend takes
+the principal branch.  No computation in the package runs on the float
+backend; it stays for callers that build float series themselves, such as
+the benchmark's series oracle.
 """
 
 from __future__ import annotations
@@ -69,13 +71,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Mapping
 
-from .rational import (
-    ComplexRational,
-    _reduced,
-    format_scalar,
-    gaussian_kth_root,
-    numerators,
-)
+from .rational import ComplexRational, _reduced, format_scalar, numerators
 
 MultiIndex = tuple[int, ...]
 
@@ -329,15 +325,13 @@ class TruncatedSeries:
                     g[i] = e
         return tuple(g)
 
-    def _shift_down(self, g: MultiIndex, strict=True) -> "TruncatedSeries":
+    def _shift_down(self, g: MultiIndex) -> "TruncatedSeries":
         out = {}
         for mi, c in self.coefficients.items():
             if any(e < ge for e, ge in zip(mi, g)):
-                if strict:
-                    raise DivisorOrderExceedsDividend(
-                        f"monomial {mi} not divisible by factor {g}"
-                    )
-                continue
+                raise DivisorOrderExceedsDividend(
+                    f"monomial {mi} not divisible by factor {g}"
+                )
             out[tuple(e - ge for e, ge in zip(mi, g))] = c
         return self._make(out, self.order - sum(g))
 
@@ -400,23 +394,16 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
     # calculus and structure maps
 
-    def partial_derivative(self, var: str, times: int = 1) -> "TruncatedSeries":
+    def partial_derivative(self, var: str) -> "TruncatedSeries":
         if var not in self.variables:
             raise UnknownVariable(var)
-        if times < 1:
-            raise SeriesError("differentiation count must be positive")
         idx = self.variables.index(var)
         out = {}
         for mi, c in self.coefficients.items():
             e = mi[idx]
-            if e < times:
-                continue
-            factor = 1
-            for j in range(times):
-                factor *= e - j
-            mk = mi[:idx] + (e - times,) + mi[idx + 1 :]
-            out[mk] = c * factor
-        return self._make(out, max(self.order - times, 0))
+            if e:
+                out[mi[:idx] + (e - 1,) + mi[idx + 1 :]] = c * e
+        return self._make(out, max(self.order - 1, 0))
 
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugate (same support)."""
@@ -601,19 +588,7 @@ class TruncatedSeries:
         for w in mapping.values():
             if w not in self.variables:
                 raise UnknownVariable(w)
-        positions = {v: i for i, v in enumerate(self.variables)}
-        out: dict = {}
-        for mi, c in self.coefficients.items():
-            acc = [0] * len(self.variables)
-            for i, e in enumerate(mi):
-                v = self.variables[i]
-                acc[positions[mapping.get(v, v)]] += e
-            mk = tuple(acc)
-            if mk in out:
-                out[mk] = out[mk] + c
-            else:
-                out[mk] = c
-        return self._make(out)
+        return self.lift(self.variables, mapping)
 
     def with_variables(self, new_variables) -> "TruncatedSeries":
         """Reinterpret the slots positionally under new names (same arity)."""
@@ -1095,12 +1070,15 @@ def _binomial_series_root(v: TruncatedSeries, k: int) -> TruncatedSeries:
 
 
 def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Principal k-th root.
+    """k-th root of a monic series.
 
     Requires the support to factor as monomial^k * unit (or a unit series);
-    the first root (k = 1) is the series itself.
+    the first root (k = 1) is the series itself.  On the exact backend the
+    unit's leading coefficient must be 1, so the root is the binomial series
+    of the unit times the monomial's k-th root, over Q(i) with no branch
+    chosen; any other leading coefficient raises :class:`RootNotInField`.
     On the float backend the leading coefficient's root takes the principal
-    branch; the exact backend refuses roots that leave the field.
+    branch.
     """
     if k <= 0:
         raise SeriesError("root index must be positive")
@@ -1123,27 +1101,25 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     if s.tolerance is None:
         if c0.is_zero:
             raise SupportNotKthPower("support does not factor as monomial * unit")
-        r0 = gaussian_kth_root(c0, k)
-        if r0 is None:
+        if c0 != 1:
             raise RootNotInField(
-                f"principal {k}-th root of {format_scalar(c0)} is not a Gaussian rational"
+                f"roots are taken of monic series only: leading coefficient "
+                f"{format_scalar(c0)} is not 1"
             )
-        scale = ComplexRational(1) / c0
+        root_unit = _binomial_series_root(unit - 1, k)
     else:
         if abs(c0) < s.tolerance:
             raise SupportNotKthPower("support does not factor as monomial * unit")
         import cmath
 
         r0 = cmath.exp(cmath.log(c0) / k)
-        scale = 1.0 / c0
-    v = unit * scale - 1
-    root_unit = _binomial_series_root(v, k) * r0
+        root_unit = _binomial_series_root(unit * (1.0 / c0) - 1, k) * r0
     half = tuple(e // k for e in g)
     return root_unit.shift_up(half)
 
 
-def implicit_solve(rhs: TruncatedSeries, unknown: str, order: int | None = None) -> TruncatedSeries:
-    """Unique u*(vars) with u* = rhs(vars, u*) through the target order.
+def implicit_solve(rhs: TruncatedSeries, unknown: str) -> TruncatedSeries:
+    """Unique u*(vars) with u* = rhs(vars, u*) through rhs's certified order.
 
     The unknown must occur only in monomials carrying positive degree in the
     remaining variables, which makes the order-by-order iteration contract.
@@ -1170,7 +1146,7 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str, order: int | None = None)
                 f"monomial {mi} is pure in the unknown '{unknown}'"
             )
     target_vars = tuple(v for v in rhs.variables if v != unknown)
-    order = rhs.order if order is None else min(order, rhs.order)
+    order = rhs.order
     rate = min((sum(mi) - 1 for mi in rhs.coefficients if mi[u_idx]), default=max(order, 1))
     subs = {
         v: TruncatedSeries.variable(v, target_vars, order, rhs.tolerance)

@@ -524,13 +524,22 @@ def test_a_non_ascii_digit_in_an_argument_is_an_argument_error(capsys, argv, arg
     assert "Traceback" not in captured.err
 
 
-def run_fresh(argv):
+def run_fresh(argv, **env):
     """The same call as a fresh ``python -m crjets`` process."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     proc = subprocess.run(
         [sys.executable, "-m", "crjets", *argv], capture_output=True, text=True, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_missing_key_is_named_alike_under_every_hash_seed(tmp_path):
+    # the document lacks both 'vars' and 'order'; the first in document order is named
+    doc = tmp_path / "keys.surf"
+    doc.write_text("kind: surface\nQ: t\n")
+    runs = [run_fresh(["analyze", str(doc)], PYTHONHASHSEED=str(seed)) for seed in range(1, 7)]
+    err = f"input error: {doc}: surface document is missing 'vars' (line 1, column 1)\n"
+    assert runs == [(2, "", err)] * 6
 
 
 def run_shared(capsys, argv):

@@ -78,27 +78,36 @@ def test_check_reality_detects_missing_i():
     assert report.residual == TS(("z", "x", "w"), 6, {(1, 1, 0): 2})
 
 
-def test_q_table_heisenberg():
-    table = heisenberg(10).q_table(4)
+def q_functions(surf, max_m):
+    """Every q function with 1 <= alpha, alpha + mu <= max_m."""
+    return {
+        (m - mu, mu): surf.q_function(m - mu, mu)
+        for m in range(1, max_m + 1)
+        for mu in range(m)
+    }
+
+
+def test_q_function_heisenberg():
+    table = q_functions(heisenberg(10), 4)
     assert table[(1, 0)] == TS(("x",), 9, {(1,): 2 * I})
     assert all(s.is_zero for key, s in table.items() if key != (1, 0))
 
 
-def test_q_table_quartic():
-    table = quartic_model(10).q_table(4)
-    assert table[(2, 0)] == TS(("x",), 8, {(2,): 4 * I})
-    assert table[(1, 0)].is_zero and table[(1, 1)].is_zero
+def test_q_function_quartic():
+    surf = quartic_model(10)
+    assert surf.q_function(2, 0) == TS(("x",), 8, {(2,): 4 * I})
+    assert surf.q_function(1, 0).is_zero and surf.q_function(1, 1).is_zero
 
 
-def test_q_table_infinite_type():
-    table = infinite_type_model(10).q_table(3)
-    assert table[(1, 1)] == TS(("x",), 8, {(1,): 2 * I})
-    assert table[(1, 0)].is_zero and table[(2, 0)].is_zero
+def test_q_function_infinite_type():
+    surf = infinite_type_model(10)
+    assert surf.q_function(1, 1) == TS(("x",), 8, {(1,): 2 * I})
+    assert surf.q_function(1, 0).is_zero and surf.q_function(2, 0).is_zero
 
 
 def test_q_vanishes_at_origin():
     for surf in (heisenberg(8), quartic_model(8), infinite_type_model(8)):
-        for (alpha, mu), series in surf.q_table(5).items():
+        for (alpha, mu), series in q_functions(surf, 5).items():
             assert alpha >= 1
             assert series.coefficient((0,)).is_zero
 

@@ -301,6 +301,13 @@ def test_kth_root_rejections():
         kth_root(u_series(4, {0: 2}), 2)
 
 
+def test_kth_root_needs_a_monic_leading_coefficient():
+    # 4*x^2 has the root 2*x over Q(i), but roots are taken of monic series only
+    for s, c in ((TS(("x",), 6, {(2,): 4}), "4"), (TS(("x",), 6, {(0,): 2, (1,): 1}), "2")):
+        with pytest.raises(RootNotInField, match=f"leading coefficient {c} is not 1"):
+            kth_root(s, 2)
+
+
 # ----------------------------------------------------------------------
 # implicit_solve
 
