@@ -193,9 +193,7 @@ def _fmt_invariant(value) -> str:
 
 def _lowest_witness(series) -> str:
     mi = min(series.coefficients, key=lambda m: (sum(m), m))
-    single = TruncatedSeries(
-        series.variables, series.order, {mi: series.coefficients[mi]}, series.tolerance
-    )
+    single = TruncatedSeries(series.variables, series.order, {mi: series.coefficients[mi]})
     return format_series(single)
 
 

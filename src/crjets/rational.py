@@ -108,10 +108,6 @@ class ComplexRational:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    @property
-    def is_real(self) -> bool:
-        return not self._b
-
     def conjugate(self) -> "ComplexRational":
         return _exact(self._a, -self._b, self._d)
 
@@ -226,8 +222,8 @@ def format_fraction(q: Fraction) -> str:
 
 
 def format_scalar(c) -> str:
-    """Render a coefficient in the series-literal grammar (exact backend)
-    or as a float pair (float backend, for report witnesses only)."""
+    """Render a coefficient in the series-literal grammar, or a ``complex``
+    coefficient of a float series as a float pair."""
     if isinstance(c, ComplexRational):
         if not c.im:
             return format_fraction(c.re)

@@ -8,13 +8,14 @@ minimum order, differentiation lowers it, dividing out a monomial factor
 lowers it by the factor's degree.  Nothing ever raises an order except
 multiplication by an exactly-known monomial.
 
-Two coefficient backends share one implementation:
-
-* exact: Gaussian rational coefficients, ``tolerance is None``, equality
-  and zero tests are exact; each coefficient is a ``ComplexRational``
-  stored as ``(a + b*i) / d`` over Python ints in lowest terms;
-* float: complex coefficients with a zero-test ``tolerance``; any
-  coefficient of magnitude below the tolerance is normalized to absent.
+Coefficients are Gaussian rationals: each is a ``ComplexRational`` stored
+as ``(a + b*i) / d`` over Python ints in lowest terms, and equality and zero
+tests are exact.  A series built with a ``tolerance`` holds ``complex``
+coefficients instead, any of magnitude below the tolerance normalized to
+absent.  Such a float series is a container for oracles outside the
+package: it can be built (directly or by :func:`to_float`), added,
+subtracted, negated, compared, printed and mapped structurally, but every
+product-based operation refuses it with :class:`BackendMismatch`.
 
 Every series product runs one kernel, :func:`_product`, on packed tables:
 the exponents of a monomial and its total degree packed into one int
@@ -26,10 +27,9 @@ operand, multiplies and unpacks; :meth:`TruncatedSeries.compose` packs its
 leaves and stays packed through every inner product and sum, dividing out
 the content after each product.  Either unpacks its result once and
 reduces each coefficient once, so the results are the canonical values
-term-by-term arithmetic gives.  The float backend runs the same code with
-denominator 1.  The packed right operand is kept on its series, beside the
-composition powers: Horner accumulators, power lists and Newton steps
-multiply by one series many times.
+term-by-term arithmetic gives.  The packed right operand is kept on its
+series, beside the composition powers: Horner accumulators, power lists
+and Newton steps multiply by one series many times.
 
 Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
@@ -52,13 +52,10 @@ their inputs were checked when they were built; products and
 compositions unpack their packed result without either and wrap it as it
 is.
 
-Mixed-backend arithmetic is refused.  On the exact backend k-th roots are
-taken of monic series only: the unit part's leading coefficient must be 1,
-so the root is a binomial series over Q(i) and no branch is ever chosen;
-callers divide the leading coefficient out first.  The float backend takes
-the principal branch.  No computation in the package runs on the float
-backend; it stays for callers that build float series themselves, such as
-the benchmark's series oracle.
+Mixing exact and float series is refused.  K-th roots are taken of monic
+series only: the unit part's leading coefficient must be 1, so the root is
+a binomial series over Q(i) and no branch is ever chosen; callers divide
+the leading coefficient out first.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ class ZeroSeriesRoot(SeriesError):
 
 
 class RootNotInField(SeriesError):
-    """Exact backend cannot represent the requested root."""
+    """The root is not taken: the series is not monic."""
 
 
 class NoContraction(SeriesError):
@@ -179,8 +176,8 @@ class TruncatedSeries:
     # constructors
 
     @classmethod
-    def zero(cls, variables, order, tolerance=None):
-        return cls(variables, order, {}, tolerance)
+    def zero(cls, variables, order):
+        return cls(variables, order, {})
 
     @classmethod
     def constant(cls, value, variables, order, tolerance=None):
@@ -188,12 +185,12 @@ class TruncatedSeries:
         return cls(variables, order, {(0,) * len(variables): value}, tolerance)
 
     @classmethod
-    def variable(cls, name, variables, order, tolerance=None):
+    def variable(cls, name, variables, order):
         variables = tuple(variables)
         if name not in variables:
             raise UnknownVariable(name)
         mi = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, order, {mi: 1 if tolerance is None else 1.0}, tolerance)
+        return cls(variables, order, {mi: 1})
 
     def _make(self, coefficients, order=None):
         """Trusted constructor for ring results in this series' space."""
@@ -211,21 +208,11 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def _scalar(self, value):
-        if self.tolerance is None:
-            return ComplexRational.coerce(value)
-        if isinstance(value, ComplexRational):
-            return value.to_complex()
-        return complex(value)
-
-    def _zero_scalar(self):
-        return ComplexRational(0) if self.tolerance is None else 0j
-
     def coefficient(self, mi: MultiIndex):
         mi = tuple(mi)
         if len(mi) != len(self.variables):
             raise SeriesError("multi-index arity mismatch")
-        return self.coefficients.get(mi, self._zero_scalar())
+        return self.coefficients.get(mi, ComplexRational(0))
 
     def constant_term(self):
         return self.coefficient((0,) * len(self.variables))
@@ -241,14 +228,16 @@ class TruncatedSeries:
         if (self.tolerance is None) != (other.tolerance is None):
             raise BackendMismatch("cannot mix exact and float series")
 
+    def _check_exact(self):
+        if self.tolerance is not None:
+            raise BackendMismatch("a float series is a container: it has no products")
+
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(
-                self._scalar(other), self.variables, self.order, self.tolerance
-            )
+            other = TruncatedSeries.constant(other, self.variables, self.order, self.tolerance)
         self._check_partner(other)
         order = min(self.order, other.order)
         out = dict(self.coefficients)
@@ -266,17 +255,16 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(
-                self._scalar(other), self.variables, self.order, self.tolerance
-            )
+            other = TruncatedSeries.constant(other, self.variables, self.order, self.tolerance)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        self._check_exact()
         if not isinstance(other, TruncatedSeries):
-            scal = self._scalar(other)
+            scal = ComplexRational.coerce(other)
             return self._make({mi: c * scal for mi, c in self.coefficients.items()})
         self._check_partner(other)
         order = min(self.order, other.order)
@@ -284,18 +272,16 @@ class TruncatedSeries:
         if b is None:
             b = _Packed.of(other)
             object.__setattr__(other, "_packed", b)
-        tol = self.tolerance
-        table, d = _product(*b.layout.pack(self.coefficients.items(), order, tol), b, order)
-        return _series(self.variables, order, b.layout.unpack(table, d, tol), tol)
+        table, d = _product(*b.layout.pack(self.coefficients.items(), order), b, order)
+        return _series(self.variables, order, b.layout.unpack(table, d), None)
 
     __rmul__ = __mul__
 
     def pow(self, k: int):
         if k < 0:
             raise SeriesError("negative powers need an explicit divide")
-        result = TruncatedSeries.constant(
-            self._scalar(1), self.variables, self.order, self.tolerance
-        )
+        self._check_exact()
+        result = TruncatedSeries.constant(1, self.variables, self.order)
         base = self
         while k:
             if k & 1:
@@ -343,19 +329,13 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit (nonzero constant term)."""
+        self._check_exact()
         c0 = self.constant_term()
-        if self.tolerance is None:
-            if c0.is_zero:
-                raise NonmonomialLeadingForm("inverse of a non-unit")
-            c0inv = ComplexRational(1) / c0
-        else:
-            if abs(c0) < self.tolerance:
-                raise NonmonomialLeadingForm("inverse of a non-unit")
-            c0inv = 1.0 / c0
+        if c0.is_zero:
+            raise NonmonomialLeadingForm("inverse of a non-unit")
+        c0inv = ComplexRational(1) / c0
         minus_v = (-self + c0) * c0inv  # vanishing order >= 1
-        acc = TruncatedSeries.constant(
-            self._scalar(1), self.variables, self.order, self.tolerance
-        )
+        acc = TruncatedSeries.constant(1, self.variables, self.order)
         power = acc
         for _ in range(self.order):
             power = power * minus_v
@@ -370,8 +350,9 @@ class TruncatedSeries:
         The divisor must factor as monomial * unit; the dividend must be
         divisible by that monomial.
         """
+        self._check_exact()
         if not isinstance(other, TruncatedSeries):
-            return self * (self._scalar(1) / self._scalar(other))
+            return self * (ComplexRational(1) / ComplexRational.coerce(other))
         self._check_partner(other)
         if other.is_zero:
             raise DivisorOrderExceedsDividend(
@@ -379,9 +360,7 @@ class TruncatedSeries:
             )
         g = other._monomial_gcd()
         unit = other._shift_down(g)
-        c0 = unit.constant_term()
-        bad = (c0.is_zero if unit.tolerance is None else abs(c0) < unit.tolerance)
-        if bad:
+        if unit.constant_term().is_zero:
             raise NonmonomialLeadingForm(
                 "divisor's lowest-degree form is not a monomial times a unit"
             )
@@ -419,7 +398,7 @@ class TruncatedSeries:
 
         Each substituted series must have zero constant term (shift the
         outer series explicitly otherwise), and all substitutions must live
-        in one common variable set on the same backend.
+        in one common variable set.
 
         ``box`` maps target variables to the largest exponent kept: every
         monomial above a bound is dropped from the result, and the
@@ -475,21 +454,19 @@ class TruncatedSeries:
         common denominator.  The result is unpacked once and each of its
         coefficients reduced once.
         """
+        self._check_exact()
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
             raise CompositionError(f"no substitution for variables {missing}")
         subs = [substitutions[v] for v in self.variables]
         target = subs[0]
+        if target.tolerance is not None:
+            raise BackendMismatch("cannot mix exact and float series")
         for s in subs:
             target._check_partner(s)
-            c0 = s.constant_term()
-            nonzero = (not c0.is_zero) if s.tolerance is None else abs(c0) >= s.tolerance
-            if nonzero:
+            if not s.constant_term().is_zero:
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
-        tol = target.tolerance
-        if (self.tolerance is None) != (tol is None):
-            raise BackendMismatch("cannot mix exact and float series")
         variables = target.variables
         layout = _layout(max(order.bit_length(), 1), len(variables))
         limits = ()  # (target slot, largest exponent kept) of each boxed variable
@@ -516,7 +493,7 @@ class TruncatedSeries:
                     object.__setattr__(s, "_powers", cache)
                 powers = cache.get((order, limits))
                 if powers is None:
-                    first = _Packed(layout, order, tol, *layout.pack(terms, order, tol))
+                    first = _Packed(layout, order, *layout.pack(terms, order))
                     powers = cache[order, limits] = [first]
                 general.append((pos, powers))
             else:
@@ -541,12 +518,12 @@ class TruncatedSeries:
             if limits and any(layout.slot(key, j) > b for j, b in limits):
                 continue
             kept.append((mi, key, c))
-        nums, d = _numerators([c for _, _, c in kept], tol)
+        nums, d = numerators([c for _, _, c in kept])
         # a scaled slot contributes c^e = (a + b*i)^e / dc^e; written over
         # dc^emax as (a + b*i)^e * dc^(emax - e), every leaf keeps one denominator
         factors = []
         for pos, c in scaled:
-            ((a, b),), dc = _numerators([c], tol)
+            ((a, b),), dc = numerators([c])
             emax = max((mi[pos] for mi, _, _ in kept), default=0)
             pw = [(1, 0)]
             for _ in range(emax):
@@ -572,12 +549,12 @@ class TruncatedSeries:
             else:
                 node[key] = (re, im)
         if not general:  # moves only: no product
-            return _series(variables, order, layout.unpack(root, d, tol), tol)
+            return _series(variables, order, layout.unpack(root, d), None)
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
         pos, powers = general[-1]
         horner = len({mi[pos] for mi in self.coefficients}) <= len(powers[0].table)
         table, d = _substitute(root, d, slots, 0, order, horner, limits)
-        return _series(variables, order, layout.unpack(table, d, tol), tol)
+        return _series(variables, order, layout.unpack(table, d), None)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -747,7 +724,7 @@ class _Layout:
     def slot(self, key: int, j: int) -> int:
         return key >> self.width * j & self.mask
 
-    def pack(self, items, order, tolerance) -> tuple[dict, int]:
+    def pack(self, items, order) -> tuple[dict, int]:
         """The terms ``(mi, c)`` of degree at most ``order`` as a packed
         table ``{key: (re, im)}`` over one denominator."""
         top, scale = self.top, self.scale
@@ -759,28 +736,21 @@ class _Layout:
             if key >> top <= order:
                 keys.append(key)
                 values.append(c)
-        nums, d = _numerators(values, tolerance)
+        nums, d = numerators(values)
         return dict(zip(keys, nums)), d
 
-    def unpack(self, table, d, tolerance) -> dict:
+    def unpack(self, table, d) -> dict:
         """The coefficient table of a packed table over ``d``: each value
-        reduced once to its canonical ``ComplexRational`` (or ``complex``),
-        zeros dropped."""
+        reduced once to its canonical ``ComplexRational``, zeros dropped."""
         monomials, mask, shifts = self.monomials, self.mask, self.shifts
         out = {}
         for k, (x, y) in table.items():
-            if tolerance is None:
-                if not (x or y):
-                    continue
-                c = _reduced(x, y, d)
-            else:
-                c = complex(x, y)
-                if abs(c) < tolerance:
-                    continue
+            if not (x or y):
+                continue
             mk = monomials.get(k)
             if mk is None:
                 mk = monomials[k] = tuple([k >> shift & mask for shift in shifts])
-            out[mk] = c
+            out[mk] = _reduced(x, y, d)
         return out
 
 
@@ -794,26 +764,25 @@ class _Packed:
     """A packed table, the right operand of :func:`_product`: its layout
     (``width`` bits per slot and the total degree in the top field, see
     :class:`_Layout`), the order through which it is exact, and ``{key:
-    (re, im)}`` with Gaussian integer values over one ``denominator``
-    (floats over 1), with no common content.
+    (re, im)}`` with Gaussian integer values over one ``denominator``, with
+    no common content.
 
     A series' own packed form is kept on it, and compose keeps the powers
     of a substituted series packed on it, so Horner accumulators, power
     lists and Newton steps pack each right operand once.
     """
 
-    __slots__ = ("layout", "order", "tolerance", "table", "denominator", "partners")
+    __slots__ = ("layout", "order", "table", "denominator", "partners")
 
-    def __init__(self, layout, order, tolerance, table, denominator):
-        self.layout, self.order, self.tolerance = layout, order, tolerance
+    def __init__(self, layout, order, table, denominator):
+        self.layout, self.order = layout, order
         self.table, self.denominator = table, denominator
         self.partners = {}  # degree budget -> [(key, re, im)] that fit it
 
     @classmethod
     def of(cls, s: TruncatedSeries) -> "_Packed":
         layout = _layout(max(s.order.bit_length(), 1), len(s.variables))
-        table = layout.pack(s.coefficients.items(), s.order, s.tolerance)
-        return cls(layout, s.order, s.tolerance, *table)
+        return cls(layout, s.order, *layout.pack(s.coefficients.items(), s.order))
 
     def fitting(self, budget) -> list:
         """The ``(key, re, im)`` that fit ``budget``: a degree, or
@@ -830,14 +799,6 @@ class _Packed:
         ]
 
 
-def _numerators(values, tolerance):
-    """``(numerators, denominator)`` of the coefficients ``values``: Gaussian
-    integers over their least common denominator, or floats over 1."""
-    if tolerance is None:
-        return numerators(values)
-    return [(c.real, c.imag) for c in values], 1
-
-
 def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]:
     """The packed table ``a`` (over ``da``) times ``b`` through ``order``,
     as a packed table and its denominator: the one product kernel, which
@@ -847,18 +808,17 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
     holds the (slot, largest exponent) pairs of a box (see
     :meth:`TruncatedSeries.compose`).  The result, ``{key: [re, im]}``,
     has no monomial above ``order`` or outside the box, but may hold a
-    zero that cancelled.  On the exact backend its content is divided out
-    with one ``gcd(d, *numerators)``, so integers do not grow along a
-    chain of products.  Nothing is reduced per coefficient here:
-    :meth:`_Layout.unpack` does that once, for the table a caller returns.
+    zero that cancelled.  Its content is divided out with one ``gcd(d,
+    *numerators)``, so integers do not grow along a chain of products.
+    Nothing is reduced per coefficient here: :meth:`_Layout.unpack` does
+    that once, for the table a caller returns.
 
     Exponents are packed into one int per monomial (Monagan & Pearce, CASC
     2007), so a product monomial is one int addition; each operand is
     written as Gaussian integers over one common denominator, as in
     FLINT's ``fmpq_poly``, so the real and imaginary parts of each product
-    coefficient are sums of plain int products.  The float backend runs
-    the same sums with denominator 1, in the order of complex
-    multiplication and addition, term by term, and has no content step.
+    coefficient are sums of plain int products, and a real term of ``a``
+    skips half of them.
 
     Each term of ``a`` meets only the terms of ``b`` that fit its degree
     budget and its room in the box, listed once per budget in ``b``'s term
@@ -866,7 +826,6 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
     as in a schoolbook loop over ``a`` and then ``b``.
     """
     top, slot, partners = b.layout.top, b.layout.slot, b.partners
-    exact = b.tolerance is None
     out: dict = {}  # key -> [re, im]
     get = out.get
     for ka, (ra, ia) in a.items():
@@ -880,9 +839,7 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
         fits = partners.get(budget)
         if fits is None:
             fits = partners[budget] = b.fitting(budget)
-        # a real term of a skips half the products; floats keep the full
-        # formula of complex multiplication, signed zeros included
-        if ia or not exact:
+        if ia:
             for kb, rb, ib in fits:
                 k = ka + kb
                 v = get(k)
@@ -900,8 +857,6 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
                 else:
                     v[0] += ra * rb
                     v[1] += ra * ib
-    if not exact:
-        return out, 1
     d = da * b.denominator
     g = gcd(d, *chain.from_iterable(out.values())) if d != 1 else 1
     if g != 1:
@@ -957,7 +912,7 @@ def _substitute(node, d, slots, level, top, horner, limits) -> tuple[dict, int]:
             s = powers[0]
             while len(powers) < e:
                 last = _product(powers[-1].table, powers[-1].denominator, s, s.order, limits)
-                powers.append(_Packed(s.layout, s.order, s.tolerance, *last))
+                powers.append(_Packed(s.layout, s.order, *last))
             part, dp = _product(part, dp, powers[e - 1], top, limits)
         acc, da = _add(acc, da, part, dp)
     return acc, da
@@ -1015,7 +970,7 @@ def format_series(s: TruncatedSeries) -> str:
 
 
 def to_float(s: TruncatedSeries, tolerance: float = 1e-12) -> TruncatedSeries:
-    """Convert an exact series to the float backend (exact up to rounding)."""
+    """A float container holding the coefficients of ``s``, rounded."""
     if s.tolerance is not None:
         return TruncatedSeries(s.variables, s.order, dict(s.coefficients), tolerance)
     return TruncatedSeries(
@@ -1026,46 +981,15 @@ def to_float(s: TruncatedSeries, tolerance: float = 1e-12) -> TruncatedSeries:
     )
 
 
-def max_coefficient_difference(a: TruncatedSeries, b: TruncatedSeries) -> float:
-    """Largest |coefficient difference| through the common certified order."""
-    if a.variables != b.variables:
-        raise VariableMismatch(f"{a.variables} vs {b.variables}")
-    order = min(a.order, b.order)
-
-    def as_complex(c):
-        return c.to_complex() if isinstance(c, ComplexRational) else complex(c)
-
-    diff = 0.0
-    for mi in set(a.coefficients) | set(b.coefficients):
-        if sum(mi) > order:
-            continue
-        ca = as_complex(a.coefficients.get(mi, 0))
-        cb = as_complex(b.coefficients.get(mi, 0))
-        diff = max(diff, abs(ca - cb))
-    return diff
-
-
 def _binomial_series_root(v: TruncatedSeries, k: int) -> TruncatedSeries:
     """(1 + v)^(1/k) for a series v of positive vanishing order."""
-    one = TruncatedSeries.constant(v._scalar(1), v.variables, v.order, v.tolerance)
-    acc = one
-    term = one
-    if v.tolerance is None:
-        alpha = Fraction(1, k)
-        for j in range(1, v.order + 1):
-            coeff = ComplexRational((alpha - (j - 1)) / j)
-            term = term * v * coeff
-            if term.is_zero:
-                break
-            acc = acc + term
-    else:
-        alpha = 1.0 / k
-        for j in range(1, v.order + 1):
-            coeff = (alpha - (j - 1)) / j
-            term = term * v * coeff
-            if term.is_zero:
-                break
-            acc = acc + term
+    acc = term = TruncatedSeries.constant(1, v.variables, v.order)
+    alpha = Fraction(1, k)
+    for j in range(1, v.order + 1):
+        term = term * v * ComplexRational((alpha - (j - 1)) / j)
+        if term.is_zero:
+            break
+        acc = acc + term
     return acc
 
 
@@ -1073,13 +997,12 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th root of a monic series.
 
     Requires the support to factor as monomial^k * unit (or a unit series);
-    the first root (k = 1) is the series itself.  On the exact backend the
-    unit's leading coefficient must be 1, so the root is the binomial series
-    of the unit times the monomial's k-th root, over Q(i) with no branch
-    chosen; any other leading coefficient raises :class:`RootNotInField`.
-    On the float backend the leading coefficient's root takes the principal
-    branch.
+    the first root (k = 1) is the series itself.  The unit's leading
+    coefficient must be 1, so the root is the binomial series of the unit
+    times the monomial's k-th root, over Q(i) with no branch chosen; any
+    other leading coefficient raises :class:`RootNotInField`.
     """
+    s._check_exact()
     if k <= 0:
         raise SeriesError("root index must be positive")
     if s.is_zero:
@@ -1098,24 +1021,15 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     except DivisorOrderExceedsDividend as exc:
         raise SupportNotKthPower(str(exc)) from None
     c0 = unit.constant_term()
-    if s.tolerance is None:
-        if c0.is_zero:
-            raise SupportNotKthPower("support does not factor as monomial * unit")
-        if c0 != 1:
-            raise RootNotInField(
-                f"roots are taken of monic series only: leading coefficient "
-                f"{format_scalar(c0)} is not 1"
-            )
-        root_unit = _binomial_series_root(unit - 1, k)
-    else:
-        if abs(c0) < s.tolerance:
-            raise SupportNotKthPower("support does not factor as monomial * unit")
-        import cmath
-
-        r0 = cmath.exp(cmath.log(c0) / k)
-        root_unit = _binomial_series_root(unit * (1.0 / c0) - 1, k) * r0
+    if c0.is_zero:
+        raise SupportNotKthPower("support does not factor as monomial * unit")
+    if c0 != 1:
+        raise RootNotInField(
+            f"roots are taken of monic series only: leading coefficient "
+            f"{format_scalar(c0)} is not 1"
+        )
     half = tuple(e // k for e in g)
-    return root_unit.shift_up(half)
+    return _binomial_series_root(unit - 1, k).shift_up(half)
 
 
 def implicit_solve(rhs: TruncatedSeries, unknown: str) -> TruncatedSeries:
@@ -1148,15 +1062,12 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str) -> TruncatedSeries:
     target_vars = tuple(v for v in rhs.variables if v != unknown)
     order = rhs.order
     rate = min((sum(mi) - 1 for mi in rhs.coefficients if mi[u_idx]), default=max(order, 1))
-    subs = {
-        v: TruncatedSeries.variable(v, target_vars, order, rhs.tolerance)
-        for v in target_vars
-    }
-    u = TruncatedSeries.zero(target_vars, 0, rhs.tolerance)
+    subs = {v: TruncatedSeries.variable(v, target_vars, order) for v in target_vars}
+    u = TruncatedSeries.zero(target_vars, 0)
     prec = 0
     while True:
         prec = min(prec + rate, order)
-        carried = _trusted(target_vars, prec, u.coefficients, rhs.tolerance)
+        carried = _trusted(target_vars, prec, u.coefficients, None)
         u = rhs.truncate(prec).compose({**subs, unknown: carried})
         if prec == order:
             break
@@ -1175,31 +1086,26 @@ def solve_composition(outer: TruncatedSeries, rhs: TruncatedSeries) -> Truncated
     ``outer.truncate(n)`` at order ``n`` rather than at the full order.  One
     closing composition at the full order certifies the solution.
     """
+    outer._check_exact()
+    rhs._check_exact()
     if len(outer.variables) != 1 or len(rhs.variables) != 1:
         raise CompositionError("composition solve is univariate")
     var = outer.variables[0]
     lin = outer.coefficient((1,))
-    lin_zero = lin.is_zero if outer.tolerance is None else abs(lin) < (outer.tolerance or 0)
-    c_out = outer.constant_term()
-    c_rhs = rhs.constant_term()
-    if (not c_out.is_zero if outer.tolerance is None else abs(c_out) >= outer.tolerance):
+    if not outer.constant_term().is_zero:
         raise CompositionError("outer series must vanish at 0")
-    if (not c_rhs.is_zero if rhs.tolerance is None else abs(c_rhs) >= rhs.tolerance):
+    if not rhs.constant_term().is_zero:
         raise CompositionError("right-hand side must vanish at 0")
-    if lin_zero:
+    if lin.is_zero:
         raise CompositionError("outer series must have nonzero linear coefficient")
     order = min(outer.order, rhs.order)
     rhs = rhs.truncate(order)
-    g = TruncatedSeries.zero(rhs.variables, order, rhs.tolerance)
-    lin_inv = (ComplexRational(1) / lin) if outer.tolerance is None else (1.0 / lin)
+    g = TruncatedSeries.zero(rhs.variables, order)
+    lin_inv = ComplexRational(1) / lin
     for n in range(1, order + 1):
         composed = outer.truncate(n).compose({var: g})
         cn = rhs.coefficient((n,)) - composed.coefficient((n,))
-        g = g + TruncatedSeries(
-            rhs.variables, order, {(n,): cn * lin_inv}, rhs.tolerance
-        )
-    residual = rhs - outer.compose({var: g})
-    if residual.tolerance is None:
-        if not residual.is_zero:
-            raise CompositionError("triangular solve failed to close")
+        g = g + TruncatedSeries(rhs.variables, order, {(n,): cn * lin_inv})
+    if not (rhs - outer.compose({var: g})).is_zero:
+        raise CompositionError("triangular solve failed to close")
     return g

@@ -591,6 +591,14 @@ def test_an_unwritable_out_or_a_non_utf8_input_is_input_error(capsys, tmp_path):
 
 
 VERDICT_CODES = {"pass": 0, "pass (vacuous)": 0, "indeterminate": 3, "fail": 1}
+SHAPES = {  # subcommand -> its document arguments and its K, if any
+    "analyze": (("surf",), ()),
+    "verify": (("surf", "surf", "map"), ()),
+    "segre": (("surf", "surf", "map"), range(5)),
+    "determine": (("surf", "map", "map"), range(1, 4)),
+    "dynamics": (("surf", "map"), ()),
+    "ode": (("ode",), ("solve", "determine", "chain")),
+}
 
 
 def _mutated(rng, source: pathlib.Path, target: pathlib.Path) -> str:
@@ -618,18 +626,10 @@ def test_every_call_ends_in_a_verdict_or_an_input_error(capsys, tmp_path):
     # fail, or exit 2 with one error line and no report; never a traceback
     rng = random.Random(7)
     docs = {ext: sorted(CORPUS.glob(f"*.{ext}")) for ext in ("surf", "map", "ode")}
-    shapes = {  # subcommand -> its document arguments and its K, if any
-        "analyze": (("surf",), ()),
-        "verify": (("surf", "surf", "map"), ()),
-        "segre": (("surf", "surf", "map"), range(5)),
-        "determine": (("surf", "map", "map"), range(1, 4)),
-        "dynamics": (("surf", "map"), ()),
-        "ode": (("ode",), ("solve", "determine", "chain")),
-    }
     calls = []
     for n in range(400):
-        command = rng.choice(sorted(shapes))
-        exts, last = shapes[command]
+        command = rng.choice(sorted(SHAPES))
+        exts, last = SHAPES[command]
         paths = [rng.choice(docs[ext]) for ext in exts]
         if n >= 300:  # mutate each input of the last 100 calls with probability 1/2
             paths = [
@@ -664,3 +664,92 @@ def test_every_call_ends_in_a_verdict_or_an_input_error(capsys, tmp_path):
         assert VERDICT_CODES[last.removeprefix("verdict: ")] == code, argv
     assert codes == {0, 1, 2, 3}
 
+
+SERIES_KEYS = ("Q", "phi", "F", "G", "p", "q")
+
+
+def _terms(literal: str) -> list:
+    """The top-level terms of a series literal as ``(sign, body)`` pairs."""
+    text = literal.strip()
+    sign = "+"
+    if text.startswith("-"):
+        sign, text = "-", text[1:]
+    terms, body, depth = [], "", 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch in "+-":
+            terms.append((sign, body.strip()))
+            sign, body = ch, ""
+        else:
+            body += ch
+    return terms + [(sign, body.strip())]
+
+
+def _rewritten(rng, rewrite, literal, variables, order) -> str:
+    """``literal`` with the same value: its terms shuffled, one term ``c*m``
+    split into ``c*m - 1/3*c*m + 1/3*c*m``, or ``+ m - m`` put in for a
+    monomial ``m`` of degree at most ``order``."""
+    terms = _terms(literal)
+    if rewrite == "shuffle":
+        rng.shuffle(terms)
+    elif rewrite == "split":
+        j = rng.randrange(len(terms))
+        sign, body = terms[j]
+        terms[j + 1 : j + 1] = [("-" if sign == "+" else "+", f"1/3*{body}"), (sign, f"1/3*{body}")]
+    else:
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(1, order)):
+            exps[rng.randrange(len(variables))] += 1
+        m = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e)
+        j = rng.randrange(len(terms) + 1)
+        terms[j:j] = [("+", m), ("-", m)]
+    (sign, body), *rest = terms
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+def _rewrite_document(rng, source: pathlib.Path, target: pathlib.Path) -> str:
+    """``source`` with one kind of rewrite applied to each of its series,
+    written to ``target``."""
+    text = source.read_text(encoding="utf-8")
+    fields = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+    variables, order = fields["vars"].split(), int(fields["order"])
+    rewrite = rng.choice(("shuffle", "split", "cancel"))
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(": ")
+        if sep and key in SERIES_KEYS:
+            parts = value.split(";")
+            value = " ; ".join(_rewritten(rng, rewrite, v, variables, order) for v in parts)
+        lines.append(key + sep + value)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(target)
+
+
+def _without_inputs(report: str) -> str:
+    lines = report.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("input: "))
+
+
+def test_rewrites_that_keep_the_series_keep_the_report(capsys, tmp_path):
+    # shuffled terms, split coefficients and cancelling pairs change only the
+    # input: lines (their sha256); the exit code and every other byte stay
+    rng = random.Random(11)
+    docs = {ext: sorted(CORPUS.glob(f"*.{ext}")) for ext in ("surf", "map", "ode")}
+    for command in sorted(SHAPES):
+        exts, last = SHAPES[command]
+        for n in range(80):
+            paths = [rng.choice(docs[ext]) for ext in exts]
+            tail = [str(rng.choice(last))] if last else []
+            order = rng.choice([None, 1, 2, 3, 4, 6, 8, 12])
+            tail += [] if order is None else ["--order", str(order)]
+            rewritten = [
+                _rewrite_document(rng, p, tmp_path / f"{command}{n}_{i}" / p.name)
+                for i, p in enumerate(paths)
+            ]
+            code, out, err = run_shared(capsys, [command, *map(str, paths), *tail])
+            got = run_shared(capsys, [command, *rewritten, *tail])
+            for path, new in zip(paths, rewritten):
+                err = err.replace(str(path), new)
+            want = (code, _without_inputs(out), err)
+            assert (got[0], _without_inputs(got[1]), got[2]) == want, (command, rewritten)

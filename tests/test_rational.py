@@ -207,7 +207,6 @@ def test_to_complex_and_flags(p):
     assert x.to_complex() == complex(float(p[0]), float(p[1]))
     assert x.is_zero == (p == (0, 0))
     assert bool(x) == (p != (0, 0))
-    assert x.is_real == (p[1] == 0)
 
 
 def test_constructor_accepts_what_fraction_accepts():

@@ -2,8 +2,7 @@
 
 The exact reference keeps each coefficient as a ``(re, im)`` pair of
 ``Fraction`` objects and multiplies term by term; it does no arithmetic on
-crjets scalars.  The float reference multiplies and adds Python ``complex``
-values in the order of the terms.
+crjets scalars.
 """
 
 from fractions import Fraction
@@ -16,7 +15,6 @@ from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
 
 NAMES = ("a", "b", "c", "d")
-TOL = 1e-12
 
 
 def pairs(s: TS) -> dict:
@@ -131,48 +129,6 @@ def test_boxed_products_through_compose(abbox):
     names = {a.variables[j]: bound for j, bound in box.items()}
     got = outer.compose({"u": a, "v": b}, box=names)
     assert_exact_product(got, schoolbook(pairs(a), pairs(b), a.order, box))
-
-
-finite = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def float_operands(draw):
-    variables = NAMES[: draw(st.integers(min_value=1, max_value=3))]
-
-    def table(order):
-        monomial = st.tuples(*[st.integers(min_value=0, max_value=order)] * len(variables))
-        coeff = st.builds(complex, finite, finite | st.just(0.0) | st.just(-0.0))
-        terms = draw(st.dictionaries(monomial, coeff, max_size=8))
-        return TS(variables, order, terms, tolerance=TOL)
-
-    return table(draw(st.integers(min_value=0, max_value=7))), table(
-        draw(st.integers(min_value=0, max_value=7))
-    )
-
-
-def complex_schoolbook(a: TS, b: TS) -> list:
-    order = min(a.order, b.order)
-    out: dict = {}
-    for mi, ca in a.coefficients.items():
-        for mj, cb in b.coefficients.items():
-            if sum(mi) + sum(mj) <= order:
-                mk = tuple(x + y for x, y in zip(mi, mj))
-                out[mk] = out[mk] + ca * cb if mk in out else ca * cb
-    return [(mk, c) for mk, c in out.items() if not abs(c) < TOL]
-
-
-def bits(items) -> list:
-    return [(mk, c.real.hex(), c.imag.hex()) for mk, c in items]
-
-
-@settings(max_examples=150, deadline=None)
-@given(float_operands())
-def test_float_product_is_the_complex_schoolbook_bit_for_bit(ab):
-    a, b = ab
-    want = bits(complex_schoolbook(a, b))
-    assert bits((a * b).coefficients.items()) == want
-    assert bits((a * b).coefficients.items()) == want
 
 
 @settings(max_examples=60, deadline=None)
