@@ -69,6 +69,9 @@ class Report:
 
     def __init__(self, command: str):
         self.lines: list[tuple[str, str]] = [("command", command)]
+        # (text, kind, order) -> (warnings, built input): a document named
+        # twice in one call is parsed, built and validated once
+        self.inputs: dict = {}
 
     def add(self, key: str, value):
         self.lines.append((key, str(value)))
@@ -111,8 +114,10 @@ def _emit(report: Report, out_path: str | None) -> int:
 
 
 def _load(report: Report, path: str, kind: str, order: int | None):
-    """Read, parse and truncate one input, add its ``input:`` and ``warning:``
-    lines to the report, and return the surface, map or ODE it describes."""
+    """Read one input, add its ``input:`` and ``warning:`` lines to the
+    report, and return the surface, map or ODE it describes.  The document
+    is parsed, truncated and built on its first reading in this report; a
+    later argument with the same text, kind and order gets the same object."""
     if order is not None and order < 0:
         raise InputError(f"--order must be nonnegative, got {order}")
     try:
@@ -120,6 +125,16 @@ def _load(report: Report, path: str, kind: str, order: int | None):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    key = (text, kind, order)
+    if key not in report.inputs:
+        report.inputs[key] = _build(path, text, kind, order)
+    warnings, built = report.inputs[key]
+    report.add_input(path, text, warnings)
+    return built
+
+
+def _build(path: str, text: str, kind: str, order: int | None):
+    """Parse, truncate and build one document: ``(warnings, built input)``."""
     try:
         doc = parse_document(text)
     except ParseError as exc:
@@ -132,8 +147,7 @@ def _load(report: Report, path: str, kind: str, order: int | None):
                 f"{path}: cannot raise order to {order} beyond declared {doc.body['order']}"
             )
         _truncate_document(doc, order)
-    report.add_input(path, text, doc.warnings)
-    return {"surface": _surface, "map": _map, "ode": _ode}[kind](doc, path)
+    return doc.warnings, {"surface": _surface, "map": _map, "ode": _ode}[kind](doc, path)
 
 
 def _truncate_document(doc: Document, order: int):

@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import ComplexRational as CR
-from .series import TruncatedSeries, format_series
+from .rational import _reduced
+from .series import TruncatedSeries, _trusted, format_series
 
 
 class ParseError(Exception):
@@ -32,190 +32,79 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass
-class _Token:
-    kind: str  # NUM IDENT OP EOF
-    text: str
-    line: int
-    column: int
+# one token per match: an ASCII number, a word, an operator, or any other
+# character, which is an error; only space and tab are skipped
+_TOKEN = re.compile(r"[ \t]*(?:([0-9]+)|(\w+)|([-+*/^()])|([^ \t]))")
 
 
-def _tokenize(text: str, line: int, columns) -> list[_Token]:
-    """Tokens of ``text`` on ``line``; ``columns[i]`` is the source column of
-    ``text[i]`` and ``columns[len(text)]`` that of the end."""
+def _tokenize(text: str, line: int, columns) -> list[tuple]:
+    """The tokens ``(kind, text, column)`` of ``text`` on ``line``, closed
+    by ``("", "", end column)``; ``columns[i]`` is the source column of
+    ``text[i]`` and ``columns[len(text)]`` that of the end.  The kind is
+    ``"0"`` for a number, ``"i"`` for the imaginary unit, ``"a"`` for any
+    other name and the character itself for an operator."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], line, columns[i]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, columns[i]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, line, columns[i]))
-            i += 1
-            continue
-        if ch.isdigit():
-            raise ParseError(f"digits must be ASCII 0-9, found {ch!r}", line, columns[i])
-        raise ParseError(f"unexpected character {ch!r}", line, columns[i])
-    tokens.append(_Token("EOF", "", line, columns[n]))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        tok = m[group]
+        column = columns[m.start(group)]
+        if group == 1:
+            tokens.append(("0", tok, column))
+        elif group == 3:
+            tokens.append((tok, tok, column))
+        elif group == 2 and (tok[0].isalpha() or tok[0] == "_"):
+            tokens.append(("i" if tok == "i" else "a", tok, column))
+        elif tok[0].isdigit():
+            raise ParseError(f"digits must be ASCII 0-9, found {tok[0]!r}", line, column)
+        else:
+            raise ParseError(f"unexpected character {tok[0]!r}", line, column)
+    tokens.append(("", "", columns[len(text)]))
     return tokens
 
 
-class _SeriesParser:
-    def __init__(self, tokens: list[_Token], variables: tuple[str, ...], order: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-        self.order = order
-        self.dropped: list[str] = []
+def _rational(tokens, pos: int, line: int) -> tuple[int, int, int]:
+    """``(numerator, denominator, next position)`` of the rational at ``pos``."""
+    num = int(tokens[pos][1])
+    if tokens[pos + 1][0] != "/":
+        return num, 1, pos + 1
+    kind, text, column = tokens[pos + 2]
+    if kind != "0":
+        raise ParseError("expected a denominator after '/'", line, column)
+    den = int(text)
+    if den == 0:
+        raise ParseError("zero denominator", line, column)
+    return num, den, pos + 3
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def parse(self) -> TruncatedSeries:
-        table: dict = {}  # every term adds here: a series sum per term would copy it each time
-        sign = CR(1)
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.take()
-            sign = CR(-1)
-        self.term(sign, table)
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.take()
-                self.term(CR(1) if tok.text == "+" else CR(-1), table)
-            elif tok.kind == "EOF":
-                return TruncatedSeries(self.variables, self.order, table)
-            else:
-                self.error(f"expected '+', '-' or end of series, found {tok.text!r}")
-
-    def term(self, sign: CR, table: dict) -> None:
-        coeff = sign
-        exps = [0] * len(self.variables)
-        start = self.peek()
-        saw_factor = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "NUM":
-                coeff = coeff * self.rational()
-                saw_factor = True
-            elif tok.kind == "IDENT" and tok.text == "i":
-                self.take()
-                coeff = coeff * CR(0, 1)
-                saw_factor = True
-            elif tok.kind == "IDENT":
-                self.take()
-                if tok.text not in self.variables:
-                    raise ParseError(
-                        f"unknown variable {tok.text!r} (declared: {' '.join(self.variables)})",
-                        tok.line,
-                        tok.column,
-                    )
-                power = 1
-                if self.peek().kind == "OP" and self.peek().text == "^":
-                    self.take()
-                    ptok = self.peek()
-                    if ptok.kind != "NUM":
-                        self.error("expected a nonnegative integer exponent after '^'")
-                    self.take()
-                    power = int(ptok.text)
-                exps[self.variables.index(tok.text)] += power
-                saw_factor = True
-            elif tok.kind == "OP" and tok.text == "(":
-                coeff = coeff * self.paren_coeff()
-                saw_factor = True
-            else:
-                break
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "*":
-                self.take()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("expected a term", start.line, start.column)
-        degree = sum(exps)
-        if degree > self.order:
-            self.dropped.append(
-                f"monomial of degree {degree} exceeds declared order {self.order}; "
-                f"dropped (line {start.line}, column {start.column})"
-            )
-            return
-        mi = tuple(exps)
-        table[mi] = table[mi] + coeff if mi in table else coeff
-
-    def rational(self) -> CR:
-        tok = self.take()
-        num = int(tok.text)
-        if self.peek().kind == "OP" and self.peek().text == "/":
-            self.take()
-            dtok = self.peek()
-            if dtok.kind != "NUM":
-                self.error("expected a denominator after '/'")
-            self.take()
-            den = int(dtok.text)
-            if den == 0:
-                raise ParseError("zero denominator", dtok.line, dtok.column)
-            return CR(Fraction(num, den))
-        return CR(num)
-
-    def paren_coeff(self) -> CR:
-        self.take()  # '('
-        acc = CR(0)
-        sign = CR(1)
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.take()
-            sign = CR(-1)
-        acc = acc + sign * self.coeff_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.take()
-                acc = acc + (CR(1) if tok.text == "+" else CR(-1)) * self.coeff_term()
-            elif tok.kind == "OP" and tok.text == ")":
-                self.take()
-                return acc
-            else:
-                self.error("expected '+', '-' or ')' in coefficient")
-
-    def coeff_term(self) -> CR:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "i":
-            self.take()
-            return CR(0, 1)
-        if tok.kind != "NUM":
-            self.error("expected a rational or 'i' in coefficient")
-        value = self.rational()
-        if self.peek().kind == "OP" and self.peek().text == "*":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "IDENT" and nxt.text == "i":
-                self.take()
-                self.take()
-                return value * CR(0, 1)
-        return value
+def _paren_coeff(tokens, pos: int, line: int) -> tuple[int, int, int, int]:
+    """``(a, b, d, next position)`` of the coefficient ``(a + b*i) / d``
+    in parentheses, from ``pos`` just past the ``(``."""
+    a, b, d = 0, 0, 1
+    sign = 1
+    if tokens[pos][0] == "-":
+        pos += 1
+        sign = -1
+    while True:
+        kind, _, column = tokens[pos]
+        if kind == "i":
+            pos += 1
+            x, y, e = 0, sign, 1
+        elif kind == "0":
+            x, e, pos = _rational(tokens, pos, line)
+            x, y = sign * x, 0
+            if tokens[pos][0] == "*" and tokens[pos + 1][0] == "i":
+                pos += 2
+                x, y = 0, x
+        else:
+            raise ParseError("expected a rational or 'i' in coefficient", line, column)
+        a, b, d = a * e + x * d, b * e + y * d, d * e
+        kind, _, column = tokens[pos]
+        pos += 1
+        if kind == ")":
+            return a, b, d, pos
+        if kind != "+" and kind != "-":
+            raise ParseError("expected '+', '-' or ')' in coefficient", line, column)
+        sign = 1 if kind == "+" else -1
 
 
 def parse_series(
@@ -227,15 +116,84 @@ def parse_series(
     warnings: list[str] | None = None,
 ) -> TruncatedSeries:
     tokens = _tokenize(text, line, range(column, column + len(text) + 1))
-    return _parse_tokens(tokens, variables, order, warnings)
+    return _parse_tokens(tokens, tuple(variables), order, line, warnings)
 
 
-def _parse_tokens(tokens, variables, order, warnings) -> TruncatedSeries:
-    parser = _SeriesParser(tokens, tuple(variables), order)
-    out = parser.parse()
-    if warnings is not None:
-        warnings.extend(parser.dropped)
-    return out
+def _parse_tokens(tokens, variables, order, line, warnings) -> TruncatedSeries:
+    """The series the tokens spell, in one pass.  Each term's coefficient
+    is kept as integers ``(a + b*i) / d`` and reduced once; a term above
+    ``order`` is dropped with a warning, added to ``warnings`` only if the
+    whole series parses."""
+    table: dict = {}  # every term adds here: a series sum per term would copy it each time
+    dropped = []
+    pos = 0
+    sign = 1
+    if tokens[0][0] == "-":
+        pos = 1
+        sign = -1
+    while True:
+        start = tokens[pos][2]
+        a, b, d = sign, 0, 1
+        exps = [0] * len(variables)
+        saw_factor = False
+        while True:
+            kind, text, column = tokens[pos]
+            if kind == "0":
+                num, den, pos = _rational(tokens, pos, line)
+                a, b, d = a * num, b * num, d * den
+            elif kind == "i":
+                pos += 1
+                a, b = -b, a
+            elif kind == "a":
+                pos += 1
+                if text not in variables:
+                    raise ParseError(
+                        f"unknown variable {text!r} (declared: {' '.join(variables)})",
+                        line,
+                        column,
+                    )
+                power = 1
+                if tokens[pos][0] == "^":
+                    kind, exponent, column = tokens[pos + 1]
+                    if kind != "0":
+                        raise ParseError(
+                            "expected a nonnegative integer exponent after '^'", line, column
+                        )
+                    pos += 2
+                    power = int(exponent)
+                exps[variables.index(text)] += power
+            elif kind == "(":
+                x, y, e, pos = _paren_coeff(tokens, pos + 1, line)
+                a, b, d = a * x - b * y, a * y + b * x, d * e
+            else:
+                break
+            saw_factor = True
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        if not saw_factor:
+            raise ParseError("expected a term", line, start)
+        degree = sum(exps)
+        if degree > order:
+            dropped.append(
+                f"monomial of degree {degree} exceeds declared order {order}; "
+                f"dropped (line {line}, column {start})"
+            )
+        else:
+            mi = tuple(exps)
+            coeff = _reduced(a, b, d)
+            table[mi] = table[mi] + coeff if mi in table else coeff
+        kind, text, column = tokens[pos]
+        if kind == "":
+            if warnings is not None:
+                warnings.extend(dropped)
+            return _trusted(variables, order, table, None)
+        if kind != "+" and kind != "-":
+            raise ParseError(
+                f"expected '+', '-' or end of series, found {text!r}", line, column
+            )
+        pos += 1
+        sign = 1 if kind == "+" else -1
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +371,7 @@ def parse_document(text: str) -> Document:
         pieces.append(source[last:])
         columns += range(col + last, col + len(source) + 1)
         tokens = _tokenize("".join(pieces), line, columns)
-        return _parse_tokens(tokens, variables, order, warnings)
+        return _parse_tokens(tokens, variables, order, line, warnings)
 
     if kind == "surface":
         if "Q" in entries:

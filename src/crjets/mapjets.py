@@ -616,7 +616,7 @@ def determination_experiment(
     surface: NormalFormSurface, h1: MapGerm, h2: MapGerm, k: int
 ) -> DeterminationVerdict:
     """Same k-jet forces the same germ (through the stored order)."""
-    for h in (h1, h2):
+    for h in (h1,) if h1 is h2 else (h1, h2):
         if not verify_mapping(surface, surface, h).is_zero:
             raise PreconditionError("map does not preserve the surface")
     jets_agree = h1.jet(k) == h2.jet(k)

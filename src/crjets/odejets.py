@@ -556,6 +556,7 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     system.eliminate()
     top = min(n_max, ode.order - ode.gamma)  # the orders that can be free
     below = ()  # the unknown orders that alone kept run k - 1 from settling
+    unpinned = 1  # no order in k + 1 .. unpinned - 1 has a free component
     for k in range(0, n_max + 1):
         # a[0] holds the seed's constants, so step 0 adds nothing
         seeded = all(
@@ -565,11 +566,13 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
         if not (seeded and system.settle()):
             formal_coefficients(ode, {s: base.coefficients[s] for s in range(k + 1)}, n_max)
             raise AssertionError("the seeded run extends a contradicted seed")
-        if any(
-            system.solver.value(aff) is None
-            for s in range(k + 1, top + 1)
-            for aff in system.a[s]
+        # pins only accumulate, so the lowest unpinned order only moves up
+        unpinned = max(unpinned, k + 1)
+        while unpinned <= top and all(
+            system.solver.value(aff) is not None for aff in system.a[unpinned]
         ):
+            unpinned += 1
+        if unpinned <= top:
             below = ()  # a free order: not settled
             continue
         coefficients, _, unknown_orders = system.read()

@@ -452,7 +452,9 @@ class TruncatedSeries:
         inner product calls :func:`_product`, which divides out the content
         of its result, not ``__mul__``; sums add numerators over the least
         common denominator.  The result is unpacked once and each of its
-        coefficients reduced once.
+        coefficients reduced once.  When every slot is an unscaled move, no
+        numerators are formed: each result coefficient is the outer's own,
+        or the ``+`` of the outer coefficients that land on one key.
         """
         self._check_exact()
         missing = [v for v in self.variables if v not in substitutions]
@@ -518,6 +520,11 @@ class TruncatedSeries:
             if limits and any(layout.slot(key, j) > b for j, b in limits):
                 continue
             kept.append((mi, key, c))
+        if not (general or scaled):  # unscaled moves only: no numerators, no product
+            table = {}
+            for _, key, c in kept:
+                table[key] = table[key] + c if key in table else c
+            return _trusted(variables, order, layout.unpack(table), None)
         nums, d = numerators([c for _, _, c in kept])
         # a scaled slot contributes c^e = (a + b*i)^e / dc^e; written over
         # dc^emax as (a + b*i)^e * dc^(emax - e), every leaf keeps one denominator
@@ -548,7 +555,7 @@ class TruncatedSeries:
                 node[key] = (x + re, y + im)
             else:
                 node[key] = (re, im)
-        if not general:  # moves only: no product
+        if not general:  # scaled moves only: no product
             return _series(variables, order, layout.unpack(root, d), None)
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
         pos, powers = general[-1]
@@ -739,18 +746,22 @@ class _Layout:
         nums, d = numerators(values)
         return dict(zip(keys, nums)), d
 
-    def unpack(self, table, d) -> dict:
+    def unpack(self, table, d=None) -> dict:
         """The coefficient table of a packed table over ``d``: each value
-        reduced once to its canonical ``ComplexRational``, zeros dropped."""
+        ``(re, im)`` reduced once to its canonical ``ComplexRational``, zeros
+        dropped.  With no ``d`` the values are coefficients, kept as they are."""
         monomials, mask, shifts = self.monomials, self.mask, self.shifts
         out = {}
-        for k, (x, y) in table.items():
-            if not (x or y):
-                continue
+        for k, v in table.items():
+            if d is not None:
+                x, y = v
+                if not (x or y):
+                    continue
+                v = _reduced(x, y, d)
             mk = monomials.get(k)
             if mk is None:
                 mk = monomials[k] = tuple([k >> shift & mask for shift in shifts])
-            out[mk] = _reduced(x, y, d)
+            out[mk] = v
         return out
 
 

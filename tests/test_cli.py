@@ -10,6 +10,7 @@ import pytest
 
 from crjets import cli
 from crjets.cli import main
+from crjets.dsl import parse_document
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -197,6 +198,49 @@ def test_dropped_monomials_are_reported(capsys, tmp_path):
         "dropped (line 3, column 18)"
     ]
     assert out.index("input: dropped.surf") < out.index("warning: dropped.surf")
+
+
+@pytest.mark.parametrize("command,extra", [("verify", ()), ("segre", ("1",))])
+def test_a_surface_named_twice_is_parsed_once(capsys, monkeypatch, command, extra):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_document(text)
+
+    monkeypatch.setattr(cli, "parse_document", counting)
+    heis = CORPUS / "heisenberg.surf"
+    code, out = run(capsys, command, heis, heis, CORPUS / "h_mobius_1.map", *extra)
+    assert code == 0
+    assert len(calls) == 2  # the surface once, the map once
+    assert out.count("input: heisenberg.surf ") == 2
+
+
+def test_a_copy_under_the_same_name_gives_the_same_report(capsys, tmp_path):
+    heis = CORPUS / "heisenberg.surf"
+    copy = tmp_path / "heisenberg.surf"
+    copy.write_bytes(heis.read_bytes())
+    mobius = CORPUS / "h_mobius_1.map"
+    for argv in (("verify", heis, "{}", mobius), ("segre", heis, "{}", mobius, "1")):
+        same = run(capsys, *[str(a).format(heis) for a in argv])
+        copied = run(capsys, *[str(a).format(copy) for a in argv])
+        assert same == copied and same[0] == 0
+
+
+def test_a_surface_named_twice_warns_after_each_input(capsys, tmp_path):
+    surf = tmp_path / "dropped.surf"
+    surf.write_text("vars: z x t\norder: 3\nQ: t + 2*i*z*x + z^5*x\n")
+    code, out = run(capsys, "verify", surf, surf, CORPUS / "identity.map")
+    assert code == 0
+    warning = (
+        "warning: dropped.surf: monomial of degree 6 exceeds declared order 3; "
+        "dropped (line 3, column 18)"
+    )
+    lines = out.splitlines()
+    inputs = [i for i, line in enumerate(lines) if line.startswith("input: dropped.surf ")]
+    assert len(inputs) == 2
+    assert [lines[i + 1] for i in inputs] == [warning, warning]
+    assert lines.count(warning) == 2
 
 
 def test_segre_jet_only(capsys):

@@ -105,6 +105,10 @@ def test_two_bare_slots_into_one_variable(seed):
         "c": random_series(rng, zx, 5, 3, min_degree=1),
     }
     assert outer.compose(subs) == oracle(outer, subs)
+    moves = dict(subs, c=TS.variable("x", zx, 5))  # moves only: coefficients pass through
+    assert outer.compose(moves) == oracle(outer, moves)
+    cancel = TS(("a", "b", "c"), 5, {(1, 0, 0): 1, (0, 1, 0): -1})
+    assert cancel.compose(moves).coefficients == {}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

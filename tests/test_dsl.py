@@ -225,6 +225,18 @@ def test_superscript_after_a_letter_stays_part_of_the_name():
 
 
 @pytest.mark.parametrize(
+    "p,column",
+    [("theta1*y1 + x ; ", 19), ("theta1*y1 + ; theta2*y2", 16)],
+)
+def test_an_empty_p_term_after_theta_substitution_is_located(p, column):
+    # the first component keeps its trailing space through the substitution
+    text = f"kind: ode\ngamma: 0\nvars: x y1 y2\norder: 4\np: {p}\nq: 1\ntheta: 1/2 3\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert str(err.value) == f"expected a term (line 5, column {column})"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "vars: z x t\norder: ٣\nQ: t\n",
