@@ -37,27 +37,66 @@ from .hypersurface import (
     UnknownAbove,
     from_real_graph,
 )
+# verify_mapping stays bound here: perfbench's tracer test wraps it under this name
 from .mapjets import (
+    DivisibilityObstruction,
+    InconsistentJet,
     LeviFlatInput,
     MapError,
     MapGerm,
     PreconditionError,
+    PremiseFailure,
     TruncationLimit,
     determination_experiment,
     dynamics_check,
     invariance_check,
     invariant_mismatches,
+    require_premise,
     segre_jet_reconstruct,
     segre_restriction_direct,
     verify_mapping,
 )
 from .rational import format_fraction, format_scalar
-from .series import SeriesError, TruncatedSeries, format_series
+from .series import TruncatedSeries, format_series
 
-EXIT_FAIL = 1
 EXIT_INPUT = 2
 # the one place a verdict becomes an exit code
-EXIT_CODES = {"pass": 0, "pass (vacuous)": 0, "fail": EXIT_FAIL, "indeterminate": 3}
+EXIT_CODES = {"pass": 0, "pass (vacuous)": 0, "fail": 1, "indeterminate": 3}
+# the one place an engine outcome becomes report lines and a verdict:
+# exception class -> (its lines, its verdict)
+OUTCOMES = {
+    # MAP does not send SURFACE into SURFACE2; the residual is the witness
+    PremiseFailure: (
+        lambda exc: [
+            *([("failing_map", "map" if exc.germ == 1 else "map2")] if exc.germ else []),
+            ("certified_order", exc.residual.order),
+            ("residual_lowest_term", _lowest_witness(exc.residual)),
+        ],
+        "fail",
+    ),
+    # the premise holds, but reconstruction needs data beyond the truncation
+    TruncationLimit: (lambda exc: [("certified_order", exc.work)], "indeterminate"),
+    # no derivative data through the truncation
+    LeviFlatInput: (
+        lambda exc: [
+            ("m0", _fmt_invariant(InfiniteUpTo(exc.order))),
+            ("certified_order", exc.order),
+        ],
+        "indeterminate",
+    ),
+    # the premise holds, yet the jet contradicts the reconstruction
+    InconsistentJet: (lambda exc: [("obstruction", exc)], "fail"),
+    DivisibilityObstruction: (lambda exc: [("obstruction", exc)], "fail"),
+    # no formal solution: the witness is the first contradicting order
+    odejets.InconsistentSeed: (lambda exc: [("inconsistent_order", exc.order)], "fail"),
+    odejets.IndeterminateAtTruncation: (
+        lambda exc: [
+            ("determination_order", f"indeterminate (at most {exc.at_most})"),
+            ("unknown_orders", ",".join(map(str, exc.unknown_orders))),
+        ],
+        "indeterminate",
+    ),
+}
 
 
 class InputError(Exception):
@@ -82,20 +121,14 @@ class Report:
         for message in warnings:
             self.add("warning", f"{name}: {message}")
 
-    def verdict(self, value: str) -> Report:
-        self.add("verdict", value)
-        return self
-
     def render(self) -> str:
         return "".join(f"{k}: {v}\n" for k, v in self.lines)
 
 
-def _emit(report: Report, out_path: str | None) -> int:
-    """Write the report, to ``out_path`` first, and return its verdict's exit code."""
-    key, verdict = report.lines[-1]
-    if key != "verdict":
-        raise ValueError(f"report {report.lines[0][1]} ends in {key!r}, not a verdict")
-    code = EXIT_CODES[verdict]
+def _emit(report: Report, verdict: str, out_path: str | None) -> int:
+    """Close the report with its verdict, write it, to ``out_path`` first,
+    and return the verdict's exit code."""
+    report.add("verdict", verdict)
     text = report.render()
     if out_path:
         tmp, opened = out_path + ".tmp", False
@@ -110,7 +143,7 @@ def _emit(report: Report, out_path: str | None) -> int:
                     os.remove(tmp)
             raise InputError(f"cannot write {out_path}: {exc}") from None
     sys.stdout.write(text)
-    return code
+    return EXIT_CODES[verdict]
 
 
 def _load(report: Report, path: str, kind: str, order: int | None):
@@ -215,8 +248,7 @@ def _lowest_witness(series) -> str:
 # subcommands
 
 
-def cmd_analyze(args) -> Report:
-    report = Report("analyze")
+def cmd_analyze(args, report: Report) -> str:
     surface = _load(report, args.surface, "surface", args.order)
     report.add("order", surface.order)
     normal = surface.check_normal()
@@ -229,7 +261,7 @@ def cmd_analyze(args) -> Report:
     if not reality.passed:
         report.add("reality_witness", _lowest_witness(reality.residual))
     if not (normal.passed and reality.passed):
-        return report.verdict("fail")
+        return "fail"
     inv = surface.compute_invariants()
     report.add("m0", _fmt_invariant(inv.m0))
     report.add("alpha0", _fmt_invariant(inv.alpha0))
@@ -241,11 +273,10 @@ def cmd_analyze(args) -> Report:
     report.add("certified_order", inv.certified_order)
     if inv.ell_below_alpha0:
         report.add("warning", "ell is smaller than alpha0")
-    return report.verdict("indeterminate" if isinstance(inv.m0, InfiniteUpTo) else "pass")
+    return "indeterminate" if isinstance(inv.m0, InfiniteUpTo) else "pass"
 
 
-def cmd_verify(args) -> Report:
-    report = Report("verify")
+def cmd_verify(args, report: Report) -> str:
     source = _load(report, args.surface, "surface", args.order)
     target = _load(report, args.surface2, "surface", args.order)
     germ = _load(report, args.map, "map", args.order)
@@ -261,40 +292,19 @@ def cmd_verify(args) -> Report:
         report.add("mismatch", f"{name}: {_fmt_invariant(a)} != {_fmt_invariant(b)}")
     if inv_report.beta_identity_holds is not None:
         report.add("beta_identity", "holds" if inv_report.beta_identity_holds else "fails")
-    return report.verdict("pass" if inv_report.passed else "fail")
+    return "pass" if inv_report.passed else "fail"
 
 
-def _fail_with_obstructions(report: Report, mismatches) -> Report:
+def _fail_with_obstructions(report: Report, mismatches) -> str:
     for name, a, b in mismatches:
         report.add(
             "invariant_obstruction",
             f"{name}: {_fmt_invariant(a)} != {_fmt_invariant(b)}",
         )
-    return report.verdict("fail")
+    return "fail"
 
 
-def _levi_flat(report: Report, exc: LeviFlatInput) -> Report:
-    """No derivative data through the truncation: indeterminate there."""
-    report.add("m0", _fmt_invariant(InfiniteUpTo(exc.order)))
-    report.add("certified_order", exc.order)
-    return report.verdict("indeterminate")
-
-
-def _truncation_limit(report: Report, exc: TruncationLimit, source, target, germ) -> Report:
-    """Reconstruction stopped at the truncation: a nonzero mapping residual
-    is a witness that the map does not send source into target; otherwise
-    the verdict is indeterminate at that order."""
-    residual = verify_mapping(source, target, germ)
-    if not residual.is_zero:
-        report.add("certified_order", residual.order)
-        report.add("residual_lowest_term", _lowest_witness(residual))
-        return report.verdict("fail")
-    report.add("certified_order", exc.work)
-    return report.verdict("indeterminate")
-
-
-def cmd_segre(args) -> Report:
-    report = Report("segre")
+def cmd_segre(args, report: Report) -> str:
     source = _load(report, args.surface, "surface", args.order)
     target = _load(report, args.surface2, "surface", args.order)
     germ = _load(report, args.map, "map", args.order)
@@ -312,25 +322,23 @@ def cmd_segre(args) -> Report:
     jet = germ.jet(args.k + 1)
     try:
         recon = segre_jet_reconstruct(source, target, jet, args.k)
-    except LeviFlatInput as exc:
-        return _levi_flat(report, exc)
-    except TruncationLimit as exc:
-        return _truncation_limit(report, exc, source, target, germ)
+    except MapError:  # a stopped reconstruction: first the premise it assumed
+        require_premise(source, target, germ)
+        raise
     report.add("backend", "exact")
     report.add("reconstructed_F", format_series(recon.f_wk))
     report.add("reconstructed_G", format_series(recon.g_wk))
     report.add("certified_order", min(recon.f_wk.order, recon.g_wk.order))
     if args.jet_only:
-        return report.verdict("pass")
+        return "pass"
     direct = segre_restriction_direct(germ, args.k)
     report.add("direct_F", format_series(direct.f_wk))
     report.add("direct_G", format_series(direct.g_wk))
     report.add("comparison", "exact")
-    return report.verdict("pass" if recon.agrees_with(direct) else "fail")
+    return "pass" if recon.agrees_with(direct) else "fail"
 
 
-def cmd_determine(args) -> Report:
-    report = Report("determine")
+def cmd_determine(args, report: Report) -> str:
     surface = _load(report, args.surface, "surface", args.order)
     germs = tuple(_load(report, path, "map", args.order) for path in (args.map, args.map2))
     report.add("k", args.k)
@@ -345,42 +353,31 @@ def cmd_determine(args) -> Report:
     verdict = determination_experiment(surface, *germs, args.k)
     report.add("jets_agree", "true" if verdict.jets_agree else "false")
     if verdict.vacuous:
-        return report.verdict("pass (vacuous)")
+        return "pass (vacuous)"
     report.add("maps_agree", "true" if verdict.maps_agree else "false")
     if verdict.first_difference is not None:
         name, mi, c = verdict.first_difference
         report.add("first_difference", f"{name} at exponents {mi}")
-    return report.verdict("pass" if verdict.passed else "fail")
+    return "pass" if verdict.passed else "fail"
 
 
-def cmd_dynamics(args) -> Report:
-    report = Report("dynamics")
+def cmd_dynamics(args, report: Report) -> str:
     surface = _load(report, args.surface, "surface", args.order)
     germ = _load(report, args.map, "map", args.order)
     if germ.order < 1:
         raise InputError(
             f"{args.map}: dynamics needs the 1-jet, beyond the map's stored order {germ.order}"
         )
-    try:
-        verdict = dynamics_check(surface, germ)
-    except LeviFlatInput as exc:
-        return _levi_flat(report, exc)
+    verdict = dynamics_check(surface, germ)
     report.add(
         "reconstructed_fixes_axis",
         "true" if verdict.reconstructed_fixes_axis else "false",
     )
     report.add("stored_fixes_axis", "true" if verdict.stored_fixes_axis else "false")
-    return report.verdict("pass" if verdict.passed else "fail")
+    return "pass" if verdict.passed else "fail"
 
 
-def _inconsistent(report: Report, exc: odejets.InconsistentSeed) -> Report:
-    """No formal solution: the witness is the first contradicting order."""
-    report.add("inconsistent_order", exc.order)
-    return report.verdict("fail")
-
-
-def cmd_ode(args) -> Report:
-    report = Report("ode")
+def cmd_ode(args, report: Report) -> str:
     ode = _load(report, args.ode, "ode", args.order)
     report.add("mode", args.mode)
     n_target = args.order if args.order is not None else min(ode.order, 24)
@@ -389,10 +386,7 @@ def cmd_ode(args) -> Report:
     if ode.theta:
         report.add("theta", " ".join(format_fraction(t) for t in ode.theta))
     if args.mode == "solve":
-        try:
-            run = odejets.formal_coefficients(ode, {}, n_target)
-        except odejets.InconsistentSeed as exc:
-            return _inconsistent(report, exc)
+        run = odejets.formal_coefficients(ode, {}, n_target)
         for entry in run.obstruction_ledger:
             # no rank or kernel for a row whose equation lies beyond the data
             measured = "" if entry.rank is None else f"rank={entry.rank} kernel={entry.kernel_dim} "
@@ -404,22 +398,14 @@ def cmd_ode(args) -> Report:
             report.add("opaque_orders", ",".join(map(str, run.opaque_orders)))
         for s in sorted(run.coefficients):
             report.add(f"a_{s}", " ".join(str(c) for c in run.coefficients[s]))
-        return report.verdict("pass" if run.fully_determined else "indeterminate")
+        return "pass" if run.fully_determined else "indeterminate"
     if args.mode == "determine":
         try:
             base = odejets.zero_solution(ode, n_target)
         except odejets.OdeError as exc:  # p(x, 0) != 0: the base is not a solution
             raise InputError(f"{args.ode}: {exc}") from None
-        try:
-            k = odejets.determination_order(ode, base, n_target)
-        except odejets.IndeterminateAtTruncation as exc:
-            report.add("determination_order", f"indeterminate (at most {exc.at_most})")
-            report.add("unknown_orders", ",".join(map(str, exc.unknown_orders)))
-            return report.verdict("indeterminate")
-        except odejets.InconsistentSeed as exc:
-            return _inconsistent(report, exc)
-        report.add("determination_order", k)
-        return report.verdict("pass")
+        report.add("determination_order", odejets.determination_order(ode, base, n_target))
+        return "pass"
     # chain
     if args.r_max < 1:
         raise InputError(f"--r-max must be at least 1, got {args.r_max}")
@@ -435,7 +421,7 @@ def cmd_ode(args) -> Report:
         step = row.terminated_at if row.terminated_at is not None else "open"
         dims = ",".join(map(str, row.dims))
         report.add(f"r_{row.r}", f"dims=[{dims}] terminated_at={step}")
-    return report.verdict("pass" if chain.terminated else "indeterminate")
+    return "pass" if chain.terminated else "indeterminate"
 
 
 # ----------------------------------------------------------------------
@@ -509,14 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    report = Report(args.command)
     try:
-        return _emit(args.func(args), args.out)
+        try:
+            verdict = args.func(args, report)
+        except tuple(OUTCOMES) as exc:
+            lines, verdict = OUTCOMES[type(exc)]
+            for key, value in lines(exc):
+                report.add(key, value)
+        return _emit(report, verdict, args.out)
     except (InputError, SurfaceError, PreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MapError, SeriesError, odejets.OdeError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Grammar (everything else is a located syntax error):
     coeff  ::= ['-'] cterm (('+'|'-') cterm)*     # inside parentheses
     cterm  ::= rational ('*' 'i')? | 'i'
     rational ::= nat ('/' nat)?
-    nat    ::= [0-9]+                             # ASCII digits only
+    nat    ::= [0-9]+                  # ASCII digits only, at most 4300
 
 Documents are key/value lines; '#' starts a comment.  Parsing never raises
 anything but :class:`ParseError`, which always carries line and column.
@@ -30,6 +30,17 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.column = column
+
+
+# int() refuses longer digit strings on Python 3.10.7 and later; the grammar
+# refuses them on every Python
+MAX_DIGITS = 4300
+
+
+def _natural(text: str, line: int, column: int) -> int:
+    if len(text) > MAX_DIGITS:
+        raise ParseError(f"number has more than {MAX_DIGITS} digits", line, column)
+    return int(text)
 
 
 # one token per match: an ASCII number, a word, an operator, or any other
@@ -64,13 +75,13 @@ def _tokenize(text: str, line: int, columns) -> list[tuple]:
 
 def _rational(tokens, pos: int, line: int) -> tuple[int, int, int]:
     """``(numerator, denominator, next position)`` of the rational at ``pos``."""
-    num = int(tokens[pos][1])
+    num = _natural(tokens[pos][1], line, tokens[pos][2])
     if tokens[pos + 1][0] != "/":
         return num, 1, pos + 1
     kind, text, column = tokens[pos + 2]
     if kind != "0":
         raise ParseError("expected a denominator after '/'", line, column)
-    den = int(text)
+    den = _natural(text, line, column)
     if den == 0:
         raise ParseError("zero denominator", line, column)
     return num, den, pos + 3
@@ -160,12 +171,14 @@ def _parse_tokens(tokens, variables, order, line, warnings) -> TruncatedSeries:
                             "expected a nonnegative integer exponent after '^'", line, column
                         )
                     pos += 2
-                    power = int(exponent)
+                    power = _natural(exponent, line, column)
                 exps[variables.index(text)] += power
             elif kind == "(":
                 x, y, e, pos = _paren_coeff(tokens, pos + 1, line)
                 a, b, d = a * x - b * y, a * y + b * x, d * e
             else:
+                if saw_factor:  # after a factor, only a '*' leads here
+                    raise ParseError("expected a factor after '*'", line, column)
                 break
             saw_factor = True
             if tokens[pos][0] != "*":
@@ -309,8 +322,8 @@ def parse_document(text: str) -> Document:
         value = entries[key]
         if not (value.isascii() and value.removeprefix("-").isdigit()):
             raise ParseError(f"{key} must be an integer", line, col)
-        v = int(value)
-        if v < 0:
+        v = _natural(value.removeprefix("-"), line, col)
+        if v and value[0] == "-":
             raise ParseError(f"{key} must be nonnegative", line, col)
         return v
 
@@ -360,10 +373,10 @@ def parse_document(text: str) -> Document:
         source = entries[key] if value is None else value
         pieces, columns, last = [], [], 0
         for match in _THETA.finditer(source):
-            j = int(match[1])
-            if not 1 <= j <= len(theta):
+            j = match[1]
+            if len(j) > MAX_DIGITS or not 1 <= int(j) <= len(theta):
                 continue
-            substituted = f"({theta[j - 1]})"
+            substituted = f"({theta[int(j) - 1]})"
             pieces += [source[last : match.start()], substituted]
             columns += range(col + last, col + match.start())
             columns += [col + match.start()] * len(substituted)

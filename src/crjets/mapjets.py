@@ -81,6 +81,17 @@ class PreconditionError(MapError):
     pass
 
 
+class PremiseFailure(MapError):
+    """H does not send the source surface into the target: ``residual``,
+    the nonzero mapping residual, is the witness, and ``germ`` (1 or 2)
+    names the failing germ of a pair."""
+
+    def __init__(self, residual: TruncatedSeries, germ: int | None = None):
+        super().__init__("map does not send the source surface into the target")
+        self.residual = residual
+        self.germ = germ
+
+
 class TruncationLimit(MapError):
     """Reconstruction needs data beyond the working order ``work``: the
     verdict is indeterminate at that truncation."""
@@ -170,13 +181,6 @@ class MapGerm:
             raise MapError("inverse iteration failed to close")
         return inv
 
-    def on_axis(self) -> tuple[TruncatedSeries, TruncatedSeries]:
-        """The restriction H(z, 0) as univariate series in z."""
-        return (
-            self.f.extract({"w": 0}, keep=("z",)),
-            self.g.extract({"w": 0}, keep=("z",)),
-        )
-
 
 class MapJet:
     """Jet table at the origin, derivative-normalized entries.
@@ -202,13 +206,11 @@ class MapJet:
         return src.get((i, j), CR(0))
 
     def up_to(self, k: int) -> tuple:
-        lam = tuple(
-            sorted((ij, c) for ij, c in self.lam.items() if sum(ij) <= k and not c.is_zero)
+        """The nonzero entries of order at most k: (lam items, mu items)."""
+        return tuple(
+            tuple(sorted((ij, c) for ij, c in table.items() if sum(ij) <= k and not c.is_zero))
+            for table in (self.lam, self.mu)
         )
-        mu = tuple(
-            sorted((ij, c) for ij, c in self.mu.items() if sum(ij) <= k and not c.is_zero)
-        )
-        return lam, mu
 
     def __eq__(self, other):
         if not isinstance(other, MapJet):
@@ -285,6 +287,16 @@ def verify_mapping(
     gbar = h.g.conjugate().lift(vars3, {"z": "x", "w": "t"}).truncate(order)
     rhs = target.q.truncate(order).compose({"z": f_on_m, "x": fbar, "t": gbar})
     return g_on_m - rhs
+
+
+def require_premise(
+    source: NormalFormSurface, target: NormalFormSurface, h: MapGerm, germ: int | None = None
+):
+    """The premise of every statement about H: it sends source into target
+    through the common order; PremiseFailure otherwise."""
+    residual = verify_mapping(source, target, h)
+    if not residual.is_zero:
+        raise PremiseFailure(residual, germ)
 
 
 def segre_restriction_direct(h: MapGerm, k: int) -> SegreJetResult:
@@ -616,9 +628,8 @@ def determination_experiment(
     surface: NormalFormSurface, h1: MapGerm, h2: MapGerm, k: int
 ) -> DeterminationVerdict:
     """Same k-jet forces the same germ (through the stored order)."""
-    for h in (h1,) if h1 is h2 else (h1, h2):
-        if not verify_mapping(surface, surface, h).is_zero:
-            raise PreconditionError("map does not preserve the surface")
+    for germ, h in enumerate((h1,) if h1 is h2 else (h1, h2), start=1):
+        require_premise(surface, surface, h, germ)
     jets_agree = h1.jet(k) == h2.jet(k)
     if not jets_agree:
         return DeterminationVerdict(False, None, None)
@@ -646,8 +657,7 @@ class DynamicsVerdict:
 
 def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
     """A self-map tangent to the identity fixes the curve {w = 0} pointwise."""
-    if not verify_mapping(surface, surface, h).is_zero:
-        raise PreconditionError("map does not preserve the surface")
+    require_premise(surface, surface, h)
     jet1 = h.jet(1)
     tangent = (
         jet1.entry("lam", 1, 0) == CR(1)
@@ -659,7 +669,7 @@ def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
     recon = segre_jet_reconstruct(surface, surface, jet1, 0)
     zg = TruncatedSeries.variable("z", ("z",), recon.f_wk.order)
     recon_ok = recon.f_wk == zg and recon.g_wk.is_zero
-    f_axis, g_axis = h.on_axis()
+    f_axis, g_axis = (c.extract({"w": 0}, keep=("z",)) for c in (h.f, h.g))  # H(z, 0)
     zg_full = TruncatedSeries.variable("z", ("z",), f_axis.order)
     stored_ok = f_axis == zg_full and g_axis.is_zero
     return DynamicsVerdict(recon_ok, stored_ok)

@@ -610,7 +610,6 @@ class ChainRow:
     r: int
     dims: tuple  # (dim ker Q0, dim of step-1 and step-2 intersections) as available
     terminated_at: object  # step index or None
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -694,16 +693,13 @@ def kernel_chain_diagnostic(
     ker_dim = len(ker)
     rows = []
     for r in range(1, r_max + 1):
-        notes = []
         if ker_dim == 0:
             rows.append(ChainRow(r, (0,), terminated_at=0))
             continue
         dims = [ker_dim]
         a1_next = linalg.invert(linalg.mat_sub(_c_matrix(r + 1, gamma, n), q1))
         if a1_next is None:
-            rows.append(
-                ChainRow(r, tuple(dims), None, notes=("step-1 matrix singular",))
-            )
+            rows.append(ChainRow(r, tuple(dims), None))  # step-1 matrix singular
             continue
         im_q0 = linalg.image_basis(q0)
         v1_r = [linalg.mat_vec(a1_next, v) for v in im_q0]
@@ -714,9 +710,7 @@ def kernel_chain_diagnostic(
             continue
         a1_next2 = linalg.invert(linalg.mat_sub(_c_matrix(r + 2, gamma, n), q1))
         if a1_next2 is None:
-            rows.append(
-                ChainRow(r, tuple(dims), None, notes=("step-2 shift singular",))
-            )
+            rows.append(ChainRow(r, tuple(dims), None))  # step-2 shift singular
             continue
         d2 = linalg.mat_sub(
             linalg.mat_sub(_c_matrix(r + 1, gamma, n), q1),
@@ -724,19 +718,11 @@ def kernel_chain_diagnostic(
         )
         a2 = linalg.invert(d2)
         if a2 is None:
-            rows.append(
-                ChainRow(r, tuple(dims), None, notes=("step-2 matrix singular",))
-            )
+            rows.append(ChainRow(r, tuple(dims), None))  # step-2 matrix singular
             continue
         v1_r1 = [linalg.mat_vec(a1_next2, v) for v in im_q0]
         v2_r = [linalg.mat_vec(a2, linalg.mat_vec(q0, v)) for v in v1_r1]
         inter2 = linalg.span_intersection(ker, v2_r)
         dims.append(len(inter2))
-        rows.append(
-            ChainRow(
-                r,
-                tuple(dims),
-                terminated_at=2 if not inter2 else None,
-            )
-        )
+        rows.append(ChainRow(r, tuple(dims), terminated_at=2 if not inter2 else None))
     return ChainReport(rows=tuple(rows), ker_q0_dim=ker_dim, bound=n * gamma)

@@ -125,6 +125,57 @@ def test_segre_past_the_truncation_of_a_false_map_fails_with_a_residual(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "surface,components,k,witness",
+    [
+        # the order-2 G entry of the jet must vanish on the quartic
+        *(("z4.surf", "F: z\nG: w + z^2\n", k, "-x^2") for k in (1, 2, 3)),
+        # the order-1 value of conj F_w disagrees with the jet
+        ("heisenberg.surf", "F: z + w\nG: w + z*w\n", 1, "-2*i*t^2"),
+    ],
+)
+def test_a_stopped_segre_run_fails_with_the_residual_of_its_premise(
+    capsys, tmp_path, surface, components, k, witness
+):
+    doc = tmp_path / "off.map"
+    doc.write_text("kind: map\norder: 12\n" + components, encoding="utf-8")
+    code, out, err = run_err(capsys, "segre", CORPUS / surface, CORPUS / surface, doc, k)
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        f"k: {k}\ncertified_order: 12\nresidual_lowest_term: {witness}\nverdict: fail\n"
+    )
+
+
+def test_determine_and_dynamics_fail_with_the_residual_of_their_premise(capsys):
+    # the quartic's dilation does not send the quadric into itself
+    heis, dil = CORPUS / "heisenberg.surf", CORPUS / "dilation_z4.map"
+    witness = "certified_order: 12\nresidual_lowest_term: 24*i*z*x\nverdict: fail\n"
+    code, out, err = run_err(capsys, "determine", heis, CORPUS / "identity.map", dil, "1")
+    assert (code, err) == (1, "")
+    assert out.endswith("k: 1\nfailing_map: map2\n" + witness)
+    code, out, err = run_err(capsys, "determine", heis, dil, dil, "1")
+    assert out.endswith("k: 1\nfailing_map: map\n" + witness)
+    code, out, err = run_err(capsys, "dynamics", heis, dil)
+    assert (code, err) == (1, "")
+    assert out.endswith(witness) and "failing_map" not in out
+
+
+def test_an_obstruction_under_the_premise_is_a_failure(capsys, monkeypatch):
+    # no corpus or written map reaches it: the jet of a map that keeps the
+    # surface is realizable, so only the report's shape is checked here
+    def stopped(*args):
+        raise cli.InconsistentJet("order-1 value at the origin disagrees with the supplied jet")
+
+    monkeypatch.setattr(cli, "segre_jet_reconstruct", stopped)
+    heis = CORPUS / "heisenberg.surf"
+    code, out, err = run_err(capsys, "segre", heis, heis, CORPUS / "h_mobius_1.map", "1")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "k: 1\nobstruction: order-1 value at the origin disagrees with the supplied jet\n"
+        "verdict: fail\n"
+    )
+
+
 def test_analyze_accepts_graph_form(capsys, tmp_path):
     doc = tmp_path / "graph.surf"
     doc.write_text("vars: z x s\norder: 8\nphi: z*x\n", encoding="utf-8")
@@ -531,6 +582,17 @@ def test_a_degenerate_linear_part_is_input_error(capsys, tmp_path, command, comp
 
 
 @pytest.mark.parametrize(
+    "text", ["order: 4\nQ: t + {}*z*x\n", "order: 4\nQ: t + z^{}\n", "order: {}\nQ: t\n"]
+)
+def test_a_number_of_more_than_4300_digits_is_input_error(capsys, tmp_path, text):
+    doc = tmp_path / "long.surf"
+    doc.write_text("vars: z x t\n" + text.format("1" * 5000), encoding="utf-8")
+    code, out, err = run_err(capsys, "analyze", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {doc}: number has more than 4300 digits (line ")
+
+
+@pytest.mark.parametrize(
     "literal", ["Q: t + ²*z*x", "Q: t + 2*i*z*x^²", "Q: t + 1/²*z*x", "Q: t + ٣*i*z*x"]
 )
 def test_a_non_ascii_digit_is_input_error(capsys, tmp_path, literal):
@@ -709,7 +771,66 @@ def test_every_call_ends_in_a_verdict_or_an_input_error(capsys, tmp_path):
     assert codes == {0, 1, 2, 3}
 
 
-SERIES_KEYS = ("Q", "phi", "F", "G", "p", "q")
+COEFFICIENTS = ("1", "2", "1/2", "3", "i", "2*i", "(1+i)", "(1/2-i)")
+HIGHER = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+# a line of a failing report that shows why it fails
+WITNESSES = (
+    "residual_lowest_term: ",
+    "invariant_obstruction: ",
+    "obstruction: ",
+    "first_difference: ",
+    "comparison: ",
+    "reconstructed_fixes_axis: false",
+    "stored_fixes_axis: false",
+)
+
+
+def _written_map(rng, path: pathlib.Path) -> pathlib.Path:
+    """A map of degree at most 3 with G_z(0) = 0 and F_z(0) G_w(0) != 0."""
+
+    def term(monomial: str) -> str:
+        return f"{rng.choice('+-')} {rng.choice(COEFFICIENTS)}*{monomial}"
+
+    components = [[term("z")] + [term("w")] * (rng.random() < 0.5), [term("w")]]
+    for terms in components:
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.choice(HIGHER)
+            terms.append(term("*".join("z" * i + "w" * j)))
+    f, g = (" ".join(terms).removeprefix("+ ") for terms in components)
+    path.write_text(f"kind: map\norder: 12\nF: {f}\nG: {g}\n", encoding="utf-8")
+    return path
+
+
+def test_written_maps_end_in_a_verdict_or_an_input_error(capsys, tmp_path):
+    # most of these maps do not send the surface into itself: segre,
+    # determine and dynamics then fail with the mapping residual as witness
+    rng = random.Random(20)
+    maps = [_written_map(rng, tmp_path / f"m{n}.map") for n in range(24)]
+    calls = []
+    for order in ([], ["--order", "4"], ["--order", "8"]):
+        for surface in map(str, sorted(CORPUS.glob("*.surf"))):
+            for n, m in enumerate(map(str, maps)):
+                calls += [["segre", surface, surface, m, str(k), *order] for k in range(4)]
+                other = str(maps[n - 1]) if n % 2 else m
+                calls.append(["determine", surface, m, other, str(1 + n % 2), *order])
+                calls.append(["dynamics", surface, m, *order])
+    codes = set()
+    for argv in calls:
+        code, out, err = run_shared(capsys, argv)
+        codes.add(code)
+        assert "Traceback" not in err and "failure:" not in err, argv
+        if code == 2:
+            assert out == "" and err.startswith("input error: ") and err.count("\n") == 1, argv
+            continue
+        lines = out.splitlines()
+        assert err == "" and lines[-1].startswith("verdict: ") and out.count("verdict: ") == 1, argv
+        assert VERDICT_CODES[lines[-1].removeprefix("verdict: ")] == code, argv
+        if code == 1:
+            assert any(line.startswith(WITNESSES) for line in lines), argv
+    assert codes == {0, 1, 2, 3}
+
+
+SERIES_KEYS =("Q", "phi", "F", "G", "p", "q")
 
 
 def _terms(literal: str) -> list:

@@ -72,6 +72,45 @@ def test_malformed_series_located(text):
     assert err.value.line >= 1 and err.value.column >= 1
 
 
+@pytest.mark.parametrize("text,column", [("t*", 3), ("z*+x", 3), ("2*(1/2)*", 9)])
+def test_a_dangling_star_is_a_located_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, ZXT, 6)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "expected a factor after '*'",
+        1,
+        column,
+    )
+
+
+@pytest.mark.parametrize(
+    "template,line,column",
+    [
+        ("vars: z x t\norder: 4\nQ: t + {}*z*x\n", 3, 8),  # a literal
+        ("vars: z x t\norder: 4\nQ: t + 1/{}*z*x\n", 3, 10),  # a denominator
+        ("vars: z x t\norder: 4\nQ: t + z^{}\n", 3, 10),  # an exponent
+        ("vars: z x t\norder: {}\nQ: t\n", 2, 8),  # the order
+    ],
+)
+def test_a_number_of_more_than_4300_digits_is_a_located_error(template, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_document(template.format("1" * 4301))
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "number has more than 4300 digits",
+        line,
+        column,
+    )
+    parse_document(template.format("0" * 4299 + "1"))  # 4300 digits are a number
+
+
+def test_a_theta_name_of_more_than_4300_digits_is_an_unknown_variable():
+    text = "gamma: 0\nvars: x y\norder: 4\np: theta{}*y\nq: 1\ntheta: 1/2\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text.format("1" * 4301))
+    assert err.value.message.startswith("unknown variable 'theta111")
+    assert (err.value.line, err.value.column) == (4, 4)
+
+
 def test_series_print_parse_round_trip():
     examples = [
         "0",

@@ -33,6 +33,7 @@ from crjets.mapjets import (
     MapGerm,
     MapJet,
     PreconditionError,
+    PremiseFailure,
     TruncationLimit,
     _Reconstruction,
     determination_experiment,
@@ -663,6 +664,16 @@ def test_determination_same_jet_same_map():
     assert verdict.maps_agree
 
 
+def test_determination_names_the_germ_that_breaks_the_premise():
+    m = heisenberg(ORDER)
+    bad = dilation(Fraction(2), Fraction(16), ORDER)  # sends t + 2i zx to 16t + 8i zx
+    with pytest.raises(PremiseFailure) as info:
+        determination_experiment(m, w_mobius(Fraction(1), ORDER), bad, 2)
+    assert info.value.germ == 2
+    assert not info.value.residual.is_zero
+    assert info.value.residual == verify_mapping(m, m, bad)
+
+
 # ----------------------------------------------------------------------
 # dynamics
 
@@ -677,6 +688,16 @@ def test_dynamics_mobius_family():
 def test_dynamics_identity():
     verdict = dynamics_check(heisenberg(8), identity_map(8))
     assert verdict.passed
+
+
+def test_dynamics_on_a_map_off_the_surface_raises_its_residual():
+    m = heisenberg(8)
+    h = mk({(1, 0): 1, (2, 0): 1}, {(0, 1): 1}, 8)  # tangent to the identity
+    with pytest.raises(PremiseFailure) as info:
+        dynamics_check(m, h)
+    assert info.value.germ is None
+    assert not info.value.residual.is_zero
+    assert info.value.residual == verify_mapping(m, m, h)
 
 
 def test_dynamics_rejects_non_tangent():
