@@ -5,12 +5,15 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from crjets import cli
 from crjets.cli import main
 from crjets.dsl import parse_document
+from crjets.rational import ComplexRational as CR
+from crjets.series import TruncatedSeries as TS, format_series
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -329,6 +332,36 @@ def test_determine_same_and_different(capsys):
     )
     assert code == 0
     assert "pass (vacuous)" in out
+
+
+def test_determine_on_chern_moser_maps(capsys, tmp_path):
+    # the quadric's isotropy maps H = (z + a w, w) / delta with
+    # delta = 1 - 2i conj(a) z - (r + i|a|^2) w differ in r from order 2 on
+    a, i = CR(Fraction(1, 3), Fraction(2, 3)), CR(0, 1)
+    z, w = (TS.variable(v, ("z", "w"), 10) for v in ("z", "w"))
+    paths = []
+    for r in (0, 1):
+        delta = 1 - z * (2 * i * a.conjugate()) - w * (CR(r) + i * a.norm2())
+        path = tmp_path / f"cm_r{r}.map"
+        f, g = (z + w * a) / delta, w / delta
+        path.write_text(
+            f"kind: map\norder: 10\nF: {format_series(f)}\nG: {format_series(g)}\n",
+            encoding="utf-8",
+        )
+        paths.append(path)
+    heis = CORPUS / "heisenberg.surf"
+    code, out, err = run_err(capsys, "determine", heis, *paths, "1")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "k: 1\njets_agree: true\nmaps_agree: false\n"
+        "first_difference: F at exponents (0, 2)\nverdict: fail\n"
+    )
+    code, out = run(capsys, "determine", heis, *paths, "2")
+    assert code == 0
+    assert out.endswith("k: 2\njets_agree: false\nverdict: pass (vacuous)\n")
+    code, out = run(capsys, "determine", heis, paths[1], paths[1], "2")
+    assert code == 0
+    assert out.endswith("jets_agree: true\nmaps_agree: true\nverdict: pass\n")
 
 
 def test_dynamics_pass_and_precondition(capsys):

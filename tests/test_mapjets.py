@@ -404,6 +404,62 @@ def test_order_sweep_script_writes_a_record(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("order  8")
 
 
+# ----------------------------------------------------------------------
+# the Chern-Moser isotropy group of the quadric as an oracle family
+
+
+def chern_moser(lam, a, r, order=10):
+    """The isotropy map of the quadric Im w = |z|^2 (Q = t + 2i zx) with
+    parameters lam != 0, complex a and real r (Chern & Moser, Acta Math. 133,
+    1974): H = (lam (z + a w), |lam|^2 w) / delta with
+    delta = 1 - 2i conj(a) z - (r + i |a|^2) w.  Its 2-jet carries all three."""
+    lam, a = CR.coerce(lam), CR.coerce(a)
+    z, w = (TS.variable(v, ("z", "w"), order) for v in ("z", "w"))
+    delta = 1 - z * (2 * I * a.conjugate()) - w * (CR.coerce(r) + I * a.norm2())
+    return MapGerm((z + w * a) * lam / delta, w * lam.norm2() / delta)
+
+
+CM_A = CR(Fraction(1, 3), Fraction(2, 3))
+CHERN_MOSER = [
+    (1, CM_A, 0),
+    (1, CM_A, 1),
+    (CR(Fraction(3, 5), Fraction(4, 5)), CR(Fraction(1, 2), -1), Fraction(-2)),
+    (CR(1, 1), I, Fraction(1, 3)),
+    (2, -1, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("lam,a,r", CHERN_MOSER)
+def test_chern_moser_maps_reconstruct_from_their_jets(lam, a, r):
+    # at order 10 each w-derivative costs two orders of certification, and
+    # k = 5 reads past the truncation
+    m = heisenberg(10)
+    h = chern_moser(lam, a, r)
+    assert verify_mapping(m, m, h).is_zero
+    for k, certified in enumerate((9, 7, 5, 3, 1)):
+        recon = segre_jet_reconstruct(m, m, h.jet(k + 1), k)
+        assert min(recon.f_wk.order, recon.g_wk.order) == certified, k
+        assert recon.agrees_with(segre_restriction_direct(h, k)), k
+    with pytest.raises(TruncationLimit):
+        segre_jet_reconstruct(m, m, h.jet(6), 5)
+
+
+def test_chern_moser_maps_are_told_apart_by_their_2_jets_not_their_1_jets():
+    m = heisenberg(10)
+    h0, h1 = chern_moser(1, CM_A, 0), chern_moser(1, CM_A, 1)
+    # r enters at order 2: F_ww(0)/2 = a (r + i|a|^2)
+    verdict = determination_experiment(m, h0, h1, 1)
+    assert (verdict.jets_agree, verdict.maps_agree) == (True, False)
+    assert verdict.first_difference == ("F", (0, 2), -CM_A)
+    assert not verdict.passed
+    assert determination_experiment(m, h0, h1, 2).vacuous
+    maps = [chern_moser(*params) for params in CHERN_MOSER]
+    for h in maps:
+        for other in maps:
+            verdict = determination_experiment(m, h, other, 2)
+            assert verdict.passed and verdict.jets_agree == (h is other)
+
+
 def test_k0_depends_only_on_linear_f_data():
     # perturbing any jet entry other than F_z(0), F_w(0) leaves k = 0 output
     # bit-identical
