@@ -6,7 +6,8 @@ a series in (z, x, t); ``verify_mapping`` computes that residual.
 
 ``segre_jet_reconstruct`` recovers the derivative series H_{w^k}(z, 0) along
 the curve {w = 0} from nothing but the (k+1)-jet of H at the origin and the
-two surfaces.  It runs the recursion order by order in the w-derivative:
+two surfaces.  A k-jet is a ``MapGerm`` of order k: its Taylor coefficients
+through order k.  It runs the recursion order by order in the w-derivative:
 
 * the conjugated F-series along {w = 0} comes first, from the minimal
   nonvanishing derivative identity.  Its ell-th root is taken after dividing
@@ -30,10 +31,10 @@ indeterminate at that truncation, not a proof that the jet is unrealizable.
 The target surface keeps its last reconstruction, and a call resumes from the
 longest prefix of steps it shares.  Step s reads the jet only through order
 m0 + s: in normal form every monomial of Q other than t has z >= 1 and
-x >= 1, so the slot z^alpha0 t^(mu0+s) of lam_ij z^i Q^j needs
+x >= 1, so the slot z^alpha0 t^(mu0+s) of a term c_ij z^i Q^j of F(z, Q) needs
 i + j <= m0 + s, the G-derivatives solved at step s need no more, and the
 top-coefficient pin fires exactly when m0 + s exceeds the jet order.  So
-step s is keyed by top = min(jet.k, m0 + s) and the jet's entries through
+step s is keyed by top = min(jet.order, m0 + s) and the jet's terms through
 top, and it is reused when the source is the same object and the keys of
 steps 0..s all match.  A k-sweep thus runs each step once, and the axis step
 serves every jet with the same low part.
@@ -124,15 +125,13 @@ class MapGerm:
     def __repr__(self):
         return f"<map order={self.order} F={self.f} G={self.g}>"
 
-    def jet(self, k: int) -> "MapJet":
+    def jet(self, k: int) -> "MapGerm":
+        """The k-jet at the origin: this germ truncated at order k."""
         if k > self.order:
             raise JetArityError(f"jet order {k} exceeds stored order {self.order}")
-        lam, mu = {}, {}
-        for table, comp in ((lam, self.f), (mu, self.g)):
-            for (i, j), c in comp.coefficients.items():
-                if 1 <= i + j <= k:
-                    table[(i, j)] = c * (factorial(i) * factorial(j))
-        return MapJet(k, lam, mu)
+        if k < 1:
+            raise JetArityError("a map jet has order at least 1")
+        return require_shape(MapGerm(self.f.truncate(k), self.g.truncate(k)))
 
     def compose(self, inner: "MapGerm") -> "MapGerm":
         subs = {"z": inner.f, "w": inner.g}
@@ -182,50 +181,23 @@ class MapGerm:
         return inv
 
 
-class MapJet:
-    """Jet table at the origin, derivative-normalized entries.
-
-    lam[(i, j)] is the (i, j) derivative of F at 0, mu likewise for G, for
-    1 <= i + j <= k.  Triangularity (G_z(0) = 0) and invertibility of the
-    linear part (F_z(0) G_w(0) != 0) are construction invariants.
-    """
-
-    def __init__(self, k: int, lam: dict, mu: dict):
-        if k < 1:
-            raise JetArityError("a map jet has order at least 1")
-        self.k = k
-        self.lam = {ij: CR.coerce(c) for ij, c in lam.items() if 1 <= sum(ij) <= k}
-        self.mu = {ij: CR.coerce(c) for ij, c in mu.items() if 1 <= sum(ij) <= k}
-        if not self.mu.get((1, 0), CR(0)).is_zero:
-            raise PreconditionError("jet violates triangularity: G_z(0) != 0")
-        if (self.lam.get((1, 0), CR(0)) * self.mu.get((0, 1), CR(0))).is_zero:
-            raise PreconditionError("jet is not invertible: F_z(0) G_w(0) = 0")
-
-    def entry(self, table: str, i: int, j: int) -> CR:
-        src = self.lam if table == "lam" else self.mu
-        return src.get((i, j), CR(0))
-
-    def up_to(self, k: int) -> tuple:
-        """The nonzero entries of order at most k: (lam items, mu items)."""
-        return tuple(
-            tuple(sorted((ij, c) for ij, c in table.items() if sum(ij) <= k and not c.is_zero))
-            for table in (self.lam, self.mu)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MapJet):
-            return NotImplemented
-        return self.k == other.k and self.up_to(self.k) == other.up_to(other.k)
+def require_shape(jet: MapGerm) -> MapGerm:
+    """The jet itself, if its linear part is triangular (G_z(0) = 0) and
+    invertible (F_z(0) G_w(0) != 0); PreconditionError otherwise."""
+    if not jet.g.coefficient((1, 0)).is_zero:
+        raise PreconditionError("jet violates triangularity: G_z(0) != 0")
+    if (jet.f.coefficient((1, 0)) * jet.g.coefficient((0, 1))).is_zero:
+        raise PreconditionError("jet is not invertible: F_z(0) G_w(0) = 0")
+    return jet
 
 
 @dataclass(frozen=True)
 class SegreJetResult:
-    """Derivative series H_{w^k}(z, 0) with its provenance."""
+    """Derivative series H_{w^k}(z, 0)."""
 
     k: int
     f_wk: TruncatedSeries
     g_wk: TruncatedSeries
-    provenance: str
 
     def agrees_with(self, other: "SegreJetResult") -> bool:
         """Same k and equal series through each pair's common certified order."""
@@ -308,7 +280,6 @@ def segre_restriction_direct(h: MapGerm, k: int) -> SegreJetResult:
         k,
         h.f.extract({"w": k}, keep=("z",)) * fac,
         h.g.extract({"w": k}, keep=("z",)) * fac,
-        "direct",
     )
 
 
@@ -340,20 +311,14 @@ class _Reconstruction:
         self.source = source
         self.target = target
         # order-m0 entry of G must vanish for any map between these surfaces
-        if self.alpha0 + self.mu0 <= jet.k:
-            if not jet.entry("mu", self.alpha0, self.mu0).is_zero:
+        if self.alpha0 + self.mu0 <= jet.order:
+            if not jet.g.coefficient((self.alpha0, self.mu0)).is_zero:
                 raise InconsistentJet(
                     f"G derivative ({self.alpha0},{self.mu0}) must vanish"
                 )
         self.us: list[TruncatedSeries] = []
         self.vs: list[TruncatedSeries] = []
         self.jet_on_source = None
-
-    def lam_taylor(self, i, j):
-        return self.jet.entry("lam", i, j) / (factorial(i) * factorial(j))
-
-    def mu_taylor(self, i, j):
-        return self.jet.entry("mu", i, j) / (factorial(i) * factorial(j))
 
     # -- step 0: F along the axis ---------------------------------------
 
@@ -365,10 +330,10 @@ class _Reconstruction:
 
     def solve_axis_f(self) -> TruncatedSeries:
         """conj F(x, 0) from root_t(g) = root_s * conj(lam10) * gauge."""
-        lam10 = self.jet.entry("lam", 1, 0)
+        lam10 = self.jet.f.coefficient((1, 0))
         rhs = self._monic_root(self.source) * lam10.conjugate()
         if self.m0 == 1:
-            ratio = self.jet.entry("lam", 0, 1) / lam10
+            ratio = self.jet.f.coefficient((0, 1)) / lam10
             unit = (1 + self.source.q_function(1, 0) * ratio).inverse()
             rhs = rhs * kth_root(unit, self.ell)
         return solve_composition(self._monic_root(self.target), rhs)
@@ -389,31 +354,16 @@ class _Reconstruction:
 
     def solve_v(self, t: int) -> TruncatedSeries:
         variables = ("x", "t")
-        a_coeffs = {
-            (0, j): self.lam_taylor(0, j)
-            for j in range(1, min(t, self.jet.k) + 1)
-        }
+        a_coeffs = {(0, j): self.jet.f.coefficient((0, j)) for j in range(1, t + 1)}
         a_fn = TruncatedSeries(variables, self.work, a_coeffs)
         u_fn = self._stack(self.us, variables, t_index=1)
         v_fn = self._stack(self.vs, variables, t_index=1)
         composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn}, box={"t": t})
         rhs = self._extract(composed, {"t": t})
-        lhs = TruncatedSeries.constant(self.mu_taylor(0, t), ("x",), rhs.order)
+        lhs = TruncatedSeries.constant(self.jet.g.coefficient((0, t)), ("x",), rhs.order)
         return lhs - rhs
 
     # -- conjugated F derivatives ----------------------------------------
-
-    def _jet_polynomial(self, taylor) -> TruncatedSeries:
-        return TruncatedSeries(
-            MAP_VARS,
-            self.work,
-            {
-                (i, j): taylor(i, j)
-                for i in range(0, self.jet.k + 1)
-                for j in range(0, self.jet.k + 1 - i)
-                if i + j >= 1
-            },
-        )
 
     def _extract(self, series, slot) -> TruncatedSeries:
         """The x-series at ``slot``; beyond the series' order it is unknown."""
@@ -431,8 +381,8 @@ class _Reconstruction:
             subs = {"z": zg, "w": self.source.q}
             box = {"z": self.alpha0, "t": self.mu0 + self.k}
             self.jet_on_source = [
-                self._jet_polynomial(taylor).compose(subs, box=box)
-                for taylor in (self.lam_taylor, self.mu_taylor)
+                TruncatedSeries(MAP_VARS, self.work, comp.coefficients).compose(subs, box=box)
+                for comp in (self.jet.f, self.jet.g)
             ]
         f_comp, g_comp = self.jet_on_source
         slot = {"z": self.alpha0, "t": self.mu0 + s}
@@ -452,9 +402,9 @@ class _Reconstruction:
                 f"coefficient of the order-{s} unknown vanishes to working order {self.work}",
                 self.work,
             )
-        ubar = self.jet.entry("lam", 0, s).conjugate() / factorial(s)
+        ubar = self.jet.f.coefficient((0, s)).conjugate()
         dividend = w_lhs - r0
-        if self.m0 + s > self.jet.k:
+        if self.m0 + s > self.jet.order:
             # the jet does not carry the top coefficient; pin it at the origin
             dividend = dividend + (
                 r0.coefficient((0,)) + gain.coefficient((0,)) * ubar
@@ -480,8 +430,8 @@ class _Reconstruction:
 
     def _step_key(self, s: int) -> tuple:
         """Everything step s reads of the jet (see the module docstring)."""
-        top = min(self.jet.k, self.m0 + s)
-        return top, self.jet.up_to(top)
+        top = min(self.jet.order, self.m0 + s)
+        return top, self.jet.f.truncate(top), self.jet.g.truncate(top)
 
     def _resume(self, keys, ahead) -> int:
         """Restore the longest prefix of the target's last reconstruction
@@ -519,13 +469,13 @@ class _Reconstruction:
             g_wk = TruncatedSeries.zero(("z",), self.work)
         else:
             g_wk = self.vs[k].conjugate().with_variables(("z",)) * factorial(k)
-        return SegreJetResult(k, f_wk, g_wk, "reconstructed")
+        return SegreJetResult(k, f_wk, g_wk)
 
 
 def segre_jet_reconstruct(
     source: NormalFormSurface,
     target: NormalFormSurface,
-    jet: MapJet,
+    jet: MapGerm,
     k: int,
 ) -> SegreJetResult:
     """Recover H_{w^k}(z, 0) from the (k+1)-jet of H at the origin.
@@ -533,11 +483,12 @@ def segre_jet_reconstruct(
     Exact over Q(i) for every ell: the ell-th roots along {w = 0} are taken
     of series normalized to leading coefficient 1, so no branch is chosen.
     """
+    require_shape(jet)
     if k < 0:
         raise JetArityError("derivative order must be nonnegative")
-    if jet.k < k + 1:
+    if jet.order < k + 1:
         raise JetArityError(
-            f"reconstructing order {k} consumes a jet of order {k + 1}, got {jet.k}"
+            f"reconstructing order {k} consumes a jet of order {k + 1}, got {jet.order}"
         )
     return _Reconstruction(source, target, jet, k).run()
 
@@ -660,9 +611,9 @@ def dynamics_check(surface: NormalFormSurface, h: MapGerm) -> DynamicsVerdict:
     require_premise(surface, surface, h)
     jet1 = h.jet(1)
     tangent = (
-        jet1.entry("lam", 1, 0) == CR(1)
-        and jet1.entry("lam", 0, 1).is_zero
-        and jet1.entry("mu", 0, 1) == CR(1)
+        jet1.f.coefficient((1, 0)) == CR(1)
+        and jet1.f.coefficient((0, 1)).is_zero
+        and jet1.g.coefficient((0, 1)) == CR(1)
     )
     if not tangent:
         raise PreconditionError("map is not tangent to the identity")

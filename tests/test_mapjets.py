@@ -6,8 +6,10 @@ import importlib.util
 import json
 import pathlib
 import random
+import re
 import weakref
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -31,7 +33,6 @@ from crjets.mapjets import (
     LeviFlatInput,
     MapError,
     MapGerm,
-    MapJet,
     PreconditionError,
     PremiseFailure,
     TruncationLimit,
@@ -57,11 +58,43 @@ def mk(f_coeffs, g_coeffs, order=ORDER):
     )
 
 
+def moved(jet, name, ij, step):
+    """The jet with the (i, j) derivative at 0 of F or G moved by ``step``:
+    its Taylor coefficient moves by step / (i! j!)."""
+    i, j = ij
+    bump = TS(("z", "w"), jet.order, {ij: CR.coerce(step) / (factorial(i) * factorial(j))})
+    return MapGerm(jet.f + bump, jet.g) if name == "F" else MapGerm(jet.f, jet.g + bump)
+
+
 def test_jet_invariants_enforced():
     with pytest.raises(MapError):
-        MapJet(2, {(1, 0): CR(1)}, {(0, 1): CR(1), (1, 0): CR(1)})
+        mk({(1, 0): 1}, {(0, 1): 1, (1, 0): 1}).jet(2)
     with pytest.raises(MapError):
-        MapJet(2, {(1, 0): CR(1)}, {(0, 1): CR(0)})
+        mk({(1, 0): 1}, {}).jet(2)
+
+
+@pytest.mark.parametrize(
+    "f,g,message",
+    [
+        ({(1, 0): 1}, {(0, 1): 1, (1, 0): 1}, "jet violates triangularity: G_z(0) != 0"),
+        ({(0, 1): 1}, {(0, 1): 1}, "jet is not invertible: F_z(0) G_w(0) = 0"),
+        ({(1, 0): 1}, {(1, 1): 1}, "jet is not invertible: F_z(0) G_w(0) = 0"),
+    ],
+)
+def test_the_shape_rule_binds_jets_and_reconstructions(f, g, message):
+    # a germ of order 2 is a 2-jet: one rule checks it wherever it enters
+    germ = mk(f, g, order=2)
+    message = re.escape(message)
+    with pytest.raises(PreconditionError, match=message):
+        germ.jet(2)
+    with pytest.raises(PreconditionError, match=message):
+        germ.jet(1)
+    m = heisenberg(8)
+    with pytest.raises(PreconditionError, match=message):
+        segre_jet_reconstruct(m, m, germ, 1)
+    assert segre_jet_reconstruct(m, m, identity_map(2), 1).agrees_with(
+        segre_restriction_direct(identity_map(8), 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +259,6 @@ def test_reconstruct_k0_mobius_on_heisenberg():
     assert out.f_wk == TS(("z",), out.f_wk.order, {(1,): 1})
     assert out.f_wk.order >= 10
     assert out.g_wk.is_zero
-    assert out.provenance == "reconstructed"
 
 
 def test_reconstruct_k1_mobius_on_heisenberg():
@@ -272,7 +304,7 @@ def test_reconstruct_rejects_cross_surface_jet():
 def test_reconstruct_flags_bad_order_m0_entry():
     # a jet with G_zz(0) != 0 cannot come from a self-map of the quartic model
     m = quartic_model(10)
-    jet = MapJet(2, {(1, 0): CR(1)}, {(0, 1): CR(1), (2, 0): CR(1)})
+    jet = mk({(1, 0): 1}, {(0, 1): 1, (2, 0): Fraction(1, 2)}, order=2)
     with pytest.raises(InconsistentJet):
         segre_jet_reconstruct(m, m, jet, 0)
 
@@ -281,11 +313,7 @@ def test_reconstruct_obstruction_for_unrealizable_jet():
     # on the quartic model the axis value q'(F(x,0)) forces F_w-compatible
     # growth; an order-2 jet with a wild F_w entry fails the vanishing split
     m = quartic_model(10)
-    jet = MapJet(
-        2,
-        {(1, 0): CR(1), (0, 1): CR(1), (1, 1): CR(7)},
-        {(0, 1): CR(1)},
-    )
+    jet = mk({(1, 0): 1, (0, 1): 1, (1, 1): 7}, {(0, 1): 1}, order=2)
     with pytest.raises((DivisibilityObstruction, InconsistentJet)):
         segre_jet_reconstruct(m, m, jet, 1)
 
@@ -467,19 +495,16 @@ def test_k0_depends_only_on_linear_f_data():
     h = w_mobius(Fraction(1, 2), ORDER)
     base_jet = h.jet(2)
     base = segre_jet_reconstruct(m, m, base_jet, 0)
-    for table, entry in (
-        ("mu", (0, 1)),
-        ("mu", (0, 2)),
-        ("mu", (1, 1)),
-        ("lam", (2, 0)),
-        ("lam", (1, 1)),
-        ("lam", (0, 2)),
+    for name, entry in (
+        ("G", (0, 1)),
+        ("G", (0, 2)),
+        ("G", (1, 1)),
+        ("F", (2, 0)),
+        ("F", (1, 1)),
+        ("F", (0, 2)),
     ):
-        lam = dict(base_jet.lam)
-        mu = dict(base_jet.mu)
-        target = lam if table == "lam" else mu
-        target[entry] = target.get(entry, CR(0)) + CR(Fraction(5, 7))
-        perturbed = segre_jet_reconstruct(m, m, MapJet(2, lam, mu), 0)
+        jet = moved(base_jet, name, entry, Fraction(5, 7))
+        perturbed = segre_jet_reconstruct(m, m, jet, 0)
         assert perturbed.f_wk == base.f_wk
         assert perturbed.g_wk == base.g_wk
 
@@ -496,7 +521,7 @@ def test_g_derivative_at_minimal_orders_vanishes():
         for h in maps:
             assert verify_mapping(surface, surface, h).is_zero
             jet = h.jet(inv.m0)
-            assert jet.entry("mu", inv.alpha0, inv.mu0).is_zero
+            assert jet.g.coefficient((inv.alpha0, inv.mu0)).is_zero
 
 
 # ----------------------------------------------------------------------
@@ -562,25 +587,23 @@ def fresh_outcome(source, target, jet, k):
 
 
 def perturbed(jet, rng):
-    """The jet with one seeded entry moved; the linear part stays valid."""
+    """The jet with one seeded derivative entry moved; the linear part stays
+    valid."""
     slots = [
-        (table, (i, j))
-        for table in ("lam", "mu")
-        for i in range(jet.k + 1)
-        for j in range(jet.k + 1 - i)
-        if i + j >= 1 and (table, (i, j)) not in {("lam", (1, 0)), ("mu", (1, 0)), ("mu", (0, 1))}
+        (name, (i, j))
+        for name in ("F", "G")
+        for i in range(jet.order + 1)
+        for j in range(jet.order + 1 - i)
+        if i + j >= 1 and (name, (i, j)) not in {("F", (1, 0)), ("G", (1, 0)), ("G", (0, 1))}
     ]
-    table, ij = rng.choice(slots)
-    lam, mu = dict(jet.lam), dict(jet.mu)
-    entries = lam if table == "lam" else mu
-    entries[ij] = entries.get(ij, CR(0)) + CR(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-    return MapJet(jet.k, lam, mu)
+    name, ij = rng.choice(slots)
+    return moved(jet, name, ij, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
 
 
 def raised(jet):
-    """The same entries as a jet one order higher: on surfaces with m0 >= 2
+    """The same terms as a jet one order higher: on surfaces with m0 >= 2
     only the pin of the top coefficient tells the two apart."""
-    return MapJet(jet.k + 1, jet.lam, jet.mu)
+    return MapGerm(*(TS(("z", "w"), jet.order + 1, c.coefficients) for c in (jet.f, jet.g)))
 
 
 def test_resumed_reconstruction_equals_a_fresh_one():
@@ -594,7 +617,7 @@ def test_resumed_reconstruction_equals_a_fresh_one():
                 wild = perturbed(jet, rng)
                 for probe in (jet, wild, raised(wild), jet, raised(jet)):
                     expected = fresh_outcome(source, target, probe, k)
-                    assert outcome(source, target, probe, k) == expected, (k, probe.k)
+                    assert outcome(source, target, probe, k) == expected, (k, probe.order)
 
 
 def counting(monkeypatch, name):
@@ -625,7 +648,7 @@ def test_a_raising_call_leaves_the_kept_reconstruction():
     h = dilation(Fraction(2), Fraction(16), 10)
     segre_jet_reconstruct(m, m, h.jet(3), 2)
     kept = m.last_reconstruction
-    wild = MapJet(2, {(1, 0): CR(2), (0, 1): CR(1), (1, 1): CR(7)}, {(0, 1): CR(16)})
+    wild = mk({(1, 0): 2, (0, 1): 1, (1, 1): 7}, {(0, 1): 16}, order=2)
     with pytest.raises((DivisibilityObstruction, InconsistentJet)):
         segre_jet_reconstruct(m, m, wild, 1)
     assert m.last_reconstruction is kept
@@ -701,7 +724,7 @@ def test_determination_different_parameters_vacuous():
     assert verdict.vacuous
     assert verdict.passed
     # their 2-jets differ in F_zw(0) = a
-    assert w_mobius(Fraction(1), ORDER).jet(2).entry("lam", 1, 1) == CR(1)
+    assert w_mobius(Fraction(1), ORDER).jet(2).f.coefficient((1, 1)) == CR(1)
 
 
 def test_determination_same_map():
