@@ -275,12 +275,17 @@ def _split_lines(text: str):
         yield lineno, key.strip(), value.strip(), column
 
 
+# a theta value: ['-'] nat ('/' nat)?, with ASCII digits
+_FRACTION = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction_token(text: str, line: int, column: int) -> Fraction:
-    if text.isascii():
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
+    m = _FRACTION.fullmatch(text)
+    if m:
+        num = _natural(m[2], line, column)
+        den = _natural(m[3], line, column + len(m[1]) + len(m[2]) + 1) if m[3] else 1
+        if den:
+            return Fraction(-num if m[1] else num, den)
     raise ParseError(f"bad rational {text!r}", line, column)
 
 
@@ -360,8 +365,8 @@ def parse_document(text: str) -> Document:
     theta: list[Fraction] = []
     if kind == "ode" and "theta" in entries:
         line, col = positions["theta"]
-        for tok in entries["theta"].replace(",", " ").split():
-            theta.append(_parse_fraction_token(tok, line, col))
+        for tok in re.finditer(r"[^ \t,]+", entries["theta"]):
+            theta.append(_parse_fraction_token(tok[0], line, col + tok.start()))
         body["theta"] = theta
 
     def series_value(key, value=None, offset=0):

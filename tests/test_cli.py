@@ -625,6 +625,16 @@ def test_a_number_of_more_than_4300_digits_is_input_error(capsys, tmp_path, text
     assert err.startswith(f"input error: {doc}: number has more than 4300 digits (line ")
 
 
+@pytest.mark.parametrize("p", ["theta1*y", "y"])
+def test_a_theta_value_outside_the_number_rule_is_input_error(capsys, tmp_path, p):
+    # 1e5000 used to reach Fraction() and fail later on the 4300-digit limit
+    doc = tmp_path / "big.ode"
+    doc.write_text(f"gamma: 0\nvars: x y\norder: 4\np: {p}\nq: 1\ntheta: 1e5000\n")
+    code, out, err = run_err(capsys, "ode", doc, "solve")
+    assert (code, out) == (2, "")
+    assert err == f"input error: {doc}: bad rational '1e5000' (line 6, column 8)\n"
+
+
 @pytest.mark.parametrize(
     "literal", ["Q: t + ²*z*x", "Q: t + 2*i*z*x^²", "Q: t + 1/²*z*x", "Q: t + ٣*i*z*x"]
 )

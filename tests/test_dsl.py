@@ -90,6 +90,8 @@ def test_a_dangling_star_is_a_located_error(text, column):
         ("vars: z x t\norder: 4\nQ: t + 1/{}*z*x\n", 3, 10),  # a denominator
         ("vars: z x t\norder: 4\nQ: t + z^{}\n", 3, 10),  # an exponent
         ("vars: z x t\norder: {}\nQ: t\n", 2, 8),  # the order
+        ("gamma: 0\nvars: x y\norder: 4\np: y\nq: 1\ntheta: 1/2 {}\n", 6, 12),  # a theta
+        ("gamma: 0\nvars: x y\norder: 4\np: y\nq: 1\ntheta: -1/{}\n", 6, 11),  # its denominator
     ],
 )
 def test_a_number_of_more_than_4300_digits_is_a_located_error(template, line, column):
@@ -101,6 +103,28 @@ def test_a_number_of_more_than_4300_digits_is_a_located_error(template, line, co
         column,
     )
     parse_document(template.format("0" * 4299 + "1"))  # 4300 digits are a number
+
+
+@pytest.mark.parametrize(
+    "value,column", [("1e3", 8), ("1.5", 8), ("1_0", 8), ("+1", 8), ("1/0", 8), ("1/2 1e5000", 12)]
+)
+def test_a_theta_value_outside_the_number_rule_is_a_located_error(value, column):
+    # a theta value is ['-'] nat ('/' nat)?: no exponents, points or underscores
+    text = f"gamma: 0\nvars: x y\norder: 4\np: theta1*y\nq: 1\ntheta: {value}\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    bad = value.split()[-1]
+    assert (err.value.message, err.value.line, err.value.column) == (
+        f"bad rational {bad!r}",
+        6,
+        column,
+    )
+
+
+def test_theta_values_are_signed_fractions():
+    text = "gamma: 0\nvars: x y\norder: 4\np: theta1*y\nq: 1\ntheta: -1/3, 2\t0 -0/5 4/6\n"
+    thetas = [Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(0), Fraction(2, 3)]
+    assert parse_document(text).body["theta"] == thetas
 
 
 def test_a_theta_name_of_more_than_4300_digits_is_an_unknown_variable():
