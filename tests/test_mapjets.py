@@ -67,31 +67,22 @@ def moved(jet, name, ij, step):
 
 
 def test_jet_invariants_enforced():
-    with pytest.raises(MapError):
-        mk({(1, 0): 1}, {(0, 1): 1, (1, 0): 1}).jet(2)
-    with pytest.raises(MapError):
-        mk({(1, 0): 1}, {}).jet(2)
-
-
-@pytest.mark.parametrize(
-    "f,g,message",
-    [
-        ({(1, 0): 1}, {(0, 1): 1, (1, 0): 1}, "jet violates triangularity: G_z(0) != 0"),
-        ({(0, 1): 1}, {(0, 1): 1}, "jet is not invertible: F_z(0) G_w(0) = 0"),
-        ({(1, 0): 1}, {(1, 1): 1}, "jet is not invertible: F_z(0) G_w(0) = 0"),
-    ],
-)
-def test_the_shape_rule_binds_jets_and_reconstructions(f, g, message):
-    # a germ of order 2 is a 2-jet: one rule checks it wherever it enters
-    germ = mk(f, g, order=2)
-    message = re.escape(message)
-    with pytest.raises(PreconditionError, match=message):
-        germ.jet(2)
-    with pytest.raises(PreconditionError, match=message):
-        germ.jet(1)
+    # a germ of order 2 is a 2-jet: one shape rule checks it in jet() and in
+    # the reconstruction it is handed to
     m = heisenberg(8)
-    with pytest.raises(PreconditionError, match=message):
-        segre_jet_reconstruct(m, m, germ, 1)
+    not_invertible = "jet is not invertible: F_z(0) G_w(0) = 0"
+    for f, g, message in (
+        ({(1, 0): 1}, {(0, 1): 1, (1, 0): 1}, "jet violates triangularity: G_z(0) != 0"),
+        ({(1, 0): 1}, {}, not_invertible),
+        ({(0, 1): 1}, {(0, 1): 1}, not_invertible),
+        ({(1, 0): 1}, {(1, 1): 1}, not_invertible),
+    ):
+        germ = mk(f, g, order=2)
+        for k in (1, 2):
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                germ.jet(k)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            segre_jet_reconstruct(m, m, germ, 1)
     assert segre_jet_reconstruct(m, m, identity_map(2), 1).agrees_with(
         segre_restriction_direct(identity_map(8), 1)
     )
@@ -470,6 +461,11 @@ def test_chern_moser_maps_reconstruct_from_their_jets(lam, a, r):
         assert recon.agrees_with(segre_restriction_direct(h, k)), k
     with pytest.raises(TruncationLimit):
         segre_jet_reconstruct(m, m, h.jet(6), 5)
+    # at order 8 the same steps certify less of the same series
+    m8, h8 = heisenberg(8), chern_moser(lam, a, r, order=8)
+    for k in range(4):
+        recon = segre_jet_reconstruct(m8, m8, h8.jet(k + 1), k)
+        assert recon.agrees_with(segre_jet_reconstruct(m, m, h.jet(k + 1), k)), k
 
 
 def test_chern_moser_maps_are_told_apart_by_their_2_jets_not_their_1_jets():
