@@ -57,7 +57,7 @@ from .mapjets import (
     verify_mapping,
 )
 from .rational import format_fraction, format_scalar
-from .series import TruncatedSeries, format_series
+from .series import TruncatedSeries, format_series, lowest_term
 
 EXIT_INPUT = 2
 # the one place a verdict becomes an exit code
@@ -89,6 +89,11 @@ OUTCOMES = {
     DivisibilityObstruction: (lambda exc: [("obstruction", exc)], "fail"),
     # no formal solution: the witness is the first contradicting order
     odejets.InconsistentSeed: (lambda exc: [("inconsistent_order", exc.order)], "fail"),
+    # the kernel chain needs a coefficient of f_y beyond the data
+    odejets.ChainBeyondData: (
+        lambda exc: [("certified_order", exc.data), ("unknown_phi_order", exc.order)],
+        "indeterminate",
+    ),
     odejets.IndeterminateAtTruncation: (
         lambda exc: [
             ("determination_order", f"indeterminate (at most {exc.at_most})"),
@@ -239,8 +244,8 @@ def _fmt_invariant(value) -> str:
 
 
 def _lowest_witness(series) -> str:
-    mi = min(series.coefficients, key=lambda m: (sum(m), m))
-    single = TruncatedSeries(series.variables, series.order, {mi: series.coefficients[mi]})
+    _, mi, c = lowest_term(series)
+    single = TruncatedSeries(series.variables, series.order, {mi: c})
     return format_series(single)
 
 

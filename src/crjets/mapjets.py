@@ -1,25 +1,30 @@
 """Mapping-equation engine for germs between normal-form surfaces.
 
 A germ H = (F, G) sends the source surface into the target surface exactly
-when G(z, Q(z,x,t)) agrees with Q'(F(z, Q(z,x,t)), Fbar(x,t), Gbar(x,t)) as
-a series in (z, x, t); ``verify_mapping`` computes that residual.
+when the mapping identity G(z, Q) = Q'(F(z, Q), Fbar(x, t), Gbar(x, t))
+holds as a series in (z, x, t), Q = Q(z, x, t).  ``_on_source`` composes
+F(z, Q) and G(z, Q), and ``_sides`` both sides over them; nothing else
+builds the identity.  ``verify_mapping`` reads it whole, as a residual.
 
 ``segre_jet_reconstruct`` recovers the derivative series H_{w^k}(z, 0) along
 the curve {w = 0} from nothing but the (k+1)-jet of H at the origin and the
 two surfaces.  A k-jet is a ``MapGerm`` of order k: its Taylor coefficients
-through order k.  It runs the recursion order by order in the w-derivative:
+through order k.  After the axis step it reads the identity one x-series
+slot at a time, Fbar and Gbar being the t-series of the conjugated
+derivatives solved so far, at two slot families:
 
-* the conjugated F-series along {w = 0} comes first, from the minimal
+* (axis step) the conjugated F-series along {w = 0}, from the minimal
   nonvanishing derivative identity.  Its ell-th root is taken after dividing
   each side by its leading coefficient: both roots then have constant term 1
   and are binomial series over Q(i), and the root constants, which would
   need a branch and leave the field, cancel out of the equation;
-* each conjugated G-derivative solves a coefficient equation in which it
-  appears with unit coefficient;
-* each conjugated F-derivative appears multiplied by a series vanishing to
-  some order nu; the equation's known side must vanish to order nu as well
-  (otherwise the jet is not realizable and DivisibilityObstruction reports
-  it), after which the quotient is exact.
+* the conjugated G-derivative of order t at z^0 t^t: there Q(0, x, t) = t,
+  so the left side is the jet's G_{w^t}(0), and the unknown enters through
+  the t of Q' with coefficient 1;
+* the conjugated F-derivative of order s at z^alpha0 t^(mu0+s), times a
+  gain read off at unknown 0 and 1 that vanishes to some order nu; the known
+  side must vanish to order nu as well (otherwise the jet is not realizable
+  and DivisibilityObstruction reports it), after which the quotient is exact.
 
 Jet coefficients of order beyond the supplied jet never enter: the single
 top coefficient that would is eliminated by evaluating the equation at the
@@ -44,11 +49,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
-from .hypersurface import InfiniteUpTo, NormalFormSurface
+from .hypersurface import SURFACE_VARS, InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
-from .series import TruncatedSeries, UnknownOrder, kth_root, solve_composition
+from .series import TruncatedSeries, UnknownOrder, kth_root, lowest_term, solve_composition
 
 MAP_VARS = ("z", "w")
 
@@ -201,16 +207,14 @@ class SegreJetResult:
 
     def agrees_with(self, other: "SegreJetResult") -> bool:
         """Same k and equal series through each pair's common certified order."""
+        pairs = ((self.f_wk, other.f_wk), (self.g_wk, other.g_wk))
+        return self.k == other.k and all(_agree(a, b) for a, b in pairs)
 
-        def same(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-            order = min(a.order, b.order)
-            return a.truncate(order) == b.truncate(order)
 
-        return (
-            self.k == other.k
-            and same(self.f_wk, other.f_wk)
-            and same(self.g_wk, other.g_wk)
-        )
+def _agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """Equal through the lower of the two certified orders."""
+    order = min(a.order, b.order)
+    return a.truncate(order) == b.truncate(order)
 
 
 # ----------------------------------------------------------------------
@@ -242,23 +246,34 @@ def w_mobius(a, order: int = 12) -> MapGerm:
 # the mapping identity
 
 
+def _on_source(source: NormalFormSurface, germ: MapGerm, order: int, box=None) -> list:
+    """F(z, Q) and G(z, Q) in (z, x, t) through ``order``, the germ's terms
+    read exactly as given at that order; ``box`` as in ``compose``."""
+    subs = {"z": TruncatedSeries.variable("z", SURFACE_VARS, order), "w": source.q}
+    return [
+        TruncatedSeries(MAP_VARS, order, comp.coefficients).compose(subs, box=box)
+        for comp in (germ.f, germ.g)
+    ]
+
+
+def _sides(target: NormalFormSurface, on_source, fbar, gbar, box=None) -> tuple:
+    """Both sides of the mapping identity: G(z, Q) and
+    Q'(F(z, Q), Fbar(x, t), Gbar(x, t)), given F(z, Q) and G(z, Q)."""
+    f_on_m, g_on_m = on_source
+    return g_on_m, target.q.compose({"z": f_on_m, "x": fbar, "t": gbar}, box=box)
+
+
 def verify_mapping(
     source: NormalFormSurface, target: NormalFormSurface, h: MapGerm
 ) -> TruncatedSeries:
     """Residual of the mapping identity; zero through the order iff H maps
     source into target to that order."""
     order = min(source.order, target.order, h.order)
-    vars3 = ("z", "x", "t")
-    zg = TruncatedSeries.variable("z", vars3, order)
-    xg = TruncatedSeries.variable("x", vars3, order)
-    tg = TruncatedSeries.variable("t", vars3, order)
-    q = source.q.truncate(order)
-    f_on_m = h.f.compose({"z": zg, "w": q})
-    g_on_m = h.g.compose({"z": zg, "w": q})
-    fbar = h.f.conjugate().lift(vars3, {"z": "x", "w": "t"}).truncate(order)
-    gbar = h.g.conjugate().lift(vars3, {"z": "x", "w": "t"}).truncate(order)
-    rhs = target.q.truncate(order).compose({"z": f_on_m, "x": fbar, "t": gbar})
-    return g_on_m - rhs
+    fbar, gbar = (
+        c.conjugate().lift(SURFACE_VARS, {"z": "x", "w": "t"}).truncate(order) for c in (h.f, h.g)
+    )
+    lhs, rhs = _sides(target, _on_source(source, h, order), fbar, gbar)
+    return lhs - rhs
 
 
 def require_premise(
@@ -289,21 +304,13 @@ def segre_restriction_direct(h: MapGerm, k: int) -> SegreJetResult:
 
 class _Reconstruction:
     def __init__(self, source, target, jet, k):
-        inv = source.compute_invariants()
-        inv2 = target.compute_invariants()
-        if isinstance(inv.m0, InfiniteUpTo) or isinstance(inv2.m0, InfiniteUpTo):
+        if any(isinstance(s.compute_invariants().m0, InfiniteUpTo) for s in (source, target)):
             raise LeviFlatInput(min(source.order, target.order))
-        if (inv.m0, inv.alpha0, inv.mu0, inv.ell) != (
-            inv2.m0,
-            inv2.alpha0,
-            inv2.mu0,
-            inv2.ell,
-        ):
-            raise InconsistentJet(
-                "source and target disagree on the vanishing invariants: "
-                f"{(inv.m0, inv.alpha0, inv.mu0, inv.ell)} vs "
-                f"{(inv2.m0, inv2.alpha0, inv2.mu0, inv2.ell)}"
-            )
+        mismatches = invariant_mismatches(source, target)
+        if mismatches:
+            listed = ", ".join(f"{name} {a} != {b}" for name, a, b in mismatches)
+            raise InconsistentJet(f"source and target disagree on the invariants: {listed}")
+        inv = source.compute_invariants()
         self.m0, self.alpha0, self.mu0, self.ell = inv.m0, inv.alpha0, inv.mu0, inv.ell
         self.k = k
         self.jet = jet
@@ -311,14 +318,10 @@ class _Reconstruction:
         self.source = source
         self.target = target
         # order-m0 entry of G must vanish for any map between these surfaces
-        if self.alpha0 + self.mu0 <= jet.order:
-            if not jet.g.coefficient((self.alpha0, self.mu0)).is_zero:
-                raise InconsistentJet(
-                    f"G derivative ({self.alpha0},{self.mu0}) must vanish"
-                )
+        if self.m0 <= jet.order and not jet.g.coefficient((self.alpha0, self.mu0)).is_zero:
+            raise InconsistentJet(f"G derivative ({self.alpha0},{self.mu0}) must vanish")
         self.us: list[TruncatedSeries] = []
         self.vs: list[TruncatedSeries] = []
-        self.jet_on_source = None
 
     # -- step 0: F along the axis ---------------------------------------
 
@@ -338,32 +341,21 @@ class _Reconstruction:
             rhs = rhs * kth_root(unit, self.ell)
         return solve_composition(self._monic_root(self.target), rhs)
 
-    # -- embeddings ------------------------------------------------------
+    # -- the identity at one slot ---------------------------------------
 
-    def _stack(self, entries, variables, t_index):
-        """sum_r entries[r] * t^r inside the given variable space."""
-        acc = TruncatedSeries.zero(variables, self.work)
+    @cached_property
+    def jet_on_source(self) -> list[TruncatedSeries]:
+        """F(z, Q) and G(z, Q) of the jet, inside the box of every slot read."""
+        box = {"z": self.alpha0, "t": self.mu0 + self.k}
+        return _on_source(self.source, self.jet, self.work, box)
+
+    def _stack(self, entries) -> TruncatedSeries:
+        """sum_r entries[r] * t^r in (z, x, t)."""
+        acc = TruncatedSeries.zero(SURFACE_VARS, self.work)
         for r, series in enumerate(entries):
-            if series is None or series.is_zero:
-                continue
-            shift = tuple(r if i == t_index else 0 for i in range(len(variables)))
-            acc = acc + series.lift(variables).shift_up(shift)
+            if not series.is_zero:
+                acc = acc + series.lift(SURFACE_VARS).shift_up((0, 0, r))
         return acc
-
-    # -- conjugated G derivatives ----------------------------------------
-
-    def solve_v(self, t: int) -> TruncatedSeries:
-        variables = ("x", "t")
-        a_coeffs = {(0, j): self.jet.f.coefficient((0, j)) for j in range(1, t + 1)}
-        a_fn = TruncatedSeries(variables, self.work, a_coeffs)
-        u_fn = self._stack(self.us, variables, t_index=1)
-        v_fn = self._stack(self.vs, variables, t_index=1)
-        composed = self.target.q.compose({"z": a_fn, "x": u_fn, "t": v_fn}, box={"t": t})
-        rhs = self._extract(composed, {"t": t})
-        lhs = TruncatedSeries.constant(self.jet.g.coefficient((0, t)), ("x",), rhs.order)
-        return lhs - rhs
-
-    # -- conjugated F derivatives ----------------------------------------
 
     def _extract(self, series, slot) -> TruncatedSeries:
         """The x-series at ``slot``; beyond the series' order it is unknown."""
@@ -373,29 +365,25 @@ class _Reconstruction:
             )
         return series.extract(slot, keep=("x",))
 
+    def _identity(self, slot, us, vs) -> tuple:
+        """Both sides at ``slot``, Fbar and Gbar stacked from ``us`` and ``vs``."""
+        sides = _sides(self.target, self.jet_on_source, self._stack(us), self._stack(vs), slot)
+        return tuple(self._extract(side, slot) for side in sides)
+
+    # -- conjugated G derivatives ----------------------------------------
+
+    def solve_v(self, t: int) -> TruncatedSeries:
+        """At z^0 t^t, where the unknown has coefficient 1 on the right."""
+        lhs, rhs = self._identity({"z": 0, "t": t}, self.us, self.vs)
+        return lhs - rhs
+
+    # -- conjugated F derivatives ----------------------------------------
+
     def solve_u(self, s: int) -> TruncatedSeries:
-        variables = ("z", "x", "t")
-        if self.jet_on_source is None:
-            # F^ and G^ on the source, inside the box of every slot read below
-            zg = TruncatedSeries.variable("z", variables, self.work)
-            subs = {"z": zg, "w": self.source.q}
-            box = {"z": self.alpha0, "t": self.mu0 + self.k}
-            self.jet_on_source = [
-                TruncatedSeries(MAP_VARS, self.work, comp.coefficients).compose(subs, box=box)
-                for comp in (self.jet.f, self.jet.g)
-            ]
-        f_comp, g_comp = self.jet_on_source
         slot = {"z": self.alpha0, "t": self.mu0 + s}
-        w_lhs = self._extract(g_comp, slot)
-        v_fn = self._stack(self.vs, variables, t_index=2)
-
-        def rhs_with(u_s):
-            u_fn = self._stack(self.us + [u_s], variables, t_index=2)
-            composed = self.target.q.compose({"z": f_comp, "x": u_fn, "t": v_fn}, box=slot)
-            return self._extract(composed, slot)
-
-        r0 = rhs_with(TruncatedSeries.zero(("x",), self.work))
-        r1 = rhs_with(TruncatedSeries.constant(1, ("x",), self.work))
+        w_lhs, r0 = self._identity(slot, self.us, self.vs)
+        one = TruncatedSeries.constant(1, ("x",), self.work)
+        _, r1 = self._identity(slot, self.us + [one], self.vs)
         gain = r1 - r0
         if gain.is_zero:
             raise TruncationLimit(
@@ -550,8 +538,7 @@ def invariance_check(
         chain = r1 * lam01 + lam10
         lhs = r_src * mu01
         rhs = r_tgt.compose({"x": fbar_axis}) * chain.pow(beta0)
-        order = min(lhs.order, rhs.order)
-        beta_identity = lhs.truncate(order) == rhs.truncate(order)
+        beta_identity = _agree(lhs, rhs)
     return InvarianceReport(
         residual=residual,
         invariants_match=not mismatches,
@@ -584,15 +571,8 @@ def determination_experiment(
     jets_agree = h1.jet(k) == h2.jet(k)
     if not jets_agree:
         return DeterminationVerdict(False, None, None)
-    diff_f = h1.f - h2.f
-    diff_g = h1.g - h2.g
-    witness = None
-    for name, diff in (("F", diff_f), ("G", diff_g)):
-        for mi, c in diff.terms():
-            entry = (name, mi, c)
-            if witness is None or (sum(mi), mi) < (sum(witness[1]), witness[1]):
-                witness = entry
-            break
+    low = lowest_term(h1.f - h2.f, h1.g - h2.g)
+    witness = None if low is None else ("FG"[low[0]], *low[1:])
     return DeterminationVerdict(True, witness is None, witness)
 
 

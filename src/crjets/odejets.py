@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from . import linalg
@@ -62,6 +63,17 @@ class IndeterminateAtTruncation(OdeError):
         )
         self.at_most = at_most
         self.unknown_orders = tuple(unknown_orders)
+
+
+class ChainBeyondData(OdeError):
+    """The kernel chain needs Phi_``order``, the x^order coefficient of f_y
+    along the base solution, which data of order ``data`` leave unknown:
+    f_y loses one order, so they certify Phi_d for d < data only."""
+
+    def __init__(self, order, data):
+        super().__init__(f"kernel chain needs Phi_{order}, uncertified by order-{data} data")
+        self.order = order
+        self.data = data
 
 
 class InconsistentSeed(OdeError):
@@ -640,24 +652,22 @@ def _phi_series(ode: SingularODE, table, order: int):
     return entries
 
 
-def _phi_coefficient(entries, d: int, n: int):
-    return [[entries[i][j].coefficient((d,)) for j in range(n)] for i in range(n)]
-
-
-def _q_block(entries, j: int, gamma: int, n: int, l_order: int):
-    """gamma*n square block: d! * Phi_d at offset d = j*gamma + i - i'."""
+def _q_block(entries, j: int, gamma: int, n: int, data: int):
+    """gamma*n square block: d! * Phi_d at offset d = j*gamma + i - i';
+    ChainBeyondData if it needs a Phi_d that order-``data`` data leave unknown."""
     size = gamma * n
     block = [[CR(0)] * size for _ in range(size)]
     for i in range(1, gamma + 1):
         for ip in range(1, gamma + 1):
             d = j * gamma + i - ip
-            if d < 0 or d > l_order - 1:
+            if d < 0:
                 continue
-            phi = _phi_coefficient(entries, d, n)
+            if d >= data:
+                raise ChainBeyondData(d, data)
             fac = factorial(d)
-            for bi in range(n):
-                for bj in range(n):
-                    block[(i - 1) * n + bi][(ip - 1) * n + bj] = phi[bi][bj] * fac
+            for bi, row in enumerate(entries):
+                for bj, entry in enumerate(row):
+                    block[(i - 1) * n + bi][(ip - 1) * n + bj] = entry.coefficient((d,)) * fac
     return block
 
 
@@ -679,16 +689,19 @@ def kernel_chain_diagnostic(
     ``base_table`` maps orders to coefficient vectors of the reference
     solution (only low orders are consumed).  For each r the report lists
     dim ker Q0 and the intersection dimensions after one and two elimination
-    steps, stopping at the step where the intersection dies.
+    steps, stopping at the step where the intersection dies.  Q1 and Q2 are
+    built when a row first needs them; a block that needs Phi_d beyond the
+    data raises ChainBeyondData, since reading it as zero could change the
+    verdict.
     """
     if ode.gamma < 1:
         raise WrongGamma("kernel chain analysis applies to gamma >= 1")
     gamma, n = ode.gamma, ode.n
-    l_order = 3 * gamma  # enough derivative data for blocks Q0, Q1, Q2
-    entries = _phi_series(ode, base_table, min(ode.order, l_order))
-    q0 = _q_block(entries, 0, gamma, n, l_order)
-    q1 = _q_block(entries, 1, gamma, n, l_order)
-    q2 = _q_block(entries, 2, gamma, n, l_order)
+    l_order = 3 * gamma  # Phi_0 .. Phi_(l_order - 1) fill the blocks Q0, Q1, Q2
+    # order-0 data certify no Phi, and f_y has no series to build
+    entries = _phi_series(ode, base_table, min(ode.order, l_order)) if ode.order else None
+    block = cache(lambda j: _q_block(entries, j, gamma, n, ode.order))
+    q0 = block(0)
     ker = linalg.kernel_basis(q0)
     ker_dim = len(ker)
     rows = []
@@ -697,7 +710,7 @@ def kernel_chain_diagnostic(
             rows.append(ChainRow(r, (0,), terminated_at=0))
             continue
         dims = [ker_dim]
-        a1_next = linalg.invert(linalg.mat_sub(_c_matrix(r + 1, gamma, n), q1))
+        a1_next = linalg.invert(linalg.mat_sub(_c_matrix(r + 1, gamma, n), block(1)))
         if a1_next is None:
             rows.append(ChainRow(r, tuple(dims), None))  # step-1 matrix singular
             continue
@@ -708,13 +721,13 @@ def kernel_chain_diagnostic(
         if not inter1:
             rows.append(ChainRow(r, tuple(dims), terminated_at=1))
             continue
-        a1_next2 = linalg.invert(linalg.mat_sub(_c_matrix(r + 2, gamma, n), q1))
+        a1_next2 = linalg.invert(linalg.mat_sub(_c_matrix(r + 2, gamma, n), block(1)))
         if a1_next2 is None:
             rows.append(ChainRow(r, tuple(dims), None))  # step-2 shift singular
             continue
         d2 = linalg.mat_sub(
-            linalg.mat_sub(_c_matrix(r + 1, gamma, n), q1),
-            linalg.mat_mul(linalg.mat_mul(q0, a1_next2), q2),
+            linalg.mat_sub(_c_matrix(r + 1, gamma, n), block(1)),
+            linalg.mat_mul(linalg.mat_mul(q0, a1_next2), block(2)),
         )
         a2 = linalg.invert(d2)
         if a2 is None:

@@ -78,6 +78,16 @@ def grlex_key(mi: MultiIndex):
     return (sum(mi), mi)
 
 
+def lowest_term(*series: "TruncatedSeries") -> tuple | None:
+    """(position, multi-index, coefficient) of the grlex-least term among
+    the given series, the earlier series winning a tie; None if all are zero."""
+    found = [(grlex_key(mi), pos) for pos, s in enumerate(series) for mi in s.coefficients]
+    if not found:
+        return None
+    (_, mi), pos = min(found)
+    return pos, mi, series[pos].coefficients[mi]
+
+
 class SeriesError(Exception):
     """Base class for series-ring failures."""
 
@@ -374,15 +384,20 @@ class TruncatedSeries:
     # calculus and structure maps
 
     def partial_derivative(self, var: str) -> "TruncatedSeries":
+        """The derivative in ``var``, certified through ``order - 1``.  An
+        order-0 series certifies no derivative coefficient, and no series
+        has a negative order, so it raises SeriesError."""
         if var not in self.variables:
             raise UnknownVariable(var)
+        if not self.order:
+            raise SeriesError("an order-0 series has no certified derivative")
         idx = self.variables.index(var)
         out = {}
         for mi, c in self.coefficients.items():
             e = mi[idx]
             if e:
                 out[mi[:idx] + (e - 1,) + mi[idx + 1 :]] = c * e
-        return self._make(out, max(self.order - 1, 0))
+        return self._make(out, self.order - 1)
 
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugate (same support)."""

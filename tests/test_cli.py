@@ -402,6 +402,43 @@ def test_ode_chain(capsys):
     assert "ker_q0_dim: 0" in out
 
 
+def _chain_lines(out):
+    return [line for line in out.splitlines() if line.startswith(("ker_q0_dim:", "r_"))]
+
+
+@pytest.mark.parametrize("gamma_two", [False, True])
+def test_ode_chain_is_truncation_independent(capsys, tmp_path, gamma_two):
+    # x^3 y' = (x + x^3) y: Q0 has a kernel, so Q1 needs Phi_1..Phi_3
+    doc = CORPUS / "gamma1.ode"
+    if gamma_two:
+        doc = tmp_path / "gamma2.ode"
+        doc.write_text("kind: ode\ngamma: 2\nvars: x y\norder: 12\np: x*y + x^3*y\nq: 1\n")
+    code, full = run(capsys, "ode", doc, "chain")
+    assert code == 0
+    passed = 0
+    for order in range(7):
+        code, out = run(capsys, "ode", doc, "chain", "--order", order)
+        if code == 0:
+            passed += 1
+            assert _chain_lines(out) == _chain_lines(full), order
+        else:
+            # a Phi beyond the data is named, never read as zero
+            assert code == 3, order
+            assert out.endswith("verdict: indeterminate\n")
+            unknown = int(out.split("unknown_phi_order: ")[1].split("\n")[0])
+            assert unknown >= order
+            assert f"certified_order: {order}\n" in out
+    assert passed == (3 if gamma_two else 6)
+
+
+def test_ode_chain_on_order_0_data_is_indeterminate(capsys):
+    code, out = run(capsys, "ode", CORPUS / "gamma1.ode", "chain", "--order", "0")
+    assert code == 3
+    assert out.endswith(
+        "n_target: 0\ncertified_order: 0\nunknown_phi_order: 0\nverdict: indeterminate\n"
+    )
+
+
 def test_missing_file_is_input_error(capsys):
     code, _ = run(capsys, "analyze", CORPUS / "no_such_file.surf")
     assert code == 2

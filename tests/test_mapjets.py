@@ -292,6 +292,24 @@ def test_reconstruct_rejects_cross_surface_jet():
         )
 
 
+def test_reconstruct_names_every_differing_invariant():
+    # the quadric and the quartic differ in all but mu0; s|z|^2 and
+    # s|z|^2 + |z|^6 share (m0, alpha0, mu0, ell) = (2, 1, 1, 1), not beta0
+    def graph(terms):
+        return from_real_graph(RealGraph(TS(GRAPH_VARS, 8, terms)))
+
+    horn, horn6 = graph({(1, 1, 1): 1}), graph({(1, 1, 1): 1, (3, 3, 0): 1})
+    cases = [
+        (heisenberg(8), quartic_model(8), {"m0", "alpha0", "ell", "beta0"}),
+        (horn, horn6, {"beta0"}),
+        (horn6, horn, {"beta0"}),
+    ]
+    for source, target, differing in cases:
+        with pytest.raises(InconsistentJet) as info:
+            segre_jet_reconstruct(source, target, identity_map(8).jet(2), 0)
+        assert set(re.findall(r"(\w+) \S+ != ", str(info.value))) == differing
+
+
 def test_reconstruct_flags_bad_order_m0_entry():
     # a jet with G_zz(0) != 0 cannot come from a self-map of the quartic model
     m = quartic_model(10)

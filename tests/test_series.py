@@ -147,6 +147,27 @@ def test_derivative_of_linear():
     assert t.partial_derivative("t") == TS(("z", "x", "t"), 3, {(0, 0, 0): 1})
 
 
+def test_derivative_of_an_order_0_series_is_refused():
+    # its constant term would be the uncertified coefficient of degree 1
+    from crjets.series import SeriesError
+
+    with pytest.raises(SeriesError):
+        TS.constant(1, ("z", "x", "t"), 0).partial_derivative("z")
+    assert TS.variable("z", ("z", "x", "t"), 1).partial_derivative("z").order == 0
+
+
+def test_lowest_term_is_grlex_least_and_ties_go_to_the_earlier_series():
+    from crjets.series import lowest_term
+
+    a = TS(("z", "w"), 4, {(0, 2): 1, (3, 0): 2})
+    b = TS(("z", "w"), 4, {(1, 1): 5, (0, 2): 7, (0, 3): 1})
+    zero = TS.zero(("z", "w"), 4)
+    assert lowest_term(a, b) == (0, (0, 2), CR(1))
+    assert lowest_term(b, a) == (0, (0, 2), CR(7))
+    assert lowest_term(zero, b) == (1, (0, 2), CR(7))
+    assert lowest_term(zero, zero) is None
+
+
 def test_mixed_derivative_infinite_type_model():
     # tau * (1 + 2 i z x - 2 z^2 x^2 - ...): d_z d_t picks up 2 i x + O(x^2 z)
     q = zxt(6, {(0, 0, 1): 1, (1, 1, 1): 2 * I, (2, 2, 1): -2})
