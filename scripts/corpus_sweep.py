@@ -10,6 +10,10 @@ reports agree byte for byte print the same line:
 
     python scripts/corpus_sweep.py                 # this checkout
     python scripts/corpus_sweep.py --root OTHER    # another checkout's src/ and corpus/
+
+CI compares the line with ``scripts/sweep_digests.txt``; a change that
+alters output on purpose updates that manifest and names the calls it
+changed.
 """
 
 import argparse

@@ -382,6 +382,15 @@ def cmd_dynamics(args, report: Report) -> str:
     return "pass" if verdict.passed else "fail"
 
 
+def _zero_base(args, ode, n_target: int):
+    """The zero solution through ``n_target``; an input error when
+    p(x, 0) != 0, since then y = 0 solves nothing."""
+    try:
+        return odejets.zero_solution(ode, n_target)
+    except odejets.OdeError as exc:
+        raise InputError(f"{args.ode}: {exc}") from None
+
+
 def cmd_ode(args, report: Report) -> str:
     ode = _load(report, args.ode, "ode", args.order)
     report.add("mode", args.mode)
@@ -405,10 +414,7 @@ def cmd_ode(args, report: Report) -> str:
             report.add(f"a_{s}", " ".join(str(c) for c in run.coefficients[s]))
         return "pass" if run.fully_determined else "indeterminate"
     if args.mode == "determine":
-        try:
-            base = odejets.zero_solution(ode, n_target)
-        except odejets.OdeError as exc:  # p(x, 0) != 0: the base is not a solution
-            raise InputError(f"{args.ode}: {exc}") from None
+        base = _zero_base(args, ode, n_target)
         report.add("determination_order", odejets.determination_order(ode, base, n_target))
         return "pass"
     # chain
@@ -418,7 +424,8 @@ def cmd_ode(args, report: Report) -> str:
         raise InputError(
             f"{args.ode}: kernel chain analysis applies to gamma >= 1, got gamma {ode.gamma}"
         )
-    base = {0: tuple([0] * ode.n)}
+    # the chain reads the linearisation along y = 0, so y = 0 must solve the equation
+    base = _zero_base(args, ode, 0).coefficients
     chain = odejets.kernel_chain_diagnostic(ode, base, r_max=args.r_max)
     report.add("ker_q0_dim", chain.ker_q0_dim)
     report.add("termination_bound", chain.bound)

@@ -24,6 +24,13 @@ system once and scans k = 0, 1, 2, ..., adding the seed equations
 a_k = base_k to that one system at each step and evaluating its left-out
 equations again.
 
+The solver back-substitutes a new pivot only into the rows that still hold
+a symbol, which it keeps in an index; forms are summed in one pass into one
+accumulator.  The frontier kernels (how many components of a_s stay
+unpinned once its own equation is in) feed only the ledger, so
+``formal_coefficients``, which prints it, measures them as the elimination
+yields each settled order, and ``determination_order`` does not.
+
 Coefficients are stored Taylor-normalized (a_s = y^(s)(0)/s!), which keeps
 the integers small and absorbs the binomial bookkeeping of the derivative
 formulation.
@@ -175,6 +182,30 @@ class _Aff:
         return not self.opaque and self.const.is_zero and not self.lin
 
 
+def _put(lin: dict, sym, c: CR):
+    """Add c to the coefficient of ``sym`` in the accumulator ``lin``, in
+    place, dropping a zero."""
+    acc = lin.get(sym)
+    if acc is None:
+        lin[sym] = c
+    else:
+        acc = acc + c
+        if acc.is_zero:
+            del lin[sym]
+        else:
+            lin[sym] = acc
+
+
+def _add_scaled(const, lin: dict, aff: _Aff, c: CR):
+    """const + c * aff for a non-opaque ``aff``: its linear part is summed
+    into ``lin`` and the new constant is returned."""
+    if not aff.const.is_zero:
+        const = const + aff.const * c
+    for s, v in aff.lin.items():
+        _put(lin, s, v * c)
+    return const
+
+
 class _Evaluation:
     """The x^m coefficients of q x^(gamma+1) y' - p along the table ``a``,
     evaluated against ``solver``: a product of two forms that both hold a
@@ -219,11 +250,15 @@ class _Evaluation:
         return acc
 
     def equation(self, m: int, i: int) -> _Aff:
-        """Component i of the x^m coefficient of q x^(gamma+1) y' - p."""
-        acc = _Aff()
+        """Component i of the x^m coefficient of q x^(gamma+1) y' - p,
+        summed in one pass; opaque as soon as one term is."""
+        const, lin = CR(0), {}
         for mi, coeff in self.ode.p[i].coefficients.items():
             if mi[0] <= m:
-                acc = acc.add(self.power(mi[1:], m - mi[0]).scale(-coeff))
+                term = self.power(mi[1:], m - mi[0])
+                if term.opaque:
+                    return term
+                const = _add_scaled(const, lin, term, -coeff)
         for mi, coeff in self.ode.q.coefficients.items():
             # x^e y^d of q, the x^c coefficient of y^d and s a_s x^(s+gamma)
             # of x^(gamma+1) y'_i, with e + c + s + gamma = m
@@ -231,57 +266,73 @@ class _Evaluation:
             for s in range(1 if any(d) else max(top, 1), top - sum(d) + 1):
                 y_part = self.power(d, top - s)
                 if not y_part.is_zero:
-                    acc = acc.add(self._times(y_part, self.a[s][i]).scale(coeff * s))
-        return acc
+                    term = self._times(y_part, self.a[s][i])
+                    if term.opaque:
+                        return term
+                    const = _add_scaled(const, lin, term, coeff * s)
+        return _Aff(const, lin)
 
 
 class _LinearSolver:
     """Incremental exact row reduction with eager back-substitution.
 
     Pivot rows never reference pivot symbols, so resolving a value is a
-    single substitution pass.  Adding an equation stores new rows and never
-    changes an _Aff, so the solver shares the equations' forms safely.
+    single substitution pass.  Back-substitution finds its rows through
+    ``open``, the pivots whose row still holds a symbol: a row that is a
+    constant stays one, and on a linear system almost every row is.
+    Adding an equation stores new rows and never changes an _Aff, so the
+    solver shares the equations' forms safely.
     """
 
     def __init__(self):
         self.pivots: dict[int, _Aff] = {}
+        self.open: set[int] = set()
 
     def reduce(self, aff: _Aff) -> _Aff:
-        if aff.opaque:
+        if aff.opaque or not aff.lin:
             return aff
-        out = _Aff(aff.const, {})
+        const, lin = aff.const, {}
         for sym, c in aff.lin.items():
-            expr = self.pivots.get(sym)
-            if expr is None:
-                out = out.add(_Aff(CR(0), {sym: c}))
+            row = self.pivots.get(sym)
+            if row is None:
+                _put(lin, sym, c)
             else:
-                out = out.add(expr.scale(c))
-        return out
+                const = _add_scaled(const, lin, row, c)
+        return _Aff(const, lin)
 
     def add_equation(self, aff: _Aff):
         aff = self.reduce(aff)
         if not aff.lin:
             return "redundant" if aff.const.is_zero else "inconsistent"
         sym = max(aff.lin)
-        coeff = aff.lin[sym]
-        inv = CR(-1) / coeff
-        expr = _Aff(
-            aff.const * inv, {s: c * inv for s, c in aff.lin.items() if s != sym}
-        )
-        for other, row in self.pivots.items():
-            c = row.lin.get(sym)
-            if c is not None:
-                rest = _Aff(row.const, {s: v for s, v in row.lin.items() if s != sym})
-                self.pivots[other] = rest.add(expr.scale(c))
+        inv = CR(-1) / aff.lin[sym]
+        expr = _Aff(aff.const * inv, {s: c * inv for s, c in aff.lin.items() if s != sym})
+        for other in [o for o in self.open if sym in self.pivots[o].lin]:
+            row = self.pivots[other]
+            lin = dict(row.lin)
+            const = _add_scaled(row.const, lin, expr, lin.pop(sym))
+            self.pivots[other] = _Aff(const, lin)
+            if not lin:
+                self.open.discard(other)
         self.pivots[sym] = expr
+        if expr.lin:
+            self.open.add(sym)
         return ("pivot", sym)
 
     def value(self, aff: _Aff):
-        """Numeric value if fully determined, else None."""
-        red = self.reduce(aff)
-        if red.opaque or red.lin:
+        """Numeric value if fully determined, else None.  When every symbol
+        is pinned to a constant it is summed directly; otherwise the form
+        is reduced, since the linear parts of the rows can cancel."""
+        if aff.opaque:
             return None
-        return red.const
+        const = aff.const
+        for sym, c in aff.lin.items():
+            row = self.pivots.get(sym)
+            if row is None or row.lin:
+                red = self.reduce(aff)
+                return None if red.lin else red.const
+            const = const + row.const * c
+        return const
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +368,9 @@ class _System:
     deferred symbol per component at any other; ``n_eq`` is the last order
     whose equations the run uses.  An equation is added in the form that
     ``_Evaluation`` gives it against the solver; an opaque one is left out
-    and evaluated again by ``settle``.
+    and evaluated again by ``settle``.  ``orders`` is the one elimination
+    loop: it yields each settled order, so a caller measures what it needs
+    there, and ``eliminate`` runs it measuring nothing.
     """
 
     def __init__(self, ode: SingularODE, seed, n_target: int):
@@ -365,27 +418,22 @@ class _System:
                     return False
         return True
 
-    def eliminate(self) -> dict:
-        """Add the equations order by order, settling after each order.
-
-        Returns the frontier kernels: for each unseeded s <= n_target whose
-        own equation, at order s + gamma, is in the data, the number of
-        components of a_s still unpinned once that order is added.  Raises
-        ``InconsistentSeed`` at the first order that contradicts.
-        """
-        frontier_kernel: dict[int, int] = {}
+    def orders(self):
+        """Add the equations order by order, settling after each order, and
+        yield each order once it is settled.  Raises ``InconsistentSeed`` at
+        the first order that contradicts."""
         for m in range(self.n_eq + 1):
             for i in range(self.ode.n):
                 if not self.add(self.evaluation.equation(m, i), m, i):
                     raise InconsistentSeed(m)
             if not self.settle():
                 raise InconsistentSeed(m)
-            s = m - self.ode.gamma
-            if 0 <= s <= self.n_target and s not in self.seed:
-                frontier_kernel[s] = sum(
-                    1 for aff in self.a[s] if self.solver.value(aff) is None
-                )
-        return frontier_kernel
+            yield m
+
+    def eliminate(self):
+        """Add every equation, measuring nothing on the way."""
+        for _ in self.orders():
+            pass
 
     def read(self):
         """Pinned coefficients, free orders and unknown orders through n_target."""
@@ -410,7 +458,13 @@ def formal_coefficients(ode: SingularODE, seed, n_target: int) -> JetRecursionRe
     defaults to the zero vector and must be zero when given.
     """
     system = _System(ode, seed, n_target)
-    frontier_kernel = system.eliminate()
+    # the frontier kernel of a_s: its components still unpinned once its
+    # own equation, at order s + gamma, is added (only orders in the data)
+    frontier_kernel: dict[int, int] = {}
+    for m in system.orders():
+        s = m - ode.gamma
+        if 0 <= s <= n_target and s not in system.seed:
+            frontier_kernel[s] = sum(1 for aff in system.a[s] if system.solver.value(aff) is None)
     coefficients, free_orders, unknown_orders = system.read()
     ledger = []
     for s in range(0, n_target + 1):

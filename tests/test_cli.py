@@ -613,6 +613,23 @@ def test_ode_determine_off_a_solution_is_input_error(capsys, tmp_path, gamma):
     assert err.startswith(f"input error: {doc}: y = 0 does not solve the equation")
 
 
+def test_ode_chain_off_a_solution_is_input_error(capsys, tmp_path):
+    # the chain reads f_y along y = 0, which solves nothing here
+    doc = tmp_path / "off.ode"
+    doc.write_text("kind: ode\ngamma: 1\nvars: x y\norder: 8\np: -y + x\nq: 1\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "ode", doc, "chain")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {doc}: y = 0 does not solve the equation")
+    # the argument and gamma checks come first, with their own messages
+    code, out, err = run_err(capsys, "ode", doc, "chain", "--r-max", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --r-max must be at least 1")
+    doc.write_text("kind: ode\ngamma: 0\nvars: x y\norder: 8\np: -y + x\nq: 1\n", encoding="utf-8")
+    code, out, err = run_err(capsys, "ode", doc, "chain")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {doc}: kernel chain analysis applies to gamma >= 1")
+
+
 @pytest.mark.parametrize("mode", ["solve", "determine", "chain"])
 def test_ode_with_a_vanishing_denominator_is_input_error(capsys, tmp_path, mode):
     doc = tmp_path / "singular.ode"

@@ -12,7 +12,7 @@ from crjets import odejets
 from crjets.dsl import parse_document
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
-from crjets.linalg import det, invert, mat_mul
+from crjets.linalg import det, invert, mat_mul, rref
 from crjets.odejets import (
     InconsistentSeed,
     IndeterminateAtTruncation,
@@ -312,6 +312,31 @@ def test_determination_of_resonance_20_takes_one_formal_run(monkeypatch):
     assert len(runs) <= 1
 
 
+def test_determination_of_resonance_20_measures_no_frontier_kernel(monkeypatch):
+    # the frontier kernels feed only the ledger, which determination_order
+    # never prints, so its elimination resolves no value
+    eliminating, measured = [], []
+    eliminate, value = odejets._System.eliminate, odejets._LinearSolver.value
+
+    def flagged(system):
+        eliminating.append(True)
+        try:
+            return eliminate(system)
+        finally:
+            eliminating.pop()
+
+    def counted(solver, aff):
+        if eliminating:
+            measured.append(aff)
+        return value(solver, aff)
+
+    monkeypatch.setattr(odejets._System, "eliminate", flagged)
+    monkeypatch.setattr(odejets._LinearSolver, "value", counted)
+    ode = planted_system(random.Random(20), 20, Fraction(-3))
+    assert determination_order(ode, zero_solution(ode, ORDER), ORDER) == 20
+    assert measured == []
+
+
 def test_determination_of_an_opaque_system_takes_no_formal_run(monkeypatch):
     # x y' = y + y^2: a_2 = a_1^2 is opaque at k = 0, and seeding a_1 = 0
     # pins every order, so the one k = 0 system answers 1
@@ -507,6 +532,82 @@ def test_back_substitution_of_nonzero_solution():
     ode = scalar_ode(0, {(0, 1): 2})
     run = formal_coefficients(ode, {2: (Fraction(3, 4),)}, 16)
     assert all(r.is_zero for r in residual(ode, run))
+
+
+# ----------------------------------------------------------------------
+# the linear solver, against row ranks from linalg
+
+
+def gaussian(rng):
+    return CR(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        Fraction(rng.choice([0, 0, rng.randint(-2, 2)]), rng.randint(1, 2)),
+    )
+
+
+def affine_equations(rng, count, symbols=8):
+    """Affine forms over at most ``symbols`` symbols: mostly sparse random
+    ones, some combinations of two earlier forms (redundant when both were
+    added) and some of those with the constant moved (inconsistent then)."""
+    out = []
+    for _ in range(count):
+        if len(out) >= 2 and rng.random() < 0.4:
+            u, v = rng.sample(out, 2)
+            cu, cv = gaussian(rng), gaussian(rng)
+            lin = {
+                s: u.lin.get(s, CR(0)) * cu + v.lin.get(s, CR(0)) * cv
+                for s in sorted(u.lin.keys() | v.lin.keys())
+            }
+            const = u.const * cu + v.const * cv + CR(int(rng.random() < 0.3))
+            out.append(odejets._Aff(const, {s: c for s, c in lin.items() if not c.is_zero}))
+            continue
+        lin = {}
+        for s in rng.sample(range(symbols), rng.randint(1, 3)):
+            c = gaussian(rng)
+            if not c.is_zero:
+                lin[s] = c
+        out.append(odejets._Aff(gaussian(rng), lin))
+    return out
+
+
+def stacked_rank(rows, symbols, with_const):
+    """The row rank of the forms' coefficient rows, from linalg.rref."""
+    matrix = [
+        [aff.lin.get(s, CR(0)) for s in range(symbols)] + ([aff.const] if with_const else [])
+        for aff in rows
+    ]
+    return len(rref(matrix)[1]) if matrix else 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solver_keeps_reduced_rows_and_the_rank_of_its_equations(seed):
+    rng = random.Random(seed)
+    equations = affine_equations(rng, 14)
+    probes = [odejets._Aff.symbol(s) for s in range(8)] + affine_equations(rng, 6)
+    before = snapshot(equations + probes)
+    solver, added, seen = odejets._LinearSolver(), [], []
+    for eq in equations:
+        status = solver.add_equation(eq)
+        rank = stacked_rank(added, 8, False)
+        if stacked_rank(added + [eq], 8, False) > rank:
+            assert status[0] == "pivot"
+        elif stacked_rank(added + [eq], 8, True) > rank:
+            assert status == "inconsistent"
+        else:
+            assert status == "redundant"
+        if status != "inconsistent":
+            added.append(eq)
+        seen.append(eq)
+        assert len(solver.pivots) == stacked_rank(seen, 8, False)
+        # eager back-substitution: no row mentions a pivot symbol
+        assert not any(s in solver.pivots for row in solver.pivots.values() for s in row.lin)
+        assert solver.open == {s for s, row in solver.pivots.items() if row.lin}
+        for aff in added:
+            assert solver.reduce(aff).is_zero
+        for aff in probes + seen:
+            red = solver.reduce(aff)
+            assert solver.value(aff) == (None if red.lin else red.const)
+    assert snapshot(equations + probes) == before
 
 
 # ----------------------------------------------------------------------
