@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run the ODE engine over seeded systems in process and print one digest.
 
-The grid: 400 nonlinear systems drawn from ``random.Random(11)`` with
-``n_max`` in {6, 8, 10, 12}, ``n`` in {1, 2}, ``gamma`` in {0, 1, 2} and the
-truncation order ``n_max + {0, 2, 6}``.  For each draw ``j`` it records
-``determination_order`` on the zero base and on the zero table with a 1 at
-order ``1 + j % n_max``, each as a value or as the error it raises, and the
-``formal_coefficients`` run with no seed through ``n_max``.  Then the
-``formal_coefficients`` run of the 24 planted 2x2 systems of the benchmark's
-``ode`` kind through order 24.  Every outcome goes into one sha256, so two
-checkouts whose engines agree print the same line:
+The grid: 400 nonlinear systems drawn from ``random.Random(11)`` by the
+generator of ``tests/test_odejets.py`` (so the test dependencies must be
+installed), with ``n_max`` in {6, 8, 10, 12}, ``n`` in {1, 2}, ``gamma`` in
+{0, 1, 2} and the truncation order ``n_max + {0, 2, 6}``.  For each draw
+``j`` it records ``determination_order`` on the zero base and on the zero
+table with a 1 at order ``1 + j % n_max``, each as a value or as the error
+it raises, and the ``formal_coefficients`` run with no seed through
+``n_max``.  Then the ``formal_coefficients`` run of the 24 planted 2x2
+systems of the benchmark's ``ode`` kind through order 24.  Every outcome
+goes into one sha256, so two checkouts whose engines agree print the same
+line:
 
     python scripts/ode_sweep.py                 # this checkout
     python scripts/ode_sweep.py --root OTHER    # another checkout's src/
@@ -23,49 +25,15 @@ import hashlib
 import pathlib
 import random
 import sys
-from fractions import Fraction
 
 HERE = pathlib.Path(__file__).resolve().parents[1]
 PLANTED_TARGET = 24
 
 
-def random_nonlinear_system(rng, n, gamma, order):
-    """The generator of ``tests/test_odejets.py``: p(x, 0) = 0, so y = 0 is
-    a solution, and y-degrees up to 3 make opaque equations common."""
-    from crjets.odejets import SingularODE
-    from crjets.series import TruncatedSeries as TS
-
-    variables = ("x", "y") if n == 1 else ("x", "y1", "y2")
-    ps = []
-    for comp in range(n):
-        coeffs = {}
-        for j in range(n):
-            if gamma == 0 and j == comp:
-                c = rng.choice([rng.randint(1, 8), rng.randint(-3, 3), Fraction(rng.randint(1, 9), 2)])
-            else:
-                c = rng.choice([0, rng.randint(-2, 2)])
-            if c:
-                coeffs[(0,) + tuple(int(t == j) for t in range(n))] = c
-        for _ in range(rng.randint(0, 4)):
-            ys = [0] * n
-            degree = rng.randint(1, 3)
-            for _ in range(degree):
-                ys[rng.randrange(n)] += 1
-            x_power = rng.randint(0 if degree >= 2 else 1, 2)
-            coeffs[(x_power, *ys)] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
-        ps.append(TS(variables, order, coeffs))
-    q_coeffs = {(0,) * (n + 1): 1}
-    if rng.random() < 0.5:
-        q_coeffs[(1,) + (0,) * n] = rng.choice([-2, -1, 1, 2])
-    if rng.random() < 0.5:
-        q_coeffs[(0, 1) + (0,) * (n - 1)] = rng.choice([-2, -1, 1, 2])
-    return SingularODE(gamma, ps, TS(variables, order, q_coeffs))
-
-
 def outcomes():
     from crjets import odejets
-    from crjets.rational import ComplexRational as CR
     from perfbench.workloads import ODE_RESONANCES, planted_system
+    from test_odejets import random_nonlinear_system, wrong_base
 
     def determine(ode, base, n_max):
         try:
@@ -82,9 +50,7 @@ def outcomes():
         order = n_max + rng.choice([0, 2, 6])
         ode = random_nonlinear_system(rng, n, gamma, order)
         yield determine(ode, odejets.zero_solution(ode, n_max), n_max)
-        wrong = 1 + j % n_max
-        table = {s: tuple(CR(int(s == wrong)) for _ in range(n)) for s in range(n_max + 1)}
-        yield determine(ode, odejets.JetRecursionResult(table, (), (), n_max), n_max)
+        yield determine(ode, wrong_base(ode, n_max, 1 + j % n_max), n_max)
         yield odejets.formal_coefficients(ode, {}, n_max)
     for s in range(24):
         ode, _ = planted_system(random.Random(s), ODE_RESONANCES[s % 4], s % 3)
@@ -95,8 +61,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE))
     args = parser.parse_args(argv)
-    # the grid's own generators come from this checkout, the engine from --root
-    sys.path[:0] = [str(pathlib.Path(args.root).resolve() / "src"), str(HERE)]
+    # the grid's generators come from this checkout, the engine from --root
+    sys.path[:0] = [str(pathlib.Path(args.root).resolve() / "src"), str(HERE), str(HERE / "tests")]
     digest, count = hashlib.sha256(), 0
     for outcome in outcomes():
         digest.update(repr(outcome).encode())

@@ -154,11 +154,7 @@ class _Aff:
             return self
         lin = dict(self.lin)
         for s, c in other.lin.items():
-            acc = lin.get(s, CR(0)) + c
-            if acc.is_zero:
-                lin.pop(s, None)
-            else:
-                lin[s] = acc
+            _put(lin, s, c)
         return _Aff(self.const + other.const, lin)
 
     def scale(self, c: CR):
