@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .rational import ComplexRational as CR
-from .series import TruncatedSeries, implicit_solve
+from .series import TruncatedSeries, grlex_key, implicit_solve
 
 SURFACE_VARS = ("z", "x", "t")
 GRAPH_VARS = ("z", "x", "s")
@@ -54,14 +54,20 @@ class RealGraph:
         return self.phi.order
 
     def check(self) -> list[str]:
-        """Violations of reality and of the normality identities."""
+        """Violations of reality and of the normality identities, from one
+        scan of phi: the conjugate-swap of phi must be phi, and every
+        monomial must carry both z and x."""
+        coefficients = self.phi.coefficients
+        real = on_x = on_z = True
+        for (a, b, m), c in coefficients.items():
+            real = real and coefficients.get((b, a, m)) == c.conjugate()
+            on_x, on_z = on_x and b > 0, on_z and a > 0
         problems = []
-        swapped = self.phi.conjugate().rename_variables({"z": "x", "x": "z"})
-        if swapped != self.phi:
+        if not real:
             problems.append("phi is not real-valued (conjugate-swap mismatch)")
-        if not self.phi.zero_out("x").is_zero:
+        if not on_x:
             problems.append("phi(z, 0, s) does not vanish")
-        if not self.phi.zero_out("z").is_zero:
+        if not on_z:
             problems.append("phi(0, x, s) does not vanish")
         return problems
 
@@ -145,12 +151,18 @@ class NormalFormSurface:
         return self._normal
 
     def _normality(self) -> NormalityReport:
-        t = TruncatedSeries.variable("t", SURFACE_VARS, self.order)
+        """One scan of Q: the terms of Q(z,0,t) - t, then of Q(0,x,t) - t."""
+        residuals = {"x": {}, "z": {}}
+        for mi, c in self.q.coefficients.items():
+            if not mi[1]:
+                residuals["x"][mi] = c
+            if not mi[0]:
+                residuals["z"][mi] = c
         violations = []
-        for name, restricted in (("x", self.q.zero_out("x")), ("z", self.q.zero_out("z"))):
-            residual = restricted - t
-            for mi, c in residual.terms():
-                violations.append((name, mi, c))
+        for name, terms in residuals.items():
+            if self.order:  # an order-0 truncation holds no t
+                terms[0, 0, 1] = terms.get((0, 0, 1), CR(0)) - 1
+            violations += [(name, mi, terms[mi]) for mi in sorted(terms, key=grlex_key) if terms[mi]]
         return NormalityReport(tuple(violations))
 
     def check_reality(self) -> RealityReport:
@@ -236,26 +248,19 @@ class NormalFormSurface:
 
 
 def from_real_graph(graph: RealGraph) -> NormalFormSurface:
-    """Complex defining series from the graph form.
+    """Complex defining series from the graph form, by solving for Re w.
 
-    Solves w = wbar + 2i * phi(z, x, (w + wbar)/2) for w as a series in
-    (z, x, t), t standing for wbar; the solution satisfies the normal-form
-    and reality identities exactly at the stored order.
+    With t for wbar, v = (w + wbar)/2 is the fixed point of v = t + i*phi(z, x, v)
+    in (z, x, t), and Q = 2v - t solves w = wbar + 2i * phi(z, x, (w + wbar)/2);
+    it satisfies the normal-form and reality identities exactly at the stored order.
     """
     problems = graph.check()
     if problems:
         raise SurfaceError("; ".join(problems))
-    n = graph.order
-    solve_vars = ("z", "x", "t", "w")
-    zg = TruncatedSeries.variable("z", solve_vars, n)
-    xg = TruncatedSeries.variable("x", solve_vars, n)
-    tg = TruncatedSeries.variable("t", solve_vars, n)
-    wg = TruncatedSeries.variable("w", solve_vars, n)
-    half = CR(1) / CR(2)
-    substituted = graph.phi.compose({"z": zg, "x": xg, "s": (wg + tg) * half})
-    rhs = tg + substituted * CR(0, 2)
-    q = implicit_solve(rhs, "w")
-    surface = NormalFormSurface(q)
+    solve_vars = SURFACE_VARS + ("s",)
+    tg = TruncatedSeries.variable("t", solve_vars, graph.order)
+    v = implicit_solve(tg + graph.phi.lift(solve_vars) * CR(0, 1), "s")
+    surface = NormalFormSurface(v * CR(2) - TruncatedSeries.variable("t", SURFACE_VARS, v.order))
     surface.validate()
     return surface
 

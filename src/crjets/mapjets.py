@@ -22,7 +22,7 @@ derivatives solved so far, at two slot families:
   so the left side is the jet's G_{w^t}(0), and the unknown enters through
   the t of Q' with coefficient 1;
 * the conjugated F-derivative of order s at z^alpha0 t^(mu0+s), times a
-  gain read off at unknown 0 and 1 that vanishes to some order nu; the known
+  gain, read once per reconstruction, that vanishes to some order nu; the known
   side must vanish to order nu as well (otherwise the jet is not realizable
   and DivisibilityObstruction reports it), after which the quotient is exact.
 
@@ -379,12 +379,22 @@ class _Reconstruction:
 
     # -- conjugated F derivatives ----------------------------------------
 
+    @cached_property
+    def gain(self) -> TruncatedSeries:
+        """[z^alpha0 t^mu0] of (d_x Q')(F(z, Q), Fbar, Gbar), the coefficient of
+        u_s at z^alpha0 t^(mu0+s), s >= 1: every z^a x^b t^c of d_x Q' has a + c
+        >= m0, and F(z, Q), Gbar vanish at z = t = 0, so the slot reads only
+        u_0 and v_1 and, of u_s t^s in Fbar, only its first-order term."""
+        slot = {"z": self.alpha0, "t": self.mu0}
+        fbar, gbar = self._stack(self.us[:1]), self._stack(self.vs[:2])
+        subs = {"z": self.jet_on_source[0], "x": fbar, "t": gbar}
+        return self._extract(self.target.q.partial_derivative("x").compose(subs, box=slot), slot)
+
     def solve_u(self, s: int) -> TruncatedSeries:
+        """At z^alpha0 t^(mu0+s), where the unknown has coefficient ``gain``."""
         slot = {"z": self.alpha0, "t": self.mu0 + s}
         w_lhs, r0 = self._identity(slot, self.us, self.vs)
-        one = TruncatedSeries.constant(1, ("x",), self.work)
-        _, r1 = self._identity(slot, self.us + [one], self.vs)
-        gain = r1 - r0
+        gain = self.gain.truncate(r0.order)
         if gain.is_zero:
             raise TruncationLimit(
                 f"coefficient of the order-{s} unknown vanishes to working order {self.work}",

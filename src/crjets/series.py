@@ -422,6 +422,13 @@ class TruncatedSeries:
         ever reaches one inside it, and the terms outside are dropped from
         the substitutions, the moved monomials and every product.
 
+        The set-up filters a substitution only when a box or a lower order
+        can drop a term, and finds a constant term by key lookup: a table
+        holds no zero and no monomial above its order.  One scan of the
+        outer keeps each monomial whose degree, weighted by slot (a move's
+        degree, 1, or ``order + 1`` for zero), fits the order and whose
+        moved key fits the box.
+
         Only the products the result needs are made, each once:
 
         * a substitution with one term ``c*m`` below the order costs no
@@ -433,8 +440,9 @@ class TruncatedSeries:
           ``c = 1``;
         * a zero substitution drops every outer monomial that has a
           positive exponent in its slot;
-        * the moved terms are grouped by their exponents in the remaining
-          (general) slots, one nesting level per slot.  A group at exponent
+        * the kept terms are grouped by their exponents in the general
+          slots, one nesting level per slot (one flat level when there is
+          one general slot and no scaled move).  A group at exponent
           ``e`` in a slot substituted by ``S`` of valuation ``v`` is
           evaluated over the later slots only through the degree left after
           ``S^e``, ``e*v`` below its own, and then multiplied once by
@@ -453,10 +461,9 @@ class TruncatedSeries:
           ``h_mobius_1.map`` on the quadric (13 groups of ``z/(1-w)`` over
           that 2-term ``Q``) about 1.5x slower than powers, while with the
           test it runs at 0.7-0.9x of powers alone.  A dense substitution
-          with few groups, such as the
-          iterate of :func:`implicit_solve` or the inner series of the
-          reality identity, takes Horner, which needs one product per
-          exponent and no powers.
+          with few groups, such as the iterate of :func:`implicit_solve` or
+          the inner series of the reality identity, takes Horner, which
+          needs one product per exponent and no powers.
 
         All of it runs on packed tables ``{key: (re, im)}`` over one
         denominator, in the :class:`_Layout` of ``width =
@@ -481,7 +488,7 @@ class TruncatedSeries:
             raise BackendMismatch("cannot mix exact and float series")
         for s in subs:
             target._check_partner(s)
-            if not s.constant_term().is_zero:
+            if (0,) * len(s.variables) in s.coefficients:  # a table holds no zero
                 raise CompositionError("substitution has nonzero constant term")
         order = min([self.order] + [s.order for s in subs])
         variables = target.variables
@@ -492,17 +499,18 @@ class TruncatedSeries:
                 if v not in variables:
                     raise UnknownVariable(v)
             limits = tuple(sorted((variables.index(v), bound) for v, bound in box.items()))
-        moves = []  # (outer slot, packed monomial) of each one-term move
-        heavy = []  # (outer slot, degree - 1) of one-term moves of degree > 1
+        steps = [0] * len(subs)  # packed monomial of each one-term move, else 0
+        weights = [1] * len(subs)  # least degree an outer exponent 1 brings in each slot
         scaled = []  # (outer slot, c) of one-term moves c*m with c != 1
-        zeros = []  # outer slots substituted by zero
         general = []  # (outer slot, packed [S, S^2, ...]) of the remaining slots
         for pos, s in enumerate(subs):
-            terms = [(mi, c) for mi, c in s.coefficients.items() if sum(mi) <= order]
-            if limits:
-                terms = [(mi, c) for mi, c in terms if all(mi[j] <= b for j, b in limits)]
-            if not terms:
-                zeros.append(pos)
+            terms = s.coefficients.items()
+            if s.order > order or limits:  # a table holds no monomial above its own order
+                terms = [(mi, c) for mi, c in terms if sum(mi) <= order]
+                for j, b in limits:
+                    terms = [(mi, c) for mi, c in terms if mi[j] <= b]
+            if not terms:  # a zero substitution: any positive exponent exceeds the order
+                weights[pos] = order + 1
             elif len(terms) > 1:
                 cache = s._powers
                 if cache is None:
@@ -515,26 +523,21 @@ class TruncatedSeries:
                 general.append((pos, powers))
             else:
                 (mi, c), = terms
-                moves.append((pos, sum(map(mul, mi, layout.scale))))
-                if sum(mi) > 1:
-                    heavy.append((pos, sum(mi) - 1))
+                steps[pos] = sum(map(mul, mi, layout.scale))
+                weights[pos] = sum(mi)
                 if c != 1:
                     scaled.append((pos, c))
+        fields, mask = [(layout.width * j, b) for j, b in limits], layout.mask
         kept = []  # (outer exponents, packed moved monomial, coefficient)
         for mi, c in self.coefficients.items():
-            # every substitution has valuation >= 1, so sum(mi) bounds the degree
-            if sum(mi) > order:
-                continue
-            if heavy and sum(mi) + sum(mi[pos] * d for pos, d in heavy) > order:
-                continue
-            if zeros and any(mi[pos] for pos in zeros):
-                continue
-            key = 0
-            for pos, step in moves:
-                key += mi[pos] * step
-            if limits and any(layout.slot(key, j) > b for j, b in limits):
-                continue
-            kept.append((mi, key, c))
+            # every substitution has valuation >= 1, so this bounds the degree
+            if sum(map(mul, mi, weights)) <= order:
+                key = sum(map(mul, mi, steps))
+                for shift, b in fields:
+                    if key >> shift & mask > b:
+                        break
+                else:
+                    kept.append((mi, key, c))
         if not (general or scaled):  # unscaled moves only: no numerators, no product
             table = {}
             for _, key, c in kept:
@@ -558,18 +561,30 @@ class TruncatedSeries:
         # nested groups: one level per general slot, keyed by its exponent;
         # the leaves map packed moved monomials to numerators over d
         root: dict = {}
-        for (mi, key, _), (re, im) in zip(kept, nums):
-            for pos, pw in factors:
-                x, y = pw[mi[pos]]
-                re, im = re * x - im * y, re * y + im * x
-            node = root
-            for pos, _ in general:
-                node = node.setdefault(mi[pos], {})
-            if key in node:
-                x, y = node[key]
-                node[key] = (x + re, y + im)
-            else:
-                node[key] = (re, im)
+        if len(general) == 1 and not factors:  # one level, no factor: group directly
+            (pos, _), = general
+            for (mi, key, _), num in zip(kept, nums):
+                leaf = root.get(mi[pos])
+                if leaf is None:
+                    root[mi[pos]] = {key: num}
+                elif key in leaf:
+                    x, y = leaf[key]
+                    leaf[key] = (x + num[0], y + num[1])
+                else:
+                    leaf[key] = num
+        else:
+            for (mi, key, _), (re, im) in zip(kept, nums):
+                for pos, pw in factors:
+                    x, y = pw[mi[pos]]
+                    re, im = re * x - im * y, re * y + im * x
+                node = root
+                for pos, _ in general:
+                    node = node.setdefault(mi[pos], {})
+                if key in node:
+                    x, y = node[key]
+                    node[key] = (x + re, y + im)
+                else:
+                    node[key] = (re, im)
         if not general:  # scaled moves only: no product
             return _series(variables, order, layout.unpack(root, d), None)
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]

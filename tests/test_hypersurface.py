@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crjets.rational import ComplexRational as CR
-from crjets.series import TruncatedSeries as TS
+from crjets.series import TruncatedSeries as TS, implicit_solve
 from crjets.hypersurface import (
     GRAPH_VARS,
     SURFACE_VARS,
@@ -301,3 +301,141 @@ def test_vanishing_pattern_matches_scan_on_random_q():
             c = rng.randint(0, order + 1)
             coeffs[(a, b, c)] = CR(rng.randint(-2, 2), rng.randint(-1, 1))
         assert_pattern_matches_scan(NormalFormSurface(TS(SURFACE_VARS, order, coeffs)))
+
+
+# ----------------------------------------------------------------------
+# from_real_graph solves for Re w: the same Q as solving for w
+
+
+def solved_for_w(phi: TS) -> TS:
+    """The w route: Q = implicit_solve(t + 2i phi(z, x, (w + t)/2), w)."""
+    n = phi.order
+    solve_vars = ("z", "x", "t", "w")
+    z, x, t, w = (TS.variable(v, solve_vars, n) for v in solve_vars)
+    substituted = phi.compose({"z": z, "x": x, "s": (w + t) * CR(Fraction(1, 2))})
+    return implicit_solve(t + substituted * CR(0, 2), "w")
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_solving_for_re_w_gives_the_q_of_solving_for_w(order):
+    import random
+
+    rng = random.Random(2400 + order)
+    for _ in range(3 if order < 9 else 1):
+        graph = seeded_dense_graph(rng, order)
+        assert from_real_graph(graph).q == solved_for_w(graph.phi)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # no s at all: one sweep
+        {(1, 1, 0): 1, (2, 1, 0): CR(1, 2), (1, 2, 0): CR(1, -2), (2, 2, 0): 3},
+        # lowest s-monomials of degree 4 and 5: rates 3 and 4
+        {(1, 1, 0): 1, (2, 1, 1): CR(1, 1), (1, 2, 1): CR(1, -1), (2, 2, 2): Fraction(1, 3)},
+        {(2, 2, 0): 2, (2, 2, 1): 1, (3, 3, 1): 5},
+    ],
+)
+def test_solving_for_re_w_at_rates_one_pass_and_above_two(coeffs):
+    phi = TS(GRAPH_VARS, 9, coeffs)
+    assert from_real_graph(RealGraph(phi)).q == solved_for_w(phi)
+
+
+@pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        ({(1, 1, 0): I}, "phi is not real-valued (conjugate-swap mismatch)"),
+        ({(1, 0, 0): 1}, "phi is not real-valued (conjugate-swap mismatch); "
+                         "phi(z, 0, s) does not vanish"),
+        ({(1, 0, 1): 1, (0, 1, 1): 1}, "phi(z, 0, s) does not vanish; "
+                                       "phi(0, x, s) does not vanish"),
+        ({(2, 1, 0): 1, (0, 0, 2): 1}, "phi is not real-valued (conjugate-swap mismatch); "
+                                       "phi(z, 0, s) does not vanish; "
+                                       "phi(0, x, s) does not vanish"),
+    ],
+)
+def test_a_graph_failing_its_check_raises_the_same_error(coeffs, message):
+    with pytest.raises(SurfaceError) as caught:
+        from_real_graph(graph(6, coeffs))
+    assert str(caught.value) == message
+
+
+# ----------------------------------------------------------------------
+# the one-pass checks against the constructions they replace
+
+
+def normality_by_restriction(surf) -> tuple:
+    """Q(z,0,t) - t, then Q(0,x,t) - t, built as series, term by term."""
+    t = TS.variable("t", SURFACE_VARS, surf.order)
+    return tuple(
+        (name, mi, c)
+        for name in ("x", "z")
+        for mi, c in (surf.q.zero_out(name) - t).terms()
+    )
+
+
+def graph_check_by_construction(g) -> list:
+    problems = []
+    if g.phi.conjugate().rename_variables({"z": "x", "x": "z"}) != g.phi:
+        problems.append("phi is not real-valued (conjugate-swap mismatch)")
+    if not g.phi.zero_out("x").is_zero:
+        problems.append("phi(z, 0, s) does not vanish")
+    if not g.phi.zero_out("z").is_zero:
+        problems.append("phi(0, x, s) does not vanish")
+    return problems
+
+
+gaussian = st.builds(CR, small_rationals, small_rationals)
+
+
+@st.composite
+def tables(draw, order):
+    """Coefficient tables in three variables through ``order``, some with a
+    zero exponent in the first or second slot."""
+    table = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        mi = tuple(draw(st.integers(min_value=0, max_value=order)) for _ in range(3))
+        if sum(mi) <= order:
+            table[mi] = draw(gaussian)
+    return table
+
+
+@st.composite
+def surfaces(draw):
+    """Q with t missing, t with coefficient 1 or another one, at orders 0..5."""
+    order = draw(st.integers(min_value=0, max_value=5))
+    table = draw(tables(order))
+    t_coeff = draw(st.one_of(st.just(None), st.just(CR(1)), gaussian))
+    table.pop((0, 0, 1), None)
+    if t_coeff is not None:
+        table[(0, 0, 1)] = t_coeff
+    return NormalFormSurface(TS(SURFACE_VARS, order, table))
+
+
+@st.composite
+def graphs(draw):
+    """phi real (a table plus its conjugate-swap) or not, at orders 0..5."""
+    order = draw(st.integers(min_value=0, max_value=5))
+    rho = TS(GRAPH_VARS, order, draw(tables(order)))
+    if draw(st.booleans()):
+        rho = rho + rho.conjugate().rename_variables({"z": "x", "x": "z"})
+    return RealGraph(rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surfaces())
+def test_one_pass_normality_report_equals_the_restrictions(surf):
+    assert surf.check_normal().violations == normality_by_restriction(surf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_one_pass_graph_check_equals_the_constructions(g):
+    assert g.check() == graph_check_by_construction(g)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_normality_report_at_the_edges(order):
+    for table in ({}, {(0, 0, 1): 1}, {(0, 0, 1): CR(2, 1)}, {(0, 0, 0): 1, (1, 0, 2): 3}):
+        surf = NormalFormSurface(TS(SURFACE_VARS, order, table))
+        assert surf.check_normal().violations == normality_by_restriction(surf)

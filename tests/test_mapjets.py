@@ -703,6 +703,68 @@ def test_truncation_limits_are_typed():
 
 
 # ----------------------------------------------------------------------
+# the coefficient of each Segre unknown, read once per reconstruction
+
+
+def two_read_gain(recon, s):
+    """The right side at z^alpha0 t^(mu0+s) read with u_s = 1, minus the
+    same read with u_s = 0."""
+    slot = {"z": recon.alpha0, "t": recon.mu0 + s}
+    reads = [
+        recon._identity(slot, recon.us + [TS.constant(u, ("x",), recon.work)], recon.vs)[1]
+        for u in (1, 0)
+    ]
+    return reads[0] - reads[1]
+
+
+def corpus_pairs():
+    """(surface, map) for every corpus surface of finite m0 and every corpus
+    map that sends it into itself."""
+    from crjets.cli import _build
+
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    built = {
+        kind: [_build(str(p), p.read_text(), kind, None)[1] for p in sorted(corpus.glob(f"*.{ext}"))]
+        for kind, ext in (("surface", "surf"), ("map", "map"))
+    }
+    for surface in built["surface"]:
+        if isinstance(surface.compute_invariants().m0, int):
+            for h in built["map"]:
+                if verify_mapping(surface, surface, h).is_zero:
+                    yield surface, h
+
+
+def test_the_one_read_gain_equals_the_two_reads_at_every_step(monkeypatch):
+    checked = []
+    original = _Reconstruction.solve_u
+
+    def compared(self, s):
+        try:
+            expected = two_read_gain(self, s)
+        except TruncationLimit:
+            return original(self, s)
+        assert self.gain.truncate(expected.order) == expected, (self.m0, self.mu0, s)
+        checked.append((self.m0, self.mu0, self.ell))
+        return original(self, s)
+
+    monkeypatch.setattr(_Reconstruction, "solve_u", compared)
+    cases = list(corpus_pairs())
+    cases += [(heisenberg(10), chern_moser(*params)) for params in CHERN_MOSER]
+    horn = infinite_type_model(ORDER)
+    cases += [(horn, dilation(CR(0, 1), Fraction(1), ORDER))]
+    z4 = quartic_model(ORDER)
+    cases += [(z4, dilation(lam, lam**4, ORDER)) for lam in (Fraction(2), Fraction(-1, 3))]
+    for surface, h in cases:
+        for k in range(5):
+            try:
+                segre_jet_reconstruct(surface, surface, h.jet(k + 1), k)
+            except TruncationLimit:
+                pass
+    assert {(1, 0, 1), (2, 1, 1), (2, 0, 2)} <= set(checked)
+    assert len(checked) >= 4 * len(cases)
+
+
+# ----------------------------------------------------------------------
 # invariance
 
 
