@@ -159,10 +159,10 @@ class NormalFormSurface:
             if not mi[0]:
                 residuals["z"][mi] = c
         violations = []
-        for name, terms in residuals.items():
+        for name, res in residuals.items():
             if self.order:  # an order-0 truncation holds no t
-                terms[0, 0, 1] = terms.get((0, 0, 1), CR(0)) - 1
-            violations += [(name, mi, terms[mi]) for mi in sorted(terms, key=grlex_key) if terms[mi]]
+                res[0, 0, 1] = res.get((0, 0, 1), CR(0)) - 1
+            violations += [(name, mi, res[mi]) for mi in sorted(res, key=grlex_key) if res[mi]]
         return NormalityReport(tuple(violations))
 
     def check_reality(self) -> RealityReport:
@@ -257,9 +257,8 @@ def from_real_graph(graph: RealGraph) -> NormalFormSurface:
     problems = graph.check()
     if problems:
         raise SurfaceError("; ".join(problems))
-    solve_vars = SURFACE_VARS + ("s",)
-    tg = TruncatedSeries.variable("t", solve_vars, graph.order)
-    v = implicit_solve(tg + graph.phi.lift(solve_vars) * CR(0, 1), "s")
+    tg = TruncatedSeries.variable("t", SURFACE_VARS + ("s",), graph.order)
+    v = implicit_solve(tg + graph.phi.lift(tg.variables) * CR(0, 1), "s")
     surface = NormalFormSurface(v * CR(2) - TruncatedSeries.variable("t", SURFACE_VARS, v.order))
     surface.validate()
     return surface

@@ -383,12 +383,13 @@ class _Reconstruction:
     def gain(self) -> TruncatedSeries:
         """[z^alpha0 t^mu0] of (d_x Q')(F(z, Q), Fbar, Gbar), the coefficient of
         u_s at z^alpha0 t^(mu0+s), s >= 1: every z^a x^b t^c of d_x Q' has a + c
-        >= m0, and F(z, Q), Gbar vanish at z = t = 0, so the slot reads only
-        u_0 and v_1 and, of u_s t^s in Fbar, only its first-order term."""
-        slot = {"z": self.alpha0, "t": self.mu0}
-        fbar, gbar = self._stack(self.us[:1]), self._stack(self.vs[:2])
-        subs = {"z": self.jet_on_source[0], "x": fbar, "t": gbar}
-        return self._extract(self.target.q.partial_derivative("x").compose(subs, box=slot), slot)
+        >= m0, and F(z, Q), Gbar vanish at z = t = 0, so only a + c = m0 reaches
+        the slot, through u_0, v_1 and the first-order term of u_s t^s in Fbar."""
+        slot, q = {"z": self.alpha0, "t": self.mu0}, self.target.q
+        low = {mi: c for mi, c in q.coefficients.items() if mi[0] + mi[2] <= self.m0}
+        dq = TruncatedSeries(SURFACE_VARS, q.order, low).partial_derivative("x")
+        subs = dict(z=self.jet_on_source[0], x=self._stack(self.us[:1]), t=self._stack(self.vs[:2]))
+        return self._extract(dq.compose(subs, box=slot), slot)
 
     def solve_u(self, s: int) -> TruncatedSeries:
         """At z^alpha0 t^(mu0+s), where the unknown has coefficient ``gain``."""
