@@ -3,15 +3,15 @@
 
 The corpus holds no ``phi:`` surface, so neither ``corpus_sweep.py`` nor
 ``ode_sweep.py`` reaches ``from_real_graph``.  The grid: at orders 6, 8 and
-10, four seeded real graphs per Gaussian dilation ``lam`` in {1+i, 2-i,
-1/2+i, -1+2i, 3+i}, each ``z*x`` plus about 30 monomials z^a x^b s^m
-(a, b >= 1) with small Gaussian-rational coefficients and their
-conjugate-swaps.  For each it records the surface ``from_real_graph``
-builds, its normal-form and reality reports, its invariants, its image
-under (z, w) -> (lam z, |lam|^2 w), the residual of ``verify_mapping`` for
-that dilation, and ``segre_jet_reconstruct`` for k = 0..3, each as its
-value or as the error it raises.  Every record goes into one sha256, so two
-checkouts whose engines agree print the same line:
+10, four graphs per Gaussian dilation ``lam`` of the benchmark's ``graph``
+kind, drawn from ``random.Random(24)`` by its generator (``z*x`` plus about
+30 monomials z^a x^b s^m with a, b >= 1, made real).  For each it records
+the surface ``from_real_graph`` builds, its normal-form and reality
+reports, its invariants, its image under (z, w) -> (lam z, |lam|^2 w), the
+residual of ``verify_mapping`` for that dilation, and
+``segre_jet_reconstruct`` for k = 0..3, each as its value or as the error it
+raises.  Every record goes into one sha256, so two checkouts whose engines
+agree print the same line:
 
     python scripts/graph_sweep.py                 # this checkout
     python scripts/graph_sweep.py --root OTHER    # another checkout's src/
@@ -25,81 +25,39 @@ import hashlib
 import pathlib
 import random
 import sys
-from fractions import Fraction
 
 HERE = pathlib.Path(__file__).resolve().parents[1]
-ORDERS = (6, 8, 10)
-DILATIONS = ((1, 1), (2, -1), (Fraction(1, 2), 1), (-1, 2), (3, 1))
-GRAPHS_PER_DILATION = 4
-TERMS = 30
-
-
-def dense_phi(rng, order):
-    """A real graph series: z*x and about TERMS further seeded monomials,
-    plus the conjugate-swap of every one."""
-    from crjets.hypersurface import GRAPH_VARS
-    from crjets.rational import ComplexRational as CR
-    from crjets.series import TruncatedSeries as TS
-
-    slots = [
-        (a, b, m)
-        for a in range(1, order)
-        for b in range(1, order - a + 1)
-        for m in range(order - a - b + 1)
-        if (a, b, m) != (1, 1, 0)
-    ]
-    coeffs = {(1, 1, 0): CR(Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2])))}
-    for slot in rng.sample(slots, min(TERMS, len(slots))):
-        coeffs[slot] = CR(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-        )
-    rho = TS(GRAPH_VARS, order, coeffs)
-    return rho + rho.conjugate().rename_variables({"z": "x", "x": "z"})
 
 
 def records():
     from crjets import mapjets
-    from crjets.hypersurface import SURFACE_VARS, NormalFormSurface, RealGraph, from_real_graph
-    from crjets.rational import ComplexRational as CR
-    from crjets.series import TruncatedSeries as TS
-
-    def attempt(step):
-        try:
-            return step()
-        except (mapjets.MapError, ArithmeticError) as exc:
-            return type(exc).__name__, str(exc)
+    from crjets.hypersurface import RealGraph, from_real_graph
+    from perfbench.workloads import GAUSSIAN_DILATIONS, GRAPH_TERMS, dense_graph, dilated_image
 
     rng = random.Random(24)
-    for order in ORDERS:
-        for re, im in DILATIONS:
-            lam = CR(re, im)
-            rho = lam.norm2()
-            h = mapjets.dilation(lam, rho, order)
-            z, x, t = (TS.variable(v, SURFACE_VARS, order) for v in SURFACE_VARS)
-            inner = {"z": z * (1 / lam), "x": x * (1 / lam.conjugate()), "t": t * (1 / rho)}
-            for _ in range(GRAPHS_PER_DILATION):
-                phi = dense_phi(rng, order)
-                source = from_real_graph(RealGraph(phi))
-                yield str(phi), str(source.q)
-                yield source.check_normal().violations, str(source.check_reality().residual)
-                yield repr(source.compute_invariants())
-                target = NormalFormSurface(source.q.compose(inner) * rho)
+    for order in (6, 8, 10):
+        for lam in GAUSSIAN_DILATIONS:
+            h = mapjets.dilation(lam, lam.norm2(), order)
+            for _ in range(4):
+                source = from_real_graph(RealGraph(dense_graph(rng, order, GRAPH_TERMS)))
+                yield str(source.q), source.check_normal().violations
+                yield str(source.check_reality().residual), repr(source.compute_invariants())
+                target = dilated_image(source, lam, lam.norm2())
                 yield str(target.q), str(mapjets.verify_mapping(source, target, h))
                 for k in range(4):
-                    recon = attempt(
-                        lambda: mapjets.segre_jet_reconstruct(source, target, h.jet(k + 1), k)
-                    )
-                    if isinstance(recon, mapjets.SegreJetResult):
-                        recon = str(recon.f_wk), str(recon.g_wk)
-                    yield k, recon
+                    try:
+                        recon = mapjets.segre_jet_reconstruct(source, target, h.jet(k + 1), k)
+                        yield k, str(recon.f_wk), str(recon.g_wk)
+                    except mapjets.MapError as exc:
+                        yield k, type(exc).__name__, str(exc)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE))
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(pathlib.Path(args.root).resolve() / "src"))
+    # the grid's generator comes from this checkout, the engine from --root
+    sys.path[:0] = [str(pathlib.Path(args.root).resolve() / "src"), str(HERE)]
     digest, count = hashlib.sha256(), 0
     for record in records():
         digest.update(repr(record).encode())
