@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the engine over three seeded grids in process and print one digest each.
+"""Run the engine over four seeded grids in process and print one digest each.
 
 - calls: every subcommand over ``corpus/`` with ``--order`` unset, 2, 4, 8.
 - outcomes: ``determination_order`` and ``formal_coefficients`` on 400
@@ -9,6 +9,9 @@
   ``from_real_graph``, the checks, the invariants, a dilated image,
   ``verify_mapping`` and ``segre_jet_reconstruct`` k = 0..3.  Its orders
   start at 6: ``perfbench/workloads.py::dense_graph`` fails below that.
+- chains: ``kernel_chain_diagnostic`` over the zero solution of 400 two-
+  dimensional systems from ``tests/test_odejets.py``'s generator, gamma 1
+  or 2 at order 12: each report, or the error it raises.
 
 ``--root OTHER`` selects only the engine, ``OTHER/src``.  Every input
 (``corpus/``, ``perfbench/workloads.py``, ``tests/test_odejets.py``) comes
@@ -112,12 +115,25 @@ def records():
                         yield k, type(exc).__name__, str(exc)
 
 
+def chains():
+    from crjets import odejets
+    from test_odejets import random_nonlinear_system
+
+    rng = random.Random(26)
+    for _ in range(400):
+        ode = random_nonlinear_system(rng, 2, rng.choice([1, 2]), 12)
+        try:
+            yield odejets.kernel_chain_diagnostic(ode, odejets.zero_solution(ode, 12).coefficients)
+        except odejets.OdeError as exc:
+            yield type(exc).__name__, str(exc)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE))
     args = parser.parse_args(argv)
     sys.path[:0] = [str(pathlib.Path(args.root).resolve() / "src"), str(HERE), str(HERE / "tests")]
-    for family in (calls, outcomes, records):
+    for family in (calls, outcomes, records, chains):
         digest, count = hashlib.sha256(), 0
         for record in family():
             # a corpus report names its inputs relative to this checkout

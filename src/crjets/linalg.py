@@ -59,13 +59,11 @@ def kernel_basis(matrix):
 
 
 def image_basis(matrix):
-    """Basis of the column space."""
+    """Basis of the column space: the columns of the matrix at the pivot
+    columns of its reduced row echelon form."""
     m = _coerce_matrix(matrix)
-    if not m:
-        return []
-    transposed = [list(col) for col in zip(*m)]
-    rows, pivots = rref(transposed)
-    return [[m[i][p] for i in range(len(m))] for p in pivots]
+    _, pivots = rref(m)
+    return [[row[p] for row in m] for p in pivots]
 
 
 def solve(matrix, rhs):

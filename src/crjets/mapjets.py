@@ -54,7 +54,14 @@ from math import factorial
 
 from .hypersurface import SURFACE_VARS, InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
-from .series import TruncatedSeries, UnknownOrder, kth_root, lowest_term, solve_composition
+from .series import (
+    TruncatedSeries,
+    UnknownOrder,
+    _series,
+    kth_root,
+    lowest_term,
+    solve_composition,
+)
 
 MAP_VARS = ("z", "w")
 
@@ -350,12 +357,16 @@ class _Reconstruction:
         return _on_source(self.source, self.jet, self.work, box)
 
     def _stack(self, entries) -> TruncatedSeries:
-        """sum_r entries[r] * t^r in (z, x, t)."""
-        acc = TruncatedSeries.zero(SURFACE_VARS, self.work)
-        for r, series in enumerate(entries):
-            if not series.is_zero:
-                acc = acc + series.lift(SURFACE_VARS).shift_up((0, 0, r))
-        return acc
+        """sum_r entries[r] * t^r in (z, x, t), x-series in, through the least
+        of the working order and each nonzero entry's order plus r."""
+        order = min([self.work] + [s.order + r for r, s in enumerate(entries) if not s.is_zero])
+        out = {
+            (0, b, r): c
+            for r, s in enumerate(entries)
+            for (b,), c in s.coefficients.items()
+            if b + r <= order
+        }
+        return _series(SURFACE_VARS, order, out, None)
 
     def _extract(self, series, slot) -> TruncatedSeries:
         """The x-series at ``slot``; beyond the series' order it is unknown."""

@@ -40,17 +40,26 @@ otherwise, since the powers of a sparse substitution stay sparse where a
 Horner accumulator fills in; the powers are kept on the substituted series
 for every later composition at the same order.  A box on the target
 exponents drops every monomial above it from the substitutions and every
-product, for callers that read one coefficient slot.  The two triangular
-solves built on it, :func:`implicit_solve` and :func:`solve_composition`,
-compose each step only at the degree that step certifies, and close with
+product, for callers that read one coefficient slot.  :func:`implicit_solve`
+composes each step only at the degree that step certifies, and closes with
 one composition at the full order.
 
+Division, inverses and k-th roots make no series product: one pass,
+:func:`_graded`, makes the result homogeneous layer by homogeneous layer
+from the layers below it, by the division recurrence or by J.C.P. Miller's
+power recurrence.  :func:`solve_composition` solves ``outer(g) = rhs`` one
+degree at a time from a table of the coefficients of the powers of ``g``;
+its one composition is the closing check.
+
 The public constructor checks every multi-index and coerces every
-coefficient.  Ring operations build their results through a trusted path
-that only drops zero coefficients and monomials above the order, since
-their inputs were checked when they were built; products and
-compositions unpack their packed result without either and wrap it as it
-is.
+coefficient.  Ring results skip those checks, since their inputs were
+checked when they were built.  Those that can make a zero or a monomial
+above their order go through a trusted path that drops both; the others
+drop only what they can make: a sum only a zero where two terms collide
+and the monomials above a lower order, a truncation only the monomials
+above its order, and a negation, a conjugate, a monomial shift or an
+extraction nothing.  Products and compositions unpack their packed result
+without either and wrap it as it is.
 
 Mixing exact and float series is refused.  K-th roots are taken of monic
 series only: the unit part's leading coefficient must be 1, so the root is
@@ -65,7 +74,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Mapping
 
 from .rational import ComplexRational, _reduced, format_scalar, numerators
@@ -249,19 +258,23 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.variables, self.order, self.tolerance)
         self._check_partner(other)
-        order = min(self.order, other.order)
-        out = dict(self.coefficients)
-        for mi, c in other.coefficients.items():
+        order, tolerance = min(self.order, other.order), self.tolerance
+        # only a higher order leaves monomials to cut, and only a collision a zero
+        out = _cut(self, order)
+        for mi, c in _cut(other, order).items():
             if mi in out:
-                out[mi] = out[mi] + c
-            else:
-                out[mi] = c
-        return self._make(out, order)
+                c = out[mi] + c
+                if (abs(c) < tolerance) if tolerance is not None else not c:
+                    del out[mi]
+                    continue
+            out[mi] = c
+        return _series(self.variables, order, out, tolerance)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make({mi: -c for mi, c in self.coefficients.items()})
+        out = {mi: -c for mi, c in self.coefficients.items()}
+        return _series(self.variables, self.order, out, self.tolerance)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -307,7 +320,7 @@ class TruncatedSeries:
             raise SeriesError("cannot raise a certification order by truncation")
         if new_order == self.order:
             return self  # immutable, and keeps the cached powers
-        return self._make(self.coefficients, new_order)
+        return _series(self.variables, new_order, _cut(self, new_order), self.tolerance)
 
     # ------------------------------------------------------------------
     # division
@@ -334,31 +347,29 @@ class TruncatedSeries:
     def shift_up(self, g: MultiIndex) -> "TruncatedSeries":
         """Multiply by the exactly-known monomial with exponents ``g``."""
         g = tuple(g)
-        out = {tuple(e + ge for e, ge in zip(mi, g)): c for mi, c in self.coefficients.items()}
-        return self._make(out, self.order + sum(g))
+        out = {tuple(map(add, mi, g)): c for mi, c in self.coefficients.items()}
+        return _series(self.variables, self.order + sum(g), out, self.tolerance)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit (nonzero constant term)."""
+        """Multiplicative inverse of a unit (nonzero constant term), layer by
+        layer: ``Q_0 = 1 / U_0`` and ``Q_d = -(sum_{k>=1} U_k Q_{d-k}) / U_0``
+        (see :func:`_graded`)."""
         self._check_exact()
         c0 = self.constant_term()
         if c0.is_zero:
             raise NonmonomialLeadingForm("inverse of a non-unit")
-        c0inv = ComplexRational(1) / c0
-        minus_v = (-self + c0) * c0inv  # vanishing order >= 1
-        acc = TruncatedSeries.constant(1, self.variables, self.order)
-        power = acc
-        for _ in range(self.order):
-            power = power * minus_v
-            if power.is_zero:
-                break
-            acc = acc + power
-        return acc * c0inv
+        inv = ComplexRational(1) / c0
+        one = TruncatedSeries.constant(1, self.variables, self.order)
+        return _graded(self, one, self.order, lambda d, k: -1, lambda d: inv)
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact quotient q with other * q == self through the certified order.
 
         The divisor must factor as monomial * unit; the dividend must be
-        divisible by that monomial.
+        divisible by that monomial.  With ``N`` and ``U`` the dividend and
+        the divisor with the monomial divided out, the quotient is found
+        layer by layer, ``Q_d = (N_d - sum_{k>=1} U_k Q_{d-k}) / U_0`` (see
+        :func:`_graded`), with no inverse series and no product.
         """
         self._check_exact()
         if not isinstance(other, TruncatedSeries):
@@ -370,12 +381,14 @@ class TruncatedSeries:
             )
         g = other._monomial_gcd()
         unit = other._shift_down(g)
-        if unit.constant_term().is_zero:
+        c0 = unit.constant_term()
+        if c0.is_zero:
             raise NonmonomialLeadingForm(
                 "divisor's lowest-degree form is not a monomial times a unit"
             )
         num = self._shift_down(g) if sum(g) else self
-        return num * unit.inverse()
+        inv = ComplexRational(1) / c0
+        return _graded(unit, num, min(num.order, unit.order), lambda d, k: -1, lambda d: inv)
 
     def __truediv__(self, other):
         return self.divide(other)
@@ -401,7 +414,8 @@ class TruncatedSeries:
 
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugate (same support)."""
-        return self._make({mi: c.conjugate() for mi, c in self.coefficients.items()})
+        out = {mi: c.conjugate() for mi, c in self.coefficients.items()}
+        return _series(self.variables, self.order, out, self.tolerance)
 
     def compose(
         self,
@@ -653,16 +667,20 @@ class TruncatedSeries:
         keep = tuple(keep)
         if set(fixed) | set(keep) != set(self.variables) or set(fixed) & set(keep):
             raise SeriesError("fixed and kept variables must partition the variable set")
-        fixed_idx = [(self.variables.index(v), e) for v, e in fixed.items()]
-        keep_idx = [self.variables.index(v) for v in keep]
-        new_order = self.order - sum(e for _, e in fixed_idx)
+        new_order = self.order - sum(fixed.values())
         if new_order < 0:
             raise SeriesError("extraction beyond the certified order")
-        out = {}
-        for mi, c in self.coefficients.items():
-            if all(mi[i] == e for i, e in fixed_idx):
-                out[tuple(mi[i] for i in keep_idx)] = c
-        return _trusted(keep, new_order, out, self.tolerance)
+        # one comparison per monomial; the empty slice makes every read a tuple
+        fixed_slots = itemgetter(*[self.variables.index(v) for v in fixed], slice(0))
+        want = fixed_slots(tuple([fixed.get(v) for v in self.variables]))
+        keep_idx = [self.variables.index(v) for v in keep]
+        out = {
+            tuple([mi[i] for i in keep_idx]): c
+            for mi, c in self.coefficients.items()
+            if fixed_slots(mi) == want
+        }
+        # a kept monomial has degree at most the order less the fixed degree
+        return _series(keep, new_order, out, self.tolerance)
 
     def vanishing_order(self, var: str | None = None):
         """Minimal total degree (or minimal exponent of ``var``) in the support.
@@ -721,6 +739,13 @@ def _trusted(variables, order, coefficients, tolerance) -> TruncatedSeries:
             if not abs(c) < tolerance and sum(mi) <= order
         }
     return _series(variables, order, clean, tolerance)
+
+
+def _cut(s: TruncatedSeries, order: int) -> dict:
+    """A new table of the terms of ``s`` of degree at most ``order``."""
+    if s.order <= order:
+        return dict(s.coefficients)
+    return {mi: c for mi, c in s.coefficients.items() if sum(mi) <= order}
 
 
 def _series(variables, order, clean, tolerance) -> TruncatedSeries:
@@ -976,6 +1001,85 @@ def _horner(node, s, valuation, top, d, limits) -> tuple[dict, int]:
     return acc, da
 
 
+def _graded(unit, dividend, order, weight, scale) -> TruncatedSeries:
+    """The series ``R`` through ``order`` whose homogeneous layers (its forms
+    of degree ``d``) are, one after the other,
+
+        R_d = scale(d) * (N_d + sum_{k=1..d} weight(d, k) * U_k * R_{d-k}),
+
+    ``U_k`` and ``N_d`` the layers of ``unit`` and ``dividend``, ``weight``
+    an int and ``scale`` a scalar.  Each layer reads only the lower ones, so
+    one pass makes the whole result, at the cost of about one product of
+    ``unit`` by it.  Division (weight -1, scale ``1 / U_0``) and the k-th
+    root (J.C.P. Miller's power recurrence; see :func:`kth_root`) are its
+    two cases.
+
+    It runs on packed tables (see :class:`_Layout`): every layer of ``U``
+    is a list of packed terms over one denominator, and each layer of ``R``
+    a table over its own, with its content divided out, so that the
+    products of a layer are sums of int products over the least common
+    denominator of the layers they read.  Each coefficient of the result
+    is reduced once, when it is unpacked.
+    """
+    variables = unit.variables
+    layout = _layout(max(order.bit_length(), 1), len(variables))
+    top = layout.top
+    table, du = layout.pack(unit.coefficients.items(), order)
+    units = [[] for _ in range(order + 1)]  # degree -> [(key, re, im)] over du
+    for key, (re, im) in table.items():
+        units[key >> top].append((key, re, im))
+    table, dn = layout.pack(dividend.coefficients.items(), order)
+    given = [{} for _ in range(order + 1)]  # degree -> {key: (re, im)} over dn
+    for key, num in table.items():
+        given[key >> top][key] = num
+    layers = []  # degree -> ({key: [re, im]}, denominator), no zero value
+    out = {}
+    for d in range(order + 1):
+        parts = [(weight(d, k), units[k], *layers[d - k]) for k in range(1, d + 1)]
+        parts = [part for part in parts if part[0] and part[1] and part[2]]
+        # the parts are over du * (their layer's denominator), N_d over dn
+        dr = lcm(*[part[3] for part in parts])
+        den = lcm(du * dr, dn) if given[d] else du * dr
+        acc: dict = {}
+        get = acc.get
+        for w, terms, low, dl in parts:
+            f = w * (den // (du * dl))
+            for ka, ra, ia in terms:
+                ra, ia = ra * f, ia * f
+                for kb, (rb, ib) in low.items():
+                    k = ka + kb
+                    v = get(k)
+                    if v is None:
+                        acc[k] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                    else:
+                        v[0] += ra * rb - ia * ib
+                        v[1] += ra * ib + ia * rb
+        f = den // dn
+        for k, (re, im) in given[d].items():
+            v = get(k)
+            if v is None:
+                acc[k] = [re * f, im * f]
+            else:
+                v[0] += re * f
+                v[1] += im * f
+        c = ComplexRational.coerce(scale(d))
+        a, b = c._a, c._b
+        den *= c._d
+        layer = {}
+        for k, (re, im) in acc.items():
+            if re or im:
+                layer[k] = [re * a - im * b, re * b + im * a]
+        g = gcd(den, *chain.from_iterable(layer.values()))
+        if g != 1:
+            for v in layer.values():
+                v[0] //= g
+                v[1] //= g
+            den //= g
+        layers.append((layer, den))
+        out.update(layout.unpack(layer, den))
+    return _series(variables, order, out, None)
+
+
 def format_series(s: TruncatedSeries) -> str:
     """Canonical series-literal text: grlex term order, signs folded."""
     if s.is_zero:
@@ -1022,18 +1126,6 @@ def to_float(s: TruncatedSeries, tolerance: float = 1e-12) -> TruncatedSeries:
     )
 
 
-def _binomial_series_root(v: TruncatedSeries, k: int) -> TruncatedSeries:
-    """(1 + v)^(1/k) for a series v of positive vanishing order."""
-    acc = term = TruncatedSeries.constant(1, v.variables, v.order)
-    alpha = Fraction(1, k)
-    for j in range(1, v.order + 1):
-        term = term * v * ComplexRational((alpha - (j - 1)) / j)
-        if term.is_zero:
-            break
-        acc = acc + term
-    return acc
-
-
 def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th root of a monic series.
 
@@ -1042,6 +1134,14 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     coefficient must be 1, so the root is the binomial series of the unit
     times the monomial's k-th root, over Q(i) with no branch chosen; any
     other leading coefficient raises :class:`RootNotInField`.
+
+    The root ``B`` of the unit ``A`` is made layer by layer by J.C.P.
+    Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7), written
+    with the Euler operator ``E = sum_v v d/dv``, which multiplies a form of
+    degree ``d`` by ``d``, so that it holds in any number of variables:
+    ``B^k = A`` gives ``k A E(B) = B E(A)``, and with ``A_0 = B_0 = 1`` the
+    degree-``d`` part reads ``d B_d = sum_{j>=1} (j/k - (d - j)) A_j B_{d-j}``
+    (see :func:`_graded`).
     """
     s._check_exact()
     if k <= 0:
@@ -1069,8 +1169,11 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
             f"roots are taken of monic series only: leading coefficient "
             f"{format_scalar(c0)} is not 1"
         )
-    half = tuple(e // k for e in g)
-    return _binomial_series_root(unit - 1, k).shift_up(half)
+    one = TruncatedSeries.constant(1, unit.variables, unit.order)
+    root = _graded(
+        unit, one, unit.order, lambda d, j: j - k * (d - j), lambda d: Fraction(1, k * d) if d else 1
+    )
+    return root.shift_up(tuple(e // k for e in g))
 
 
 def implicit_solve(rhs: TruncatedSeries, unknown: str) -> TruncatedSeries:
@@ -1122,10 +1225,13 @@ def solve_composition(outer: TruncatedSeries, rhs: TruncatedSeries) -> Truncated
 
     Requires outer(0) = 0 with nonzero linear coefficient, and rhs(0) = 0.
 
-    Step ``n`` reads only the ``x^n`` coefficient of outer(g), and ``g`` is
-    exact through ``n - 1`` with no term above it, so it composes
-    ``outer.truncate(n)`` at order ``n`` rather than at the full order.  One
-    closing composition at the full order certifies the solution.
+    With ``outer = sum_j a_j x^j`` and ``P[j][n]`` the coefficient of
+    ``x^n`` in ``g^j``, the ``x^n`` coefficient of outer(g) is ``a_1 g_n +
+    sum_{j>=2} a_j P[j][n]``, and for ``j >= 2`` the entry ``P[j][n] =
+    sum_{m>=1} g_m P[j-1][n-m]`` reads only ``g_1 .. g_{n-1}``.  So one
+    pass over ``n`` fills column ``n`` of the table and solves for ``g_n``
+    with scalar products alone.  One closing composition at the full order
+    certifies the solution.
     """
     outer._check_exact()
     rhs._check_exact()
@@ -1141,12 +1247,22 @@ def solve_composition(outer: TruncatedSeries, rhs: TruncatedSeries) -> Truncated
         raise CompositionError("outer series must have nonzero linear coefficient")
     order = min(outer.order, rhs.order)
     rhs = rhs.truncate(order)
-    g = TruncatedSeries.zero(rhs.variables, order)
-    lin_inv = ComplexRational(1) / lin
+    zero, lin_inv = ComplexRational(0), ComplexRational(1) / lin
+    a = [outer.coefficients.get((j,), zero) for j in range(order + 1)]
+    top = max(j for j, c in enumerate(a) if c)  # no row above it is read
+    # powers[j][n] = P[j][n]; powers[1] is g, and row j starts at column j
+    g = [zero] * (order + 1)
+    powers = [None, g] + [[zero] * (order + 1) for _ in range(2, top + 1)]
     for n in range(1, order + 1):
-        composed = outer.truncate(n).compose({var: g})
-        cn = rhs.coefficient((n,)) - composed.coefficient((n,))
-        g = g + TruncatedSeries(rhs.variables, order, {(n,): cn * lin_inv})
+        acc = rhs.coefficients.get((n,), zero)
+        for j in range(2, min(n, top) + 1):
+            prev = powers[j - 1]
+            p = sum([g[m] * prev[n - m] for m in range(1, n - j + 2) if g[m] and prev[n - m]], zero)
+            powers[j][n] = p
+            if a[j] and p:
+                acc = acc - a[j] * p
+        g[n] = acc * lin_inv
+    g = _series(rhs.variables, order, {(n,): c for n, c in enumerate(g) if c}, None)
     if not (rhs - outer.compose({var: g})).is_zero:
         raise CompositionError("triangular solve failed to close")
     return g

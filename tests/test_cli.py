@@ -431,6 +431,24 @@ def test_ode_chain_is_truncation_independent(capsys, tmp_path, gamma_two):
     assert passed == (3 if gamma_two else 6)
 
 
+def test_ode_chain_of_a_two_dimensional_system(capsys, tmp_path):
+    # Q0 = [[0, 0], [2, 0]], so ker Q0 = im Q0 = span{e2}; A1 = 3I - Phi1 =
+    # [[3, 0], [-2, 2]] sends e2 to (0, 1/2), which lies in the kernel, so the
+    # chain dies at the second step: dims [1, 1, 0]
+    doc = tmp_path / "chain2.ode"
+    doc.write_text(
+        "kind: ode\ngamma: 1\nvars: x y1 y2\norder: 12\n"
+        "p: 3/2*x^2*y1 ; 2*y1 + x*y2 - 3/2*x*y1^2*y2\nq: 1 - x\n"
+    )
+    code, out = run(capsys, "ode", doc, "chain", "--r-max", "2")
+    assert code == 0
+    assert _chain_lines(out) == [
+        "ker_q0_dim: 1",
+        "r_1: dims=[1,1,0] terminated_at=2",
+        "r_2: dims=[1,1,0] terminated_at=2",
+    ]
+
+
 def test_ode_chain_on_order_0_data_is_indeterminate(capsys):
     code, out = run(capsys, "ode", CORPUS / "gamma1.ode", "chain", "--order", "0")
     assert code == 3

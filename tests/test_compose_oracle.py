@@ -12,8 +12,10 @@ kept on a substitution must not leak between compositions.
 
 The solves have unique solutions, so checking their defining identity in
 sympy checks the solution: ``implicit_solve`` (u = rhs(vars, u)),
-``solve_composition`` (outer(g) = rhs) and ``TruncatedSeries.inverse``
-(s * s^-1 = 1), each through the returned order.
+``solve_composition`` (outer(g) = rhs), ``TruncatedSeries.inverse`` (s *
+s^-1 = 1) and ``kth_root`` (root^k = s), each through the returned order.
+The last three are also checked at order 12, where sympy multiplies in its
+sparse ring over Q(i) with every product cut at the total degree.
 """
 
 import random
@@ -28,6 +30,8 @@ from crjets.series import TruncatedSeries as TS
 from crjets.series import implicit_solve, kth_root, solve_composition
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.rings import ring  # noqa: E402
+from sympy.polys.ring_series import rs_mul, rs_pow  # noqa: E402
 
 
 def random_series(rng, variables, order, terms, min_degree=0):
@@ -44,13 +48,17 @@ def random_series(rng, variables, order, terms, min_degree=0):
     return TS(variables, order, coeffs)
 
 
+def scalar(c):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator
+    )
+
+
 def to_sympy(s):
     symbols = sympy.symbols(s.variables)
     expr = sympy.Integer(0)
     for mi, c in s.coefficients.items():
-        term = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-            c.im.numerator, c.im.denominator
-        )
+        term = scalar(c)
         for sym, e in zip(symbols, mi):
             term *= sym**e
         expr += term
@@ -418,37 +426,110 @@ def test_implicit_solve_graph_form_against_sympy():
     assert implicit_residual(rhs, "w", u).is_zero
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_solve_composition_against_sympy(seed):
+def graded(s):
+    """``s`` in sympy's sparse ring over Q(i) with one more generator ``e``,
+    each monomial times ``e^degree``, and that ``e``: a product truncated
+    in ``e`` by ``rs_mul`` is cut at the total degree."""
+    r = ring(",".join(s.variables) + ",e", sympy.QQ_I)[0]
+    terms = {mi + (sum(mi),): r.domain.from_sympy(scalar(c)) for mi, c in s.coefficients.items()}
+    return r(terms), r.gens[-1]
+
+
+ZXT12 = (("z", "x", "t"), 12)  # the order-12 case of each solve, beside its low one
+
+
+@pytest.mark.parametrize(
+    "seed,order",
+    [pytest.param(seed, 5, id=f"{seed}") for seed in SEEDS]
+    + [pytest.param(seed, 12, id=f"order12-{seed}") for seed in SEEDS],
+)
+def test_solve_composition_against_sympy(seed, order):
     rng = random.Random(seed)
-    outer = random_series(rng, ("x",), 5, 4, min_degree=2) + TS(("x",), 5, {(1,): CR(2, 1)})
-    rhs = random_series(rng, ("x",), 5, 4, min_degree=1)
+    outer = random_series(rng, ("x",), order, 4, min_degree=2) + TS(("x",), order, {(1,): CR(2, 1)})
+    rhs = random_series(rng, ("x",), order, 4, min_degree=1)
     g = solve_composition(outer, rhs)
-    assert g.constant_term().is_zero
-    assert oracle(outer, {"x": g}) == rhs
+    assert g.constant_term().is_zero and g.order == order
+    # outer(g) by Horner's rule, every product cut at the order
+    gg, e = graded(g)
+    lhs = gg.ring.zero
+    for j in range(order, 0, -1):
+        lhs = rs_mul(lhs + gg.ring.domain.from_sympy(scalar(outer.coefficient((j,)))), gg, e, order + 1)
+    assert lhs == graded(rhs)[0]
+    if order == 5:
+        assert oracle(outer, {"x": g}) == rhs
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_series_inverse_against_sympy(seed):
+@pytest.mark.parametrize(
+    "seed,variables,order",
+    [pytest.param(seed, ("z", "x"), 6, id=f"{seed}") for seed in SEEDS]
+    + [pytest.param(seed, *ZXT12, id=f"zxt12-{seed}") for seed in SEEDS],
+)
+def test_series_inverse_against_sympy(seed, variables, order):
     rng = random.Random(seed)
-    zx = ("z", "x")
-    s = random_series(rng, zx, 6, 8, min_degree=1) + CR(Fraction(3, 2), -1)
+    s = random_series(rng, variables, order, 8, min_degree=1) + CR(Fraction(3, 2), -1)
     inv = s.inverse()
-    product = from_sympy(to_sympy(s) * to_sympy(inv), zx, 6)
-    assert product == TS.constant(1, zx, 6)
+    assert inv.order == order
+    (gs, e), gi = graded(s), graded(inv)[0]
+    assert rs_mul(gs, gi, e, order + 1) == gs.ring.one
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("k", [2, 3])
-def test_kth_root_against_sympy(seed, k):
+@pytest.mark.parametrize(
+    "k,seed,variables,order",
+    [pytest.param(k, seed, ("z", "x"), 7, id=f"{k}-{seed}") for k in (2, 3) for seed in SEEDS]
+    + [pytest.param(k, seed, *ZXT12, id=f"zxt12-{k}-{seed}") for k in (2, 3) for seed in SEEDS],
+)
+def test_kth_root_against_sympy(k, seed, variables, order):
     rng = random.Random(seed)
-    zx = ("z", "x")
-    unit = random_series(rng, zx, 7, 8, min_degree=1) + 1
-    lead = (1, 0) if seed % 2 else (1, 1)
-    s = unit.shift_up(tuple(k * e for e in lead)).truncate(7)
+    n = len(variables)
+    unit = random_series(rng, variables, order, 8, min_degree=1) + 1
+    lead = (1,) + (0,) * (n - 1) if seed % 2 else (1, 1) + (0,) * (n - 2)
+    s = unit.shift_up(tuple(k * e for e in lead)).truncate(order)
     root = kth_root(s, k)
     assert root.coefficient(lead) == CR(1)
-    assert from_sympy(to_sympy(root) ** k, zx, s.order) == s
+    (gr, e), gs = graded(root), graded(s)[0]
+    assert rs_pow(gr, k, e, s.order + 1) == gs
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(TS, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(TS, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("order", [2, 6, 12])
+def test_solve_composition_composes_once(order, monkeypatch):
+    # the table of g^j solves every degree; the one composition is the check
+    rng = random.Random(order)
+    outer = random_series(rng, ("x",), order, 6, min_degree=2) + TS(("x",), order, {(1,): CR(1, 1)})
+    rhs = random_series(rng, ("x",), order, 6, min_degree=1)
+    compositions = count_calls(monkeypatch, "compose")
+    products = count_calls(monkeypatch, "__mul__")
+    g = solve_composition(outer, rhs)
+    assert len(compositions) == 1 and products == []
+    monkeypatch.undo()
+    assert outer.compose({"x": g}) == rhs
+
+
+def test_division_and_roots_make_no_series_product(monkeypatch):
+    rng = random.Random(5)
+    zxt = ("z", "x", "t")
+    unit = random_series(rng, zxt, 10, 8, min_degree=1) + CR(2, -1)
+    num = random_series(rng, zxt, 10, 8)
+    monic = (random_series(rng, zxt, 10, 8, min_degree=1) + 1).shift_up((2, 0, 0)).truncate(10)
+    products = count_calls(monkeypatch, "__mul__")
+    results = unit.inverse(), num / unit, (num.shift_up((0, 1, 0)) / unit.shift_up((0, 1, 0))), kth_root(monic, 2)
+    assert products == []
+    monkeypatch.undo()
+    inv, quotient, shifted, root = results
+    assert inv * unit == TS.constant(1, zxt, 10)
+    assert quotient * unit == num and shifted == quotient
+    assert root * root == monic.truncate(root.order)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ SWEEP = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(SWEEP)
 
 
-@pytest.mark.parametrize("family", [SWEEP.calls, SWEEP.outcomes, SWEEP.records], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "family", [SWEEP.calls, SWEEP.outcomes, SWEEP.records, SWEEP.chains], ids=lambda f: f.__name__
+)
 def test_each_family_yields_the_same_first_records_twice(family, monkeypatch):
     # the grids' generators come from this checkout, as under main()
     monkeypatch.syspath_prepend(str(ROOT / "tests"))
