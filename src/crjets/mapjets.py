@@ -54,14 +54,7 @@ from math import factorial
 
 from .hypersurface import SURFACE_VARS, InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
-from .series import (
-    TruncatedSeries,
-    UnknownOrder,
-    _series,
-    kth_root,
-    lowest_term,
-    solve_composition,
-)
+from .series import TruncatedSeries, UnknownOrder, _series, kth_root, lowest_term, solve_composition
 
 MAP_VARS = ("z", "w")
 

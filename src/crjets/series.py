@@ -1009,38 +1009,35 @@ def _graded(unit, dividend, order, weight, scale) -> TruncatedSeries:
 
     ``U_k`` and ``N_d`` the layers of ``unit`` and ``dividend``, ``weight``
     an int and ``scale`` a scalar.  Each layer reads only the lower ones, so
-    one pass makes the whole result, at the cost of about one product of
-    ``unit`` by it.  Division (weight -1, scale ``1 / U_0``) and the k-th
-    root (J.C.P. Miller's power recurrence; see :func:`kth_root`) are its
-    two cases.
+    one pass makes the whole result for about the cost of one product by
+    ``unit``.  Division (weight -1, scale ``1 / U_0``) and the k-th root
+    (Miller's recurrence, see :func:`kth_root`) are its two cases.
 
-    It runs on packed tables (see :class:`_Layout`): every layer of ``U``
-    is a list of packed terms over one denominator, and each layer of ``R``
-    a table over its own, with its content divided out, so that the
-    products of a layer are sums of int products over the least common
-    denominator of the layers they read.  Each coefficient of the result
-    is reduced once, when it is unpacked.
+    The layers are packed (see :class:`_Layout`): those of ``U`` over one
+    denominator, each layer of ``R`` over its own with its content divided
+    out, so a layer's products are int products over the least common
+    denominator of the layers they read.  Each result coefficient is
+    reduced once, when it is unpacked.
     """
-    variables = unit.variables
-    layout = _layout(max(order.bit_length(), 1), len(variables))
-    top = layout.top
-    table, du = layout.pack(unit.coefficients.items(), order)
+    layout = _layout(max(order.bit_length(), 1), len(unit.variables))
     units = [[] for _ in range(order + 1)]  # degree -> [(key, re, im)] over du
+    table, du = layout.pack(unit.coefficients.items(), order)
     for key, (re, im) in table.items():
-        units[key >> top].append((key, re, im))
-    table, dn = layout.pack(dividend.coefficients.items(), order)
+        units[key >> layout.top].append((key, re, im))
     given = [{} for _ in range(order + 1)]  # degree -> {key: (re, im)} over dn
+    table, dn = layout.pack(dividend.coefficients.items(), order)
     for key, num in table.items():
-        given[key >> top][key] = num
-    layers = []  # degree -> ({key: [re, im]}, denominator), no zero value
-    out = {}
+        given[key >> layout.top][key] = num
+    layers, out = [], {}  # layers[d]: ({key: (re, im)}, denominator), no zero value
     for d in range(order + 1):
         parts = [(weight(d, k), units[k], *layers[d - k]) for k in range(1, d + 1)]
         parts = [part for part in parts if part[0] and part[1] and part[2]]
-        # the parts are over du * (their layer's denominator), N_d over dn
-        dr = lcm(*[part[3] for part in parts])
-        den = lcm(du * dr, dn) if given[d] else du * dr
-        acc: dict = {}
+        # a part is over du times its layer's denominator, N_d over dn
+        den = du * lcm(*[part[3] for part in parts])
+        if given[d]:
+            den = lcm(den, dn)
+        f = den // dn
+        acc = {k: [re * f, im * f] for k, (re, im) in given[d].items()}
         get = acc.get
         for w, terms, low, dl in parts:
             f = w * (den // (du * dl))
@@ -1054,30 +1051,13 @@ def _graded(unit, dividend, order, weight, scale) -> TruncatedSeries:
                     else:
                         v[0] += ra * rb - ia * ib
                         v[1] += ra * ib + ia * rb
-        f = den // dn
-        for k, (re, im) in given[d].items():
-            v = get(k)
-            if v is None:
-                acc[k] = [re * f, im * f]
-            else:
-                v[0] += re * f
-                v[1] += im * f
         c = ComplexRational.coerce(scale(d))
-        a, b = c._a, c._b
-        den *= c._d
-        layer = {}
-        for k, (re, im) in acc.items():
-            if re or im:
-                layer[k] = [re * a - im * b, re * b + im * a]
+        a, b, den = c._a, c._b, den * c._d
+        layer = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in acc.items() if x or y}
         g = gcd(den, *chain.from_iterable(layer.values()))
-        if g != 1:
-            for v in layer.values():
-                v[0] //= g
-                v[1] //= g
-            den //= g
-        layers.append((layer, den))
-        out.update(layout.unpack(layer, den))
-    return _series(variables, order, out, None)
+        layers.append(({k: (x // g, y // g) for k, (x, y) in layer.items()}, den // g))
+        out.update(layout.unpack(*layers[-1]))
+    return _series(unit.variables, order, out, None)
 
 
 def format_series(s: TruncatedSeries) -> str:
@@ -1170,9 +1150,8 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
             f"{format_scalar(c0)} is not 1"
         )
     one = TruncatedSeries.constant(1, unit.variables, unit.order)
-    root = _graded(
-        unit, one, unit.order, lambda d, j: j - k * (d - j), lambda d: Fraction(1, k * d) if d else 1
-    )
+    weight = lambda d, j: j - k * (d - j)  # noqa: E731
+    root = _graded(unit, one, unit.order, weight, lambda d: Fraction(1, k * d) if d else 1)
     return root.shift_up(tuple(e // k for e in g))
 
 

@@ -451,9 +451,9 @@ def test_solve_composition_against_sympy(seed, order):
     assert g.constant_term().is_zero and g.order == order
     # outer(g) by Horner's rule, every product cut at the order
     gg, e = graded(g)
-    lhs = gg.ring.zero
+    lhs, domain = gg.ring.zero, gg.ring.domain
     for j in range(order, 0, -1):
-        lhs = rs_mul(lhs + gg.ring.domain.from_sympy(scalar(outer.coefficient((j,)))), gg, e, order + 1)
+        lhs = rs_mul(lhs + domain.from_sympy(scalar(outer.coefficient((j,)))), gg, e, order + 1)
     assert lhs == graded(rhs)[0]
     if order == 5:
         assert oracle(outer, {"x": g}) == rhs
@@ -523,10 +523,10 @@ def test_division_and_roots_make_no_series_product(monkeypatch):
     num = random_series(rng, zxt, 10, 8)
     monic = (random_series(rng, zxt, 10, 8, min_degree=1) + 1).shift_up((2, 0, 0)).truncate(10)
     products = count_calls(monkeypatch, "__mul__")
-    results = unit.inverse(), num / unit, (num.shift_up((0, 1, 0)) / unit.shift_up((0, 1, 0))), kth_root(monic, 2)
+    inv, quotient, root = unit.inverse(), num / unit, kth_root(monic, 2)
+    shifted = num.shift_up((0, 1, 0)) / unit.shift_up((0, 1, 0))
     assert products == []
     monkeypatch.undo()
-    inv, quotient, shifted, root = results
     assert inv * unit == TS.constant(1, zxt, 10)
     assert quotient * unit == num and shifted == quotient
     assert root * root == monic.truncate(root.order)

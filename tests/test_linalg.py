@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from crjets.linalg import image_basis, kernel_basis, mat_mul, mat_vec, rref, solve, span_intersection
+from crjets.linalg import (
+    image_basis,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    rref,
+    solve,
+    span_intersection,
+)
 from crjets.rational import ComplexRational as CR
 
 ZERO = CR(0)
