@@ -350,8 +350,8 @@ class _Reconstruction:
         return _on_source(self.source, self.jet, self.work, box)
 
     def _stack(self, entries) -> TruncatedSeries:
-        """sum_r entries[r] * t^r in (z, x, t), x-series in, through the least
-        of the working order and each nonzero entry's order plus r."""
+        """sum_r entries[r] * t^r in (z, x, t) for x-series entries, through
+        the least of the working order and each nonzero entry's order plus r."""
         order = min([self.work] + [s.order + r for r, s in enumerate(entries) if not s.is_zero])
         out = {
             (0, b, r): c
