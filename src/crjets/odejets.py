@@ -145,18 +145,6 @@ class _Aff:
     def symbol(cls, sym):
         return cls(CR(0), {sym: CR(1)})
 
-    def add(self, other):
-        if self.opaque or other.opaque:
-            return _Aff(opaque=True)
-        if not self.lin and self.const.is_zero:
-            return other
-        if not other.lin and other.const.is_zero:
-            return self
-        lin = dict(self.lin)
-        for s, c in other.lin.items():
-            _put(lin, s, c)
-        return _Aff(self.const + other.const, lin)
-
     def scale(self, c: CR):
         if c.is_zero:
             return _Aff()
@@ -237,11 +225,15 @@ class _Evaluation:
         if kept is not None and (kept[0] == stamp or not kept[1].opaque):
             return kept[1]
         rest = d[:i] + (d[i] - 1,) + d[i + 1 :]
-        acc = _Aff()
+        const, lin = CR(0), {}
         for j in range(1, c - total + 2):
-            acc = acc.add(self._times(self.a[j][i], self.power(rest, c - j)))
-            if acc.opaque:
+            term = self._times(self.a[j][i], self.power(rest, c - j))
+            if term.opaque:
+                acc = term
                 break
+            const = _add_scaled(const, lin, term, CR(1))
+        else:
+            acc = _Aff(const, lin)
         self.powers[(d, c)] = (stamp, acc)
         return acc
 
@@ -620,9 +612,10 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     below = ()  # the unknown orders that alone kept run k - 1 from settling
     unpinned = 1  # no order in k + 1 .. unpinned - 1 has a free component
     for k in range(0, n_max + 1):
-        # a[0] holds the seed's constants, so step 0 adds nothing
+        # a[0] holds the seed's constants, so step 0 adds nothing; a table
+        # form is never opaque nor changed, so the seed equation shares its lin
         seeded = all(
-            system.add(aff.add(_Aff(-value)), k, i)
+            system.add(_Aff(aff.const - value, aff.lin), k, i)
             for i, (aff, value) in enumerate(zip(system.a[k], base.coefficients[k]))
         )
         if not (seeded and system.settle()):

@@ -53,13 +53,12 @@ its one composition is the closing check.
 
 The public constructor checks every multi-index and coerces every
 coefficient.  Ring results skip those checks, since their inputs were
-checked when they were built.  Those that can make a zero or a monomial
-above their order go through a trusted path that drops both; the others
-drop only what they can make: a sum only a zero where two terms collide
-and the monomials above a lower order, a truncation only the monomials
-above its order, and a negation, a conjugate, a monomial shift or an
-extraction nothing.  Products and compositions unpack their packed result
-without either and wrap it as it is.
+checked when they were built, and each drops only what it can make: a sum
+a zero where two terms collide and the monomials above a lower order, a
+truncation the monomials above its order, and a lift, the parser and a
+composition by unscaled moves alone a zero where terms merge, through the
+trusted path.  Every other ring result makes neither and is wrapped as it
+is; a product unpacks its packed result without its zeros.
 
 Mixing exact and float series is refused.  K-th roots are taken of monic
 series only: the unit part's leading coefficient must be 1, so the root is
@@ -211,15 +210,6 @@ class TruncatedSeries:
         mi = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, order, {mi: 1})
 
-    def _make(self, coefficients, order=None):
-        """Trusted constructor for ring results in this series' space."""
-        return _trusted(
-            self.variables,
-            self.order if order is None else order,
-            coefficients,
-            self.tolerance,
-        )
-
     # ------------------------------------------------------------------
     # basic queries
 
@@ -288,7 +278,8 @@ class TruncatedSeries:
         self._check_exact()
         if not isinstance(other, TruncatedSeries):
             scal = ComplexRational.coerce(other)
-            return self._make({mi: c * scal for mi, c in self.coefficients.items()})
+            out = {mi: c * scal for mi, c in self.coefficients.items()} if scal else {}
+            return _series(self.variables, self.order, out, None)
         self._check_partner(other)
         order = min(self.order, other.order)
         b = other._packed
@@ -342,7 +333,7 @@ class TruncatedSeries:
                     f"monomial {mi} not divisible by factor {g}"
                 )
             out[tuple(e - ge for e, ge in zip(mi, g))] = c
-        return self._make(out, self.order - sum(g))
+        return _series(self.variables, self.order - sum(g), out, self.tolerance)
 
     def shift_up(self, g: MultiIndex) -> "TruncatedSeries":
         """Multiply by the exactly-known monomial with exponents ``g``."""
@@ -410,7 +401,7 @@ class TruncatedSeries:
             e = mi[idx]
             if e:
                 out[mi[:idx] + (e - 1,) + mi[idx + 1 :]] = c * e
-        return self._make(out, self.order - 1)
+        return _series(self.variables, self.order - 1, out, self.tolerance)
 
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugate (same support)."""
@@ -455,8 +446,7 @@ class TruncatedSeries:
         * a zero substitution drops every outer monomial that has a
           positive exponent in its slot;
         * the kept terms are grouped by their exponents in the general
-          slots, one nesting level per slot (one flat level when there is
-          one general slot and no scaled move).  A group at exponent
+          slots, one nesting level per slot.  A group at exponent
           ``e`` in a slot substituted by ``S`` of valuation ``v`` is
           evaluated over the later slots only through the degree left after
           ``S^e``, ``e*v`` below its own, and then multiplied once by
@@ -575,30 +565,18 @@ class TruncatedSeries:
         # nested groups: one level per general slot, keyed by its exponent;
         # the leaves map packed moved monomials to numerators over d
         root: dict = {}
-        if len(general) == 1 and not factors:  # one level, no factor: group directly
-            (pos, _), = general
-            for (mi, key, _), num in zip(kept, nums):
-                leaf = root.get(mi[pos])
-                if leaf is None:
-                    root[mi[pos]] = {key: num}
-                elif key in leaf:
-                    x, y = leaf[key]
-                    leaf[key] = (x + num[0], y + num[1])
-                else:
-                    leaf[key] = num
-        else:
-            for (mi, key, _), (re, im) in zip(kept, nums):
-                for pos, pw in factors:
-                    x, y = pw[mi[pos]]
-                    re, im = re * x - im * y, re * y + im * x
-                node = root
-                for pos, _ in general:
-                    node = node.setdefault(mi[pos], {})
-                if key in node:
-                    x, y = node[key]
-                    node[key] = (x + re, y + im)
-                else:
-                    node[key] = (re, im)
+        for (mi, key, _), (re, im) in zip(kept, nums):
+            for pos, pw in factors:
+                x, y = pw[mi[pos]]
+                re, im = re * x - im * y, re * y + im * x
+            node = root
+            for pos, _ in general:
+                node = node.setdefault(mi[pos], {})
+            if key in node:
+                x, y = node[key]
+                node[key] = (x + re, y + im)
+            else:
+                node[key] = (re, im)
         if not general:  # scaled moves only: no product
             return _series(variables, order, layout.unpack(root, d), None)
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
@@ -623,7 +601,7 @@ class TruncatedSeries:
         new_variables = tuple(new_variables)
         if len(new_variables) != len(self.variables):
             raise VariableMismatch("arity changed")
-        return _trusted(new_variables, self.order, self.coefficients, self.tolerance)
+        return _series(new_variables, self.order, dict(self.coefficients), self.tolerance)
 
     def lift(self, new_variables, var_map: Mapping[str, str] | None = None) -> "TruncatedSeries":
         """Embed into a larger variable set; absent variables get exponent 0.
@@ -656,7 +634,7 @@ class TruncatedSeries:
             for mi, c in self.coefficients.items()
             if all(mi[i] == 0 for i in idxs)
         }
-        return self._make(out)
+        return _series(self.variables, self.order, out, self.tolerance)
 
     def extract(self, fixed: Mapping[str, int], keep) -> "TruncatedSeries":
         """Coefficient series: fix exponents of some variables, keep the rest.
@@ -723,21 +701,18 @@ class TruncatedSeries:
 
 
 def _trusted(variables, order, coefficients, tolerance) -> TruncatedSeries:
-    """Build a ring result without the public constructor's checks.
+    """Build a ring result that may hold a zero without the public
+    constructor's checks.
 
     The caller guarantees well-formed multi-indices for ``variables``, no
-    duplicates, and coefficients already on the backend (``ComplexRational``
-    when exact, ``complex`` on floats).  Only zeros and monomials above
-    ``order`` are dropped.
+    duplicates, no monomial above ``order``, and coefficients already on the
+    backend (``ComplexRational`` when exact, ``complex`` on floats).  Only
+    zeros are dropped.
     """
     if tolerance is None:
-        clean = {mi: c for mi, c in coefficients.items() if c and sum(mi) <= order}
+        clean = {mi: c for mi, c in coefficients.items() if c}
     else:
-        clean = {
-            mi: c
-            for mi, c in coefficients.items()
-            if not abs(c) < tolerance and sum(mi) <= order
-        }
+        clean = {mi: c for mi, c in coefficients.items() if not abs(c) < tolerance}
     return _series(variables, order, clean, tolerance)
 
 
@@ -1110,7 +1085,9 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th root of a monic series.
 
     Requires the support to factor as monomial^k * unit (or a unit series);
-    the first root (k = 1) is the series itself.  The unit's leading
+    the first root (k = 1) is the series itself.  As in
+    :meth:`TruncatedSeries.divide`, the monomial is the gcd of the support,
+    and the quotient by it must have a constant term.  The unit's leading
     coefficient must be 1, so the root is the binomial series of the unit
     times the monomial's k-th root, over Q(i) with no branch chosen; any
     other leading coefficient raises :class:`RootNotInField`.
@@ -1130,20 +1107,13 @@ def kth_root(s: TruncatedSeries, k: int) -> TruncatedSeries:
         raise ZeroSeriesRoot(f"zero series certified to order {s.order}")
     if k == 1:
         return s
-    d = min(sum(mi) for mi in s.coefficients)
-    lowest = [mi for mi in s.coefficients if sum(mi) == d]
-    if d > 0 and len(lowest) != 1:
-        raise SupportNotKthPower("lowest-degree form is not a single monomial")
-    g = lowest[0] if d > 0 else (0,) * len(s.variables)
-    if any(e % k for e in g):
-        raise SupportNotKthPower(f"monomial factor {g} is not a k-th power (k={k})")
-    try:
-        unit = s._shift_down(g)
-    except DivisorOrderExceedsDividend as exc:
-        raise SupportNotKthPower(str(exc)) from None
+    g = s._monomial_gcd()
+    unit = s._shift_down(g)
     c0 = unit.constant_term()
     if c0.is_zero:
         raise SupportNotKthPower("support does not factor as monomial * unit")
+    if any(e % k for e in g):
+        raise SupportNotKthPower(f"monomial factor {g} is not a k-th power (k={k})")
     if c0 != 1:
         raise RootNotInField(
             f"roots are taken of monic series only: leading coefficient "
@@ -1190,7 +1160,7 @@ def implicit_solve(rhs: TruncatedSeries, unknown: str) -> TruncatedSeries:
     prec = 0
     while True:
         prec = min(prec + rate, order)
-        carried = _trusted(target_vars, prec, u.coefficients, None)
+        carried = _series(target_vars, prec, u.coefficients, None)
         u = rhs.truncate(prec).compose({**subs, unknown: carried})
         if prec == order:
             break

@@ -217,7 +217,8 @@ def test_verify_pass_and_fail(capsys):
 
 
 def test_segre_on_quartic_is_exact(capsys):
-    # ell = 2 on the quartic model: the reconstruction still takes no branch
+    # ell = 2 on the quartic model: the reconstruction takes a square root
+    # and still no branch; the whole report is pinned byte for byte
     code, out = run(
         capsys,
         "segre",
@@ -226,11 +227,24 @@ def test_segre_on_quartic_is_exact(capsys):
         CORPUS / "dilation_z4.map",
         "1",
     )
+    z4 = "input: z4.surf sha256=0fb699b0c9dbba2b3e487e1379f08f8335bbabb0ffbc91308c169576c8db636d\n"
     assert code == 0
-    assert "backend: exact\n" in out
-    assert "reconstructed_G: 16\n" in out
-    assert "comparison: exact\n" in out
-    assert "verdict: pass" in out
+    assert out == (
+        "command: segre\n"
+        + z4
+        + z4
+        + "input: dilation_z4.map "
+        "sha256=ee48159e889a1ea7461d54231729d4952b329bc1da88d3b6c9bba5b19b9bd579\n"
+        "k: 1\n"
+        "backend: exact\n"
+        "reconstructed_F: 0\n"
+        "reconstructed_G: 16\n"
+        "certified_order: 5\n"
+        "direct_F: 0\n"
+        "direct_G: 16\n"
+        "comparison: exact\n"
+        "verdict: pass\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--jobs", "--backend", "--tolerance"])

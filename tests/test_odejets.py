@@ -406,7 +406,7 @@ def check_scan_steps(ode, base, n_max):
     for k in range(n_max + 1):
         seed = {s: base.coefficients[s] for s in range(k + 1)}
         seeded = all(
-            system.add(aff.add(odejets._Aff(-value)), k, i)
+            system.add(odejets._Aff(aff.const - value, aff.lin), k, i)
             for i, (aff, value) in enumerate(zip(system.a[k], base.coefficients[k]))
         )
         if not (seeded and system.settle()):

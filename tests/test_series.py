@@ -307,6 +307,12 @@ def test_kth_root_rejections():
         kth_root(TS.zero(("u",), 4), 2)
     with pytest.raises(SupportNotKthPower):
         kth_root(u_series(4, {1: 1}), 2)
+    # a lowest form of two monomials, and a lowest monomial that does not
+    # divide the series: neither is a monomial times a unit
+    with pytest.raises(SupportNotKthPower):
+        kth_root(TS(("z", "x"), 6, {(2, 0): 1, (0, 2): 1}), 2)
+    with pytest.raises(SupportNotKthPower):
+        kth_root(TS(("z", "x"), 6, {(2, 0): 1, (1, 3): 1}), 2)
     with pytest.raises(RootNotInField):
         kth_root(u_series(4, {0: 2}), 2)
 
