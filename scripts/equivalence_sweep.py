@@ -4,7 +4,8 @@
 - calls: every subcommand over ``corpus/`` with ``--order`` unset, 2, 4, 8.
 - outcomes: ``determination_order`` and ``formal_coefficients`` on 400
   systems from ``tests/test_odejets.py``'s generator (the test dependencies
-  must be installed) and on the benchmark's 24 planted ``ode`` systems.
+  must be installed) and on the benchmark's 24 planted ``ode`` systems, and
+  ``resonance_set`` on each of them with gamma = 0.
 - records: 60 dense graphs of the benchmark's ``graph`` kind through
   ``from_real_graph``, the checks, the invariants, a dilated image,
   ``verify_mapping`` and ``segre_jet_reconstruct`` k = 0..3.  Its orders
@@ -87,9 +88,12 @@ def outcomes():
         yield determine(ode, odejets.zero_solution(ode, n_max), n_max)
         yield determine(ode, wrong_base(ode, n_max, 1 + j % n_max), n_max)
         yield odejets.formal_coefficients(ode, {}, n_max)
+        if gamma == 0:
+            yield sorted(odejets.resonance_set(ode, n_max))
     for s in range(24):
         ode, _ = planted_system(random.Random(s), ODE_RESONANCES[s % 4], s % 3)
         yield odejets.formal_coefficients(ode, {}, 24)
+        yield sorted(odejets.resonance_set(ode, 24))
 
 
 def records():

@@ -24,9 +24,15 @@ system once and scans k = 0, 1, 2, ..., adding the seed equations
 a_k = base_k to that one system at each step and evaluating its left-out
 equations again.
 
-The solver back-substitutes a new pivot only into the rows that still hold
-a symbol, which it keeps in an index; forms are summed in one pass into one
-accumulator.  The frontier kernels (how many components of a_s stay
+Each system lists the terms of p and q once, with their y-degrees and the
+coefficients of p negated.  A term of degree at most 1 in y reads the
+table of unknowns directly; only products of y go through ``power``.  No
+form is changed in place, so constant forms and scalars are shared, and a
+form with no pivot symbol is not reduced.  The solver back-substitutes a
+new pivot only into the rows that still hold a symbol, which it keeps in
+an index; forms are summed in one pass into one accumulator.
+``resonance_set`` runs Horner's rule on Gaussian integers over one common
+denominator.  The frontier kernels (how many components of a_s stay
 unpinned once its own equation is in) feed only the ledger, so
 ``formal_coefficients``, which prints it, measures them as the elimination
 yields each settled order, and ``determination_order`` does not.
@@ -44,7 +50,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import linalg
-from .rational import ComplexRational as CR
+from .rational import ComplexRational as CR, numerators
 from .series import TruncatedSeries
 
 
@@ -129,6 +135,8 @@ class SingularODE:
 # ----------------------------------------------------------------------
 # affine scalars over deferred symbols
 
+_ZERO, _ONE, _MINUS_ONE = CR(0), CR(1), CR(-1)
+
 
 class _Aff:
     """An affine form const + sum lin[sym] * sym, or an opaque value.  It is
@@ -136,27 +144,25 @@ class _Aff:
 
     __slots__ = ("const", "lin", "opaque")
 
-    def __init__(self, const=CR(0), lin=None, opaque=False):
+    def __init__(self, const=_ZERO, lin=None, opaque=False):
         self.const = const
         self.lin = lin or {}
         self.opaque = opaque
 
     @classmethod
     def symbol(cls, sym):
-        return cls(CR(0), {sym: CR(1)})
+        return cls(_ZERO, {sym: _ONE})
 
     def scale(self, c: CR):
         if c.is_zero:
-            return _Aff()
+            return _ZERO_FORM
         if self.opaque or c == 1:
             return self
         return _Aff(self.const * c, {s: v * c for s, v in self.lin.items()})
 
     def mul(self, other):
-        if self.opaque or other.opaque:
-            return _Aff(opaque=True)
-        if self.lin and other.lin:
-            return _Aff(opaque=True)
+        if self.opaque or other.opaque or (self.lin and other.lin):
+            return _OPAQUE
         if other.lin:
             return other.scale(self.const)
         return self.scale(other.const)
@@ -164,6 +170,10 @@ class _Aff:
     @property
     def is_zero(self):
         return not self.opaque and self.const.is_zero and not self.lin
+
+
+# shared constant forms: no form is changed in place
+_ZERO_FORM, _OPAQUE = _Aff(), _Aff(opaque=True)
 
 
 def _put(lin: dict, sym, c: CR):
@@ -182,12 +192,23 @@ def _put(lin: dict, sym, c: CR):
 
 def _add_scaled(const, lin: dict, aff: _Aff, c: CR):
     """const + c * aff for a non-opaque ``aff``: its linear part is summed
-    into ``lin`` and the new constant is returned."""
+    into ``lin`` and the new constant is returned; ``_ONE`` multiplies nothing."""
+    unit = c is _ONE
     if not aff.const.is_zero:
-        const = const + aff.const * c
+        const = const + (aff.const if unit else aff.const * c)
     for s, v in aff.lin.items():
-        _put(lin, s, v * c)
+        _put(lin, s, v if unit else c if v is _ONE else v * c)
     return const
+
+
+def _terms(series: TruncatedSeries, negate: bool) -> list:
+    """Each term of ``series`` as (x exponent, y exponents, y degree, the y
+    slot of a linear term, coefficient), the coefficient negated on request."""
+    return [
+        (mi[0], mi[1:], degree, mi.index(1, 1) - 1 if degree == 1 else None, -c if negate else c)
+        for mi, c in series.coefficients.items()
+        for degree in (sum(mi[1:]),)
+    ]
 
 
 class _Evaluation:
@@ -202,6 +223,8 @@ class _Evaluation:
     def __init__(self, ode: SingularODE, a, solver):
         self.ode, self.a, self.solver = ode, a, solver
         self.powers: dict[tuple, tuple] = {}  # (d, c) -> (pivot count, form)
+        self.p_terms = [_terms(comp, True) for comp in ode.p]
+        self.q_terms = _terms(ode.q, False)
 
     def _times(self, u: _Aff, v: _Aff) -> _Aff:
         if u.lin and v.lin:
@@ -211,12 +234,10 @@ class _Evaluation:
         return u.mul(v)
 
     def power(self, d: tuple, c: int) -> _Aff:
-        """The x^c coefficient of prod_i y_i^d_i."""
+        """The x^c coefficient of prod_i y_i^d_i, for d != 0."""
         total = sum(d)
-        if total == 0:
-            return _Aff(CR(1)) if c == 0 else _Aff()
         if c < total:  # y(0) = 0
-            return _Aff()
+            return _ZERO_FORM
         i = next(k for k, e in enumerate(d) if e)
         if total == 1:
             return self.a[c][i]
@@ -225,13 +246,13 @@ class _Evaluation:
         if kept is not None and (kept[0] == stamp or not kept[1].opaque):
             return kept[1]
         rest = d[:i] + (d[i] - 1,) + d[i + 1 :]
-        const, lin = CR(0), {}
+        const, lin = _ZERO, {}
         for j in range(1, c - total + 2):
             term = self._times(self.a[j][i], self.power(rest, c - j))
             if term.opaque:
                 acc = term
                 break
-            const = _add_scaled(const, lin, term, CR(1))
+            const = _add_scaled(const, lin, term, _ONE)
         else:
             acc = _Aff(const, lin)
         self.powers[(d, c)] = (stamp, acc)
@@ -240,21 +261,28 @@ class _Evaluation:
     def equation(self, m: int, i: int) -> _Aff:
         """Component i of the x^m coefficient of q x^(gamma+1) y' - p,
         summed in one pass; opaque as soon as one term is."""
-        const, lin = CR(0), {}
-        for mi, coeff in self.ode.p[i].coefficients.items():
-            if mi[0] <= m:
-                term = self.power(mi[1:], m - mi[0])
+        a, const, lin = self.a, _ZERO, {}
+        for e, d, degree, slot, coeff in self.p_terms[i]:
+            c = m - e  # the x^c coefficient of y^d, zero for c < degree as y(0) = 0
+            if degree > 1 and c >= degree:
+                term = self.power(d, c)
                 if term.opaque:
                     return term
-                const = _add_scaled(const, lin, term, -coeff)
-        for mi, coeff in self.ode.q.coefficients.items():
+                const = _add_scaled(const, lin, term, coeff)
+            elif degree == 1 and c >= 1:
+                const = _add_scaled(const, lin, a[c][slot], coeff)
+            elif degree == 0 == c:
+                const = const + coeff
+        for e, d, degree, slot, coeff in self.q_terms:
             # x^e y^d of q, the x^c coefficient of y^d and s a_s x^(s+gamma)
             # of x^(gamma+1) y'_i, with e + c + s + gamma = m
-            top, d = m - self.ode.gamma - mi[0], mi[1:]
-            for s in range(1 if any(d) else max(top, 1), top - sum(d) + 1):
-                y_part = self.power(d, top - s)
+            top = m - self.ode.gamma - e
+            if degree == 0 and top >= 1:  # y^0 = 1 meets only s = top
+                const = _add_scaled(const, lin, a[top][i], coeff * top)
+            for s in range(1, top - degree + 1) if degree else ():
+                y_part = a[top - s][slot] if degree == 1 else self.power(d, top - s)
                 if not y_part.is_zero:
-                    term = self._times(y_part, self.a[s][i])
+                    term = self._times(y_part, a[s][i])
                     if term.opaque:
                         return term
                     const = _add_scaled(const, lin, term, coeff * s)
@@ -277,7 +305,7 @@ class _LinearSolver:
         self.open: set[int] = set()
 
     def reduce(self, aff: _Aff) -> _Aff:
-        if aff.opaque or not aff.lin:
+        if aff.opaque or self.pivots.keys().isdisjoint(aff.lin):
             return aff
         const, lin = aff.const, {}
         for sym, c in aff.lin.items():
@@ -293,8 +321,9 @@ class _LinearSolver:
         if not aff.lin:
             return "redundant" if aff.const.is_zero else "inconsistent"
         sym = max(aff.lin)
-        inv = CR(-1) / aff.lin[sym]
-        expr = _Aff(aff.const * inv, {s: c * inv for s, c in aff.lin.items() if s != sym})
+        inv = _MINUS_ONE / aff.lin[sym]
+        const = _ZERO if aff.const.is_zero else aff.const * inv
+        expr = _Aff(const, {s: c * inv for s, c in aff.lin.items() if s != sym})
         for other in [o for o in self.open if sym in self.pivots[o].lin]:
             row = self.pivots[other]
             lin = dict(row.lin)
@@ -319,7 +348,7 @@ class _LinearSolver:
             if row is None or row.lin:
                 red = self.reduce(aff)
                 return None if red.lin else red.const
-            const = const + row.const * c
+            const = const + (row.const if c is _ONE else row.const * c)
         return const
 
 
@@ -370,7 +399,7 @@ class _System:
         seed = {s: [CR.coerce(x) for x in vec] for s, vec in seed.items()}
         if 0 in seed and any(not x.is_zero for x in seed[0]):
             raise OdeError("solutions are germs with y(0) = 0")
-        seed.setdefault(0, [CR(0)] * n)
+        seed.setdefault(0, [_ZERO] * n)
         self.ode, self.seed, self.n_target = ode, seed, n_target
         self.n_eq = min(ode.order, n_target + ode.gamma + n * ode.gamma + 4)
         self.a: dict[int, list[_Aff]] = {}
@@ -537,11 +566,11 @@ def _characteristic_polynomial(m) -> list:
     Faddeev-LeVerrier: with B_1 = I, c_(n-j) = -tr(M B_j) / j and
     B_(j+1) = M B_j + c_(n-j) I."""
     n = len(m)
-    coeffs = [CR(0)] * n + [CR(1)]
+    coeffs = [_ZERO] * n + [_ONE]
     b = linalg.identity(n)
     for j in range(1, n + 1):
         mb = linalg.mat_mul(m, b)
-        c = -sum((mb[i][i] for i in range(n)), CR(0)) / CR(j)
+        c = -sum((mb[i][i] for i in range(n)), _ZERO) / CR(j)
         coeffs[n - j] = c
         b = [[x + c if i == col else x for col, x in enumerate(row)] for i, row in enumerate(mb)]
     return coeffs
@@ -549,16 +578,17 @@ def _characteristic_polynomial(m) -> list:
 
 def resonance_set(ode: SingularODE, n_max: int) -> set[int]:
     """Positive integers k <= n_max that are eigenvalues of f_y(0, 0): the
-    roots of its characteristic polynomial, evaluated by Horner's rule."""
+    roots of its characteristic polynomial, its coefficients put over one
+    denominator so that Horner's rule runs on Gaussian integers."""
     if ode.gamma != 0:
         raise WrongGamma("resonance analysis applies to gamma = 0")
-    coeffs = _characteristic_polynomial(linearization_at_origin(ode))
+    coeffs, _ = numerators(_characteristic_polynomial(linearization_at_origin(ode)))
     out = set()
     for k in range(1, n_max + 1):
-        value = CR(0)
-        for c in reversed(coeffs):
-            value = value * k + c
-        if value.is_zero:
+        re = im = 0
+        for a, b in reversed(coeffs):
+            re, im = re * k + a, im * k + b
+        if not re and not im:
             out.add(k)
     return out
 
@@ -647,7 +677,7 @@ def zero_solution(ode: SingularODE, n_target: int) -> JetRecursionResult:
     for comp in ode.p:
         if not comp.zero_out(*ode.variables[1:]).is_zero:
             raise OdeError("y = 0 does not solve the equation: p(x, 0) != 0")
-    table = {s: tuple([CR(0)] * ode.n) for s in range(n_target + 1)}
+    table = {s: tuple([_ZERO] * ode.n) for s in range(n_target + 1)}
     return JetRecursionResult(
         coefficients=table,
         free_orders=(),

@@ -470,6 +470,55 @@ def test_probes_at_the_truncation_edge():
         determination_order(ode, zero_solution(ode, 8), 8)
 
 
+def nonreal(rng):
+    """A seeded Gaussian rational with a nonzero imaginary part."""
+    re, im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.choice([-2, -1, 1, 2]), 2)
+    return CR(re, im)
+
+
+def gaussian_linear_system(rng, n, gamma, k, order):
+    """x^(gamma+1) y' = p/q, linear in y, with Gaussian-rational coefficients.
+    p_i holds d_i x^gamma y_i, d_0 = k and the other d_i nonreal, and random
+    x^e y_j terms with e > gamma; q = 1 + c_1 x + c_2 x^2.  Every term takes
+    one of the equation's degree-at-most-1 reads, and the only resonance is
+    k, in component 0."""
+    variables = ("x", "y") if n == 1 else ("x", "y1", "y2")
+
+    def monomial(e, j):
+        return (e,) + tuple(int(t == j) for t in range(n))
+
+    ps = []
+    for i in range(n):
+        coeffs = {monomial(gamma, i): CR(k) if i == 0 else CR(Fraction(rng.randint(-5, 5), 2), 1)}
+        for _ in range(rng.randint(1, 3)):
+            e, j = rng.randint(gamma + 1, gamma + 2), rng.randrange(n)
+            coeffs[monomial(e, j)] = coeffs.get(monomial(e, j), CR(0)) + nonreal(rng)
+        ps.append(TS(variables, order, coeffs))
+    one, x, x2 = monomial(0, None), monomial(1, None), monomial(2, None)
+    q = TS(variables, order, {one: 1, x: nonreal(rng), x2: nonreal(rng)})
+    return SingularODE(gamma, ps, q)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+def test_gaussian_linear_terms_back_substitute(gamma):
+    n_max = 10
+    rng = random.Random(280 + gamma)
+    for n in (1, 2, 1, 2):
+        k = rng.randint(1, 4)
+        ode = gaussian_linear_system(rng, n, gamma, k, n_max + 4)
+        run = formal_coefficients(ode, {}, n_max)
+        # a_k is free, and every later order is pinned in terms of it
+        assert run.free_orders == tuple(range(k, n_max + 1))
+        assert all(run.coefficients[s] == (CR(0),) * n for s in range(k))
+        assert check_scan_steps(ode, zero_solution(ode, n_max), n_max) is None
+        seeded = formal_coefficients(ode, {k: (nonreal(rng),) + (0,) * (n - 1)}, n_max)
+        assert seeded.fully_determined
+        assert any(not c.is_zero for s in range(k + 1, n_max + 1) for c in seeded.coefficients[s])
+        assert all(r.is_zero for r in residual(ode, seeded))
+        assert check_scan_steps(ode, seeded, n_max) is None
+        assert determination_order(ode, seeded, n_max) == k
+
+
 def test_determination_leaves_formal_coefficients_unchanged():
     rng = random.Random(7)
     systems = list(planted_systems())[:3] + [
@@ -664,8 +713,40 @@ def test_seeded_runs_back_substitute(c, k):
     assert all(r.is_zero for r in residual(ode, run))
 
 
+def similar_system_3(rng, diagonal):
+    """n = 3, f_y(0, 0) = S diag(diagonal) S^-1 for a seeded Gaussian-rational
+    S.  p(0, 0) != 0 and q has y terms, so the linearization reads every
+    part of f_y = (p_y q0 - p0 q_y) / q0^2.  Returns the system and the
+    matrix."""
+    while True:
+        s = [[nonreal(rng) for _ in range(3)] for _ in range(3)]
+        if not det(s).is_zero:
+            break
+    d = [[CR.coerce(diagonal[i]) if i == j else CR(0) for j in range(3)] for i in range(3)]
+    m = mat_mul(mat_mul(s, d), invert(s))
+    q0, qy, p0 = nonreal(rng), [nonreal(rng) for _ in range(3)], CR(1, -1)
+    variables = ("x", "y1", "y2", "y3")
+    unit = [tuple(int(k == j + 1) for k in range(4)) for j in range(3)]
+    ps = []
+    for i in range(3):
+        coeffs = {(0,) * 4: p0 * (i + 1)}
+        for j in range(3):
+            coeffs[unit[j]] = (m[i][j] * q0 * q0 + p0 * (i + 1) * qy[j]) / q0
+        ps.append(TS(variables, 4, coeffs))
+    q = TS(variables, 4, {(0,) * 4: q0, **dict(zip(unit, qy))})
+    return SingularODE(0, ps, q), m
+
+
 def test_resonance_set_matches_the_determinant_scan():
-    odes = [corpus_ode("res2.ode"), *planted_systems()]
+    rng = random.Random(28)
+    similar = []
+    for j, k in enumerate((1, 6, 11, 17, 23, 24)):
+        diagonal = (k, Fraction(5, 2), CR(1, 1)) if j % 2 else (k, -3, CR(2, -1))
+        ode, m = similar_system_3(rng, diagonal)
+        assert linearization_at_origin(ode) == m
+        assert resonance_set(ode, ORDER) == {k}
+        similar.append(ode)
+    odes = [corpus_ode("res2.ode"), *planted_systems(), *similar]
     for ode in odes:
         m = linearization_at_origin(ode)
         scan = {
@@ -675,7 +756,7 @@ def test_resonance_set_matches_the_determinant_scan():
             .is_zero
         }
         assert resonance_set(ode, ORDER) == scan
-    assert {max(resonance_set(ode, ORDER)) for ode in odes[1:]} == {14, 16, 18, 20}
+    assert {max(resonance_set(ode, ORDER)) for ode in planted_systems()} == {14, 16, 18, 20}
 
 
 @settings(max_examples=10, deadline=None)
