@@ -172,9 +172,10 @@ class MapGerm:
         while prec < self.order:
             prec = min(2 * prec, self.order)
             # carried one degree past prec, so that its Jacobian is
-            # certified through prec
-            kf = TruncatedSeries(MAP_VARS, prec + 1, kf.coefficients)
-            kg = TruncatedSeries(MAP_VARS, prec + 1, kg.coefficients)
+            # certified through prec; a ring result holds no zero and no
+            # monomial above the last prec, so the tables need no check
+            kf = _series(MAP_VARS, prec + 1, kf.coefficients, None)
+            kg = _series(MAP_VARS, prec + 1, kg.coefficients, None)
             subs = {"z": kf, "w": kg}
             ef = self.f.truncate(prec).compose(subs) - zg
             eg = self.g.truncate(prec).compose(subs) - wg

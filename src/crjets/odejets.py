@@ -611,6 +611,9 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
     The formal system is built and eliminated once, at k = 0.  Step k adds
     the seed equations a_k = base_k to that same system and settles it (the
     left-out equations are evaluated again while the solver gains pivots).
+    A component the solver already pins needs no equation: its seed
+    equation is redundant if the pinned value is base_k and contradicts
+    otherwise, so the values are compared, and only the rest are added.
     This cuts out the solution set of the run seeded through k, because the
     reduced form of each equation is canonical: the solver pivots on the
     largest symbol and back-substitutes at once, so its rows are the unique
@@ -638,14 +641,21 @@ def determination_order(ode: SingularODE, base: JetRecursionResult, n_max: int) 
 
     system = _System(ode, {0: base.coefficients[0]}, n_max)
     system.eliminate()
+
+    def seed(aff: _Aff, value, k: int, i: int) -> bool:
+        # a table form is never opaque nor changed, so the equation shares its lin
+        pinned = system.solver.value(aff)
+        if pinned is not None:
+            return pinned == value
+        return system.add(_Aff(aff.const - value, aff.lin), k, i)
+
     top = min(n_max, ode.order - ode.gamma)  # the orders that can be free
     below = ()  # the unknown orders that alone kept run k - 1 from settling
     unpinned = 1  # no order in k + 1 .. unpinned - 1 has a free component
     for k in range(0, n_max + 1):
-        # a[0] holds the seed's constants, so step 0 adds nothing; a table
-        # form is never opaque nor changed, so the seed equation shares its lin
+        # a[0] holds the seed's constants, so step 0 adds nothing
         seeded = all(
-            system.add(_Aff(aff.const - value, aff.lin), k, i)
+            seed(aff, value, k, i)
             for i, (aff, value) in enumerate(zip(system.a[k], base.coefficients[k]))
         )
         if not (seeded and system.settle()):

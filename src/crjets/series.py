@@ -35,14 +35,15 @@ Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
 move or drop exponents without any product; the innermost remaining slot
 is summed by truncated Horner's rule when the outer has at most as many
-exponent groups there as its substitution has terms, and by powers
-otherwise, since the powers of a sparse substitution stay sparse where a
-Horner accumulator fills in; the powers are kept on the substituted series
-for every later composition at the same order.  A box on the target
-exponents drops every monomial above it from the substitutions and every
-product, for callers that read one coefficient slot.  :func:`implicit_solve`
-composes each step only at the degree that step certifies, and closes with
-one composition at the full order.
+exponent groups there as its substitution has terms or the substitution is
+a series in one monomial, and by powers otherwise, since the powers of a
+sparse substitution stay sparse where a Horner accumulator fills in; the
+powers are kept on the substituted series for every later composition at
+the same order.  A box on the target exponents drops every monomial above
+it from the substitutions and every product, for callers that read one
+coefficient slot.  :func:`implicit_solve` composes each step only at the
+degree that step certifies, and closes with one composition at the full
+order.
 
 Division, inverses and k-th roots make no series product: one pass,
 :func:`_graded`, makes the result homogeneous layer by homogeneous layer
@@ -71,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Mapping
@@ -456,18 +456,28 @@ class TruncatedSeries:
           inner germ, say) builds each power once.
         * the innermost general slot is summed by Horner's rule instead
           (Brent & Kung, J. ACM 25, 1978, section 2) when the outer has at
-          most as many exponent groups in that slot as ``S`` has terms:
-          ``acc_e = Q_e + S * acc_{e+1}``, with ``acc_e`` cut at the degree
-          left after ``S^e``.  The test keeps the powers where ``S`` is
-          sparse and the outer has many groups: the powers of
-          ``t + 2i*z*x`` stay sparse while a Horner accumulator fills in,
-          and Horner in every slot made ``verify_mapping`` for
-          ``h_mobius_1.map`` on the quadric (13 groups of ``z/(1-w)`` over
-          that 2-term ``Q``) about 1.5x slower than powers, while with the
-          test it runs at 0.7-0.9x of powers alone.  A dense substitution
-          with few groups, such as the iterate of :func:`implicit_solve` or
-          the inner series of the reality identity, takes Horner, which
-          needs one product per exponent and no powers.
+          most as many exponent groups in that slot as ``S`` has terms, or
+          when ``S`` is a series in one monomial ``m``, every packed key of
+          ``S`` a multiple of its lowest: ``acc_e = Q_e + S * acc_{e+1}``,
+          with ``acc_e`` cut at the degree left after ``S^e``.  With the
+          degree in the top field of the layout, ``key(m^j) = j * key(m)``
+          and no field overflows within the order, so that test is exact.
+          The powers of such an ``S`` and every sum of them share one
+          support, so an accumulator cannot fill in, and Horner makes one
+          product per exponent where the powers make about two: Newton's
+          ``c*w/(1 - a*w)`` in ``MapGerm.inverse`` is one, carried at a
+          precision where it has fewer terms than the outer has groups.
+          The group test keeps the powers where ``S`` is sparse and the
+          outer has many groups: the powers of ``t + 2i*z*x``, which is
+          not one monomial's series, stay sparse while a Horner
+          accumulator fills in, and Horner in every slot made
+          ``verify_mapping`` for ``h_mobius_1.map`` on the quadric (13
+          groups of ``z/(1-w)`` over that 2-term ``Q``) about 1.5x slower
+          than powers, while with the test it runs at 0.7-0.9x of powers
+          alone.  A dense substitution with few groups, such as the
+          iterate of :func:`implicit_solve` or the inner series of the
+          reality identity, takes Horner, which needs one product per
+          exponent and no powers.
 
         All of it runs on packed tables ``{key: (re, im)}`` over one
         denominator, in the :class:`_Layout` of ``width =
@@ -581,7 +591,11 @@ class TruncatedSeries:
             return _series(variables, order, layout.unpack(root, d), None)
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
         pos, powers = general[-1]
-        horner = len({mi[pos] for mi in self.coefficients}) <= len(powers[0].table)
+        keys = powers[0].table
+        low = min(keys)
+        horner = len({mi[pos] for mi in self.coefficients}) <= len(keys) or not any(
+            k % low for k in keys
+        )
         table, d = _substitute(root, d, slots, 0, order, horner, limits)
         return _series(variables, order, layout.unpack(table, d), None)
 
@@ -849,8 +863,9 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
     holds the (slot, largest exponent) pairs of a box (see
     :meth:`TruncatedSeries.compose`).  The result, ``{key: [re, im]}``,
     has no monomial above ``order`` or outside the box, but may hold a
-    zero that cancelled.  Its content is divided out with one ``gcd(d,
-    *numerators)``, so integers do not grow along a chain of products.
+    zero that cancelled.  Its content is divided out (see
+    :func:`_content`, which stops at the first unit), so integers do not
+    grow along a chain of products.
     Nothing is reduced per coefficient here: :meth:`_Layout.unpack` does
     that once, for the table a caller returns.
 
@@ -899,13 +914,26 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
                     v[0] += ra * rb
                     v[1] += ra * ib
     d = da * b.denominator
-    g = gcd(d, *chain.from_iterable(out.values())) if d != 1 else 1
+    g = _content(d, out)
     if g != 1:
         for v in out.values():
             v[0] //= g
             v[1] //= g
         d //= g
     return out, d
+
+
+def _content(d: int, table: dict) -> int:
+    """``gcd(d, *numerators of table)``, folded one term at a time and
+    stopped at the first unit.  Once ``g`` is small each step is one cheap
+    reduction, so the fold beats one call over every numerator even when
+    the content is above 1, and builds no argument tuple."""
+    g = d
+    for re, im in table.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    return g
 
 
 def _add(acc: dict, da, part: dict, dp) -> tuple[dict, int]:
@@ -1029,7 +1057,7 @@ def _graded(unit, dividend, order, weight, scale) -> TruncatedSeries:
         c = ComplexRational.coerce(scale(d))
         a, b, den = c._a, c._b, den * c._d
         layer = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in acc.items() if x or y}
-        g = gcd(den, *chain.from_iterable(layer.values()))
+        g = _content(den, layer)
         layers.append(({k: (x // g, y // g) for k, (x, y) in layer.items()}, den // g))
         out.update(layout.unpack(*layers[-1]))
     return _series(unit.variables, order, out, None)

@@ -295,16 +295,91 @@ def test_dense_substitution_with_few_groups_takes_horner(seed, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sparse_substitution_with_many_groups_keeps_powers(seed, monkeypatch):
     rng = random.Random(seed)
-    zx = ("z", "x")
+    zx, zxt = ("z", "x"), ("z", "x", "t")
     outer = gapped_outer(rng, (0, 1, 2, 4, 5, 7), 10)
-    subs = {
-        "a": TS.variable("z", zx, 10),
-        "b": TS(zx, 10, {(1, 1): CR(0, 2), (0, 3): CR(rng.randint(1, 3))}),  # valuation 2
-    }
+    # valuation 2, and the quadric's t + 2i*z*x; neither is one monomial's series
+    for b in [
+        TS(zx, 10, {(1, 1): CR(0, 2), (0, 3): CR(rng.randint(1, 3))}),
+        TS(zxt, 10, {(0, 0, 1): 1, (1, 1, 0): CR(0, 2)}),
+    ]:
+        subs = {"a": TS.variable("z", b.variables, 10), "b": b}
+        calls = spy_on_horner(monkeypatch)
+        out = outer.compose(subs)
+        monkeypatch.undo()
+        assert calls == []
+        assert out == oracle(outer, subs)
+
+
+def ring_oracle(outer, substitutions):
+    """compose in sympy's sparse ring over Q(i) (see :func:`graded`): the
+    powers of each substitution and every product of the outer's terms cut
+    at the total degree by ``rs_mul``, for orders where the untruncated
+    expansion of :func:`oracle` is too large."""
+    order = min([outer.order] + [s.order for s in substitutions.values()])
+    rows = []
+    for v in outer.variables:
+        gs, e = graded(substitutions[v])
+        row = [gs.ring.one]
+        for _ in range(order):  # every substitution vanishes at 0
+            row.append(rs_mul(row[-1], gs, e, order + 1))
+        rows.append(row)
+    total, domain = gs.ring.zero, gs.ring.domain
+    for mi, c in outer.coefficients.items():
+        if sum(mi) <= order:
+            term = gs.ring(domain.from_sympy(scalar(c)))
+            for row, k in zip(rows, mi):
+                term = rs_mul(term, row[k], e, order + 1)
+            total += term
+    return total
+
+
+def dense_in(slot, rng, variables, order, terms):
+    """A random series with ``terms`` terms plus one term at every exponent
+    1..order of ``slot``, so it has a group at each of them there."""
+    n = len(variables)
+    s = random_series(rng, variables, order, terms)
+    for e in range(1, order + 1):
+        mi = tuple(e if j == slot else 0 for j in range(n))
+        s = s + TS(variables, order, {mi: CR(rng.randint(1, 3), rng.randint(-2, 2))})
+    return s
+
+
+def one_monomial_case(shape, rng, order):
+    """An outer with a group at every exponent of its last slot, and
+    substitutions whose last one is a series in one monomial with fewer
+    terms than that: Newton's iterate of a ``MapGerm.inverse`` step, ``K =
+    (c*z/(1 - a*w), b*w/(1 - a*w))`` exact through half the order and
+    carried at the order, or a scaled ``z^2 + z^4``."""
+    if shape == "newton":
+        zw = ("z", "w")
+        a, b, c = [
+            CR(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2)) for _ in range(3)
+        ]
+        half = order // 2
+        subs = {
+            "z": TS(zw, order, {(1, j): c * a**j for j in range(half)}),
+            "w": TS(zw, order, {(0, j + 1): b * a**j for j in range(half)}),
+        }
+        return dense_in(1, rng, zw, order, 8), subs, 1
+    zx = ("z", "x")
+    ray = TS(zx, order, {(2, 0): CR(rng.randint(1, 3), 1), (4, 0): CR(Fraction(1, 2), -1)})
+    subs = {"a": random_series(rng, zx, order, 3, min_degree=1), "b": ray}
+    return dense_in(1, rng, ("a", "b"), order, 6), subs, 2
+
+
+@pytest.mark.parametrize("order", [6, 12, 20])
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("shape", ["newton", "z^2+z^4"])
+def test_series_in_one_monomial_takes_horner(shape, seed, order, monkeypatch):
+    # every key of the substitution is a multiple of its lowest, so its
+    # powers share one support and a Horner accumulator cannot fill in
+    outer, subs, valuation = one_monomial_case(shape, random.Random(seed), order)
     calls = spy_on_horner(monkeypatch)
     out = outer.compose(subs)
-    assert calls == []
-    assert out == oracle(outer, subs)
+    assert calls and set(calls) == {valuation}  # once per group of the first slot
+    assert graded(out)[0] == ring_oracle(outer, subs)
+    if order == 6:
+        assert out == oracle(outer, subs)
 
 
 def restrict(s, bounds):
@@ -366,8 +441,8 @@ def test_order_16_inverse_makes_few_products(monkeypatch):
     from crjets.mapjets import dilation, w_mobius
 
     h = dilation(CR(Fraction(3, 5), Fraction(4, 5)), 2, 16).compose(w_mobius(Fraction(1, 2), 16))
-    counts = {"series": 0, "scalar": 0}
-    mul, scalar_mul = TS.__mul__, CR.__mul__
+    counts = {"series": 0, "scalar": 0, "kernel": 0}
+    mul, scalar_mul, product = TS.__mul__, CR.__mul__, series._product
 
     def counting(a, b):
         counts["series"] += isinstance(b, TS)
@@ -377,14 +452,21 @@ def test_order_16_inverse_makes_few_products(monkeypatch):
         counts["scalar"] += 1
         return scalar_mul(a, b)
 
+    def kernel_counting(*args):
+        counts["kernel"] += 1
+        return product(*args)
+
     monkeypatch.setattr(TS, "__mul__", counting)
     monkeypatch.setattr(CR, "__mul__", scalar_counting)
+    monkeypatch.setattr(series, "_product", kernel_counting)
     inv = h.inverse()
     monkeypatch.undo()
     # 180 series and 3452 scalar products when every composition rebuilt
     # its powers and summed every general slot by powers
     assert counts["series"] <= 140
     assert counts["scalar"] <= 2000
+    # 129 kernel products when w's slot, a series in w alone, took powers
+    assert counts["kernel"] <= 104
     assert h.compose(inv) == dilation(1, 1, 16)
 
 

@@ -2,15 +2,22 @@
 
 The exact reference keeps each coefficient as a ``(re, im)`` pair of
 ``Fraction`` objects and multiplies term by term; it does no arithmetic on
-crjets scalars.
+crjets scalars.  On packed tables, the kernel's content pass, which stops
+at the first unit, must give the table and denominator that dividing by
+``gcd(d, *every numerator)`` at once gives.
 """
 
+import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crjets import series as series_module
 from crjets.rational import ComplexRational as CR
 from crjets.series import TruncatedSeries as TS
 
@@ -149,3 +156,80 @@ def test_kept_rows_never_go_stale(ab):
         fresh = TS(s.variables, s.order, s.coefficients)
         assert left * s == left * fresh
         assert left * s == left * fresh  # once more, from the kept rows of s
+
+
+# ----------------------------------------------------------------------
+# the content pass on packed tables
+
+
+def full_content_product(a: dict, da: int, b, order: int):
+    """``a`` (over ``da``) times the packed ``b`` through ``order`` by the
+    schoolbook loop, its content divided out with one ``gcd(d, *every
+    numerator)``: the rule the kernel's early-exit pass must reproduce."""
+    top = b.layout.top
+    out: dict = {}
+    for ka, (ra, ia) in a.items():
+        for kb, (rb, ib) in b.table.items():
+            k = ka + kb
+            if k >> top <= order:
+                re, im = out.get(k, (0, 0))
+                out[k] = [re + ra * rb - ia * ib, im + ra * ib + ia * rb]
+    d = da * b.denominator
+    g = gcd(d, *chain.from_iterable(out.values()))
+    return {k: [re // g, im // g] for k, (re, im) in out.items()}, d // g, g
+
+
+def packed_case(rng: random.Random, kind: str):
+    """Seeded operands ``(a, da, b, order)`` of the product kernel whose
+    full-rule content is 1 over a denominator above 1 (``unit``), above 1
+    (``content``), or whose product holds a cancelled zero (``cancel``)."""
+    n, order = rng.randint(1, 3), rng.randint(4, 12)
+    layout = series_module._layout(max(order.bit_length(), 1), n)
+
+    def key(degree):
+        mi = [0] * n
+        for _ in range(degree):
+            mi[rng.randrange(n)] += 1
+        return sum(map(mul, mi, layout.scale))
+
+    def gaussian():
+        return rng.randint(-20, 20), rng.randint(-20, 20)
+
+    if kind == "cancel":
+        # (r*m1 - r*m2) * (s*m1 + s*m2): the m1*m2 terms cancel
+        m1, m2 = key(rng.randint(1, order // 2)), key(rng.randint(1, order // 2))
+        while m2 == m1:
+            m2 = key(rng.randint(1, order // 2))
+        r, s = rng.randint(1, 9), rng.randint(1, 9)
+        a, b = {m1: (r, 0), m2: (-r, 0)}, {m1: (s, 0), m2: (s, 0)}
+        da, db = rng.randint(1, 30), rng.randint(1, 30)
+    else:
+        a = {key(rng.randint(1, order)): gaussian() for _ in range(rng.randint(2, 12))}
+        b = {key(rng.randint(1, order)): gaussian() for _ in range(rng.randint(2, 12))}
+        da, db = rng.randint(2, 30), rng.randint(2, 30)
+        if kind == "unit":
+            # 1 at the least key of each side: the least product key gets 1
+            a[min(a)], b[min(b)] = (1, 0), (1, 0)
+        else:
+            c = rng.choice([2, 3, 4, 6, 10, 12])
+            a = {k: (re * c, im * c) for k, (re, im) in a.items()}
+            da *= c
+    return a, da, series_module._Packed(layout, order, b, db), order
+
+
+@pytest.mark.parametrize("kind", ["unit", "content", "cancel"])
+@pytest.mark.parametrize("seed", range(8))
+def test_early_exit_content_pass_matches_the_full_rule(kind, seed):
+    a, da, b, order = packed_case(random.Random(1000 * seed + len(kind)), kind)
+    want, want_d, g = full_content_product(a, da, b, order)
+    if kind == "unit":
+        assert g == 1 and want_d > 1
+    elif kind == "content":
+        assert g > 1
+    else:
+        assert [0, 0] in want.values()
+    table, d = series_module._product(dict(a), da, b, order)
+    # the same terms in the same order, over the same denominator
+    assert list(table.items()) == list(want.items()) and d == want_d
+    assert series_module._content(d, table) == 1
+    assert series_module._content(da * b.denominator, {}) == da * b.denominator
