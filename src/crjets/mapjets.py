@@ -3,8 +3,10 @@
 A germ H = (F, G) sends the source surface into the target surface exactly
 when the mapping identity G(z, Q) = Q'(F(z, Q), Fbar(x, t), Gbar(x, t))
 holds as a series in (z, x, t), Q = Q(z, x, t).  ``_on_source`` composes
-F(z, Q) and G(z, Q), and ``_sides`` both sides over them; nothing else
-builds the identity.  ``verify_mapping`` reads it whole, as a residual.
+F(z, Q) and G(z, Q), and ``_image`` the right side over F(z, Q); nothing
+else builds the identity.  Both return packed results, and each reader
+unpacks only what it reads.  ``verify_mapping`` reads the identity whole,
+as a residual differenced in the packed tables.
 
 ``segre_jet_reconstruct`` recovers the derivative series H_{w^k}(z, 0) along
 the curve {w = 0} from nothing but the (k+1)-jet of H at the origin and the
@@ -54,7 +56,8 @@ from math import factorial
 
 from .hypersurface import SURFACE_VARS, InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
-from .series import TruncatedSeries, UnknownOrder, _series, kth_root, lowest_term, solve_composition
+from .series import TruncatedSeries, UnknownOrder, kth_root, lowest_term, solve_composition
+from .series import _difference, _minus_variable, _newton_update, _series, _unpacked
 
 MAP_VARS = ("z", "w")
 
@@ -153,8 +156,15 @@ class MapGerm:
         E = H o K - id and sets K <- K - DK * E, DK the Jacobian matrix of
         K: since (DH o K)^-1 = DK + O(degree prec/2), the step makes K exact
         through degree ``prec``.  Order 16 takes four steps of two
-        compositions each.  The closing check that H o K is the identity is
-        the certificate.
+        compositions each.
+
+        A step never unpacks what it only computes with: each residual
+        ``E_v`` stays the packed result of the composition, with the
+        identity's key subtracted in its table, and each component of K is
+        updated in one pass, ``K - K_z E_f - K_w E_g`` with the partials
+        read off K's packed keys, two kernel products and one unpack (see
+        ``series._newton_update``).  The closing check that H o K is the
+        identity, made with the public ``compose``, is the certificate.
         """
         a = self.f.coefficient((1, 0))
         b = self.f.coefficient((0, 1))
@@ -177,10 +187,11 @@ class MapGerm:
             kf = _series(MAP_VARS, prec + 1, kf.coefficients, None)
             kg = _series(MAP_VARS, prec + 1, kg.coefficients, None)
             subs = {"z": kf, "w": kg}
-            ef = self.f.truncate(prec).compose(subs) - zg
-            eg = self.g.truncate(prec).compose(subs) - wg
-            kf = kf - (kf.partial_derivative("z") * ef + kf.partial_derivative("w") * eg)
-            kg = kg - (kg.partial_derivative("z") * ef + kg.partial_derivative("w") * eg)
+            residuals = [
+                _minus_variable(comp.truncate(prec)._compose(subs), j)
+                for j, comp in enumerate((self.f, self.g))
+            ]
+            kf, kg = (_newton_update(k, residuals) for k in (kf, kg))
         inv = MapGerm(kf, kg)
         probe = self.compose(inv)
         if probe.f != zg or probe.g != wg:
@@ -249,32 +260,38 @@ def w_mobius(a, order: int = 12) -> MapGerm:
 
 def _on_source(source: NormalFormSurface, germ: MapGerm, order: int, box=None) -> list:
     """F(z, Q) and G(z, Q) in (z, x, t) through ``order``, the germ's terms
-    read exactly as given at that order; ``box`` as in ``compose``."""
+    read exactly as given at that order, as packed results (see
+    ``TruncatedSeries._compose``); ``box`` as in ``compose``."""
     subs = {"z": TruncatedSeries.variable("z", SURFACE_VARS, order), "w": source.q}
     return [
-        TruncatedSeries(MAP_VARS, order, comp.coefficients).compose(subs, box=box)
+        TruncatedSeries(MAP_VARS, order, comp.coefficients)._compose(subs, box)
         for comp in (germ.f, germ.g)
     ]
 
 
-def _sides(target: NormalFormSurface, on_source, fbar, gbar, box=None) -> tuple:
-    """Both sides of the mapping identity: G(z, Q) and
-    Q'(F(z, Q), Fbar(x, t), Gbar(x, t)), given F(z, Q) and G(z, Q)."""
-    f_on_m, g_on_m = on_source
-    return g_on_m, target.q.compose({"z": f_on_m, "x": fbar, "t": gbar}, box=box)
+def _image(target: NormalFormSurface, f_on_m, fbar, gbar, box=None) -> tuple:
+    """The right side of the mapping identity, Q'(F(z, Q), Fbar(x, t),
+    Gbar(x, t)), as a packed result, given the series F(z, Q)."""
+    return target.q._compose({"z": f_on_m, "x": fbar, "t": gbar}, box)
 
 
 def verify_mapping(
     source: NormalFormSurface, target: NormalFormSurface, h: MapGerm
 ) -> TruncatedSeries:
     """Residual of the mapping identity; zero through the order iff H maps
-    source into target to that order."""
+    source into target to that order.
+
+    Both sides are composed at that order, so they share one packed
+    layout: G(z, Q) and Q'(F(z, Q), Fbar, Gbar) are differenced as packed
+    tables, and only F(z, Q), a substitution, and the residual, empty when
+    the map passes, are unpacked."""
     order = min(source.order, target.order, h.order)
     fbar, gbar = (
         c.conjugate().lift(SURFACE_VARS, {"z": "x", "w": "t"}).truncate(order) for c in (h.f, h.g)
     )
-    lhs, rhs = _sides(target, _on_source(source, h, order), fbar, gbar)
-    return lhs - rhs
+    f_on_m, g_on_m = _on_source(source, h, order)
+    rhs = _image(target, _unpacked(SURFACE_VARS, f_on_m), fbar, gbar)
+    return _unpacked(SURFACE_VARS, _difference(g_on_m, rhs))
 
 
 def require_premise(
@@ -348,7 +365,8 @@ class _Reconstruction:
     def jet_on_source(self) -> list[TruncatedSeries]:
         """F(z, Q) and G(z, Q) of the jet, inside the box of every slot read."""
         box = {"z": self.alpha0, "t": self.mu0 + self.k}
-        return _on_source(self.source, self.jet, self.work, box)
+        on_source = _on_source(self.source, self.jet, self.work, box)
+        return [_unpacked(SURFACE_VARS, side) for side in on_source]
 
     def _stack(self, entries) -> TruncatedSeries:
         """sum_r entries[r] * t^r in (z, x, t) for x-series entries, through
@@ -372,8 +390,9 @@ class _Reconstruction:
 
     def _identity(self, slot, us, vs) -> tuple:
         """Both sides at ``slot``, Fbar and Gbar stacked from ``us`` and ``vs``."""
-        sides = _sides(self.target, self.jet_on_source, self._stack(us), self._stack(vs), slot)
-        return tuple(self._extract(side, slot) for side in sides)
+        f_on_m, g_on_m = self.jet_on_source
+        rhs = _image(self.target, f_on_m, self._stack(us), self._stack(vs), slot)
+        return self._extract(g_on_m, slot), self._extract(_unpacked(SURFACE_VARS, rhs), slot)
 
     # -- conjugated G derivatives ----------------------------------------
 

@@ -23,13 +23,20 @@ the exponents of a monomial and its total degree packed into one int
 written as Gaussian integers over one common denominator (as FLINT's
 ``fmpq_poly`` does), so the real and imaginary parts of each result
 coefficient are sums of plain int products.  ``__mul__`` packs its left
-operand, multiplies and unpacks; :meth:`TruncatedSeries.compose` packs its
-leaves and stays packed through every inner product and sum, dividing out
-the content after each product.  Either unpacks its result once and
-reduces each coefficient once, so the results are the canonical values
-term-by-term arithmetic gives.  The packed right operand is kept on its
-series, beside the composition powers: Horner accumulators, power lists
-and Newton steps multiply by one series many times.
+operand, multiplies and unpacks.  A composition runs in a packed core,
+:meth:`TruncatedSeries._compose`: it packs its leaves, stays packed
+through every inner product and sum, dividing out the content after each
+product, and returns the packed table ``(layout, order, {key: (re, im)},
+d)`` (after unscaled moves alone, the outer's own coefficients with ``d``
+None).  Only public results are unpacked, each coefficient reduced once,
+so they are the canonical values term-by-term arithmetic gives:
+:meth:`TruncatedSeries.compose` unpacks the core's table, while the Newton
+steps of ``MapGerm.inverse`` and the mapping residual go on computing
+with it (:func:`_minus_variable`, :func:`_newton_update`,
+:func:`_difference`).  A packed right operand is kept on its series,
+beside the composition powers, in key order, so the terms that fit a
+degree budget are a prefix of it: Horner accumulators, power lists and
+Newton steps multiply by one series many times.
 
 Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
@@ -56,10 +63,10 @@ The public constructor checks every multi-index and coerces every
 coefficient.  Ring results skip those checks, since their inputs were
 checked when they were built, and each drops only what it can make: a sum
 a zero where two terms collide and the monomials above a lower order, a
-truncation the monomials above its order, and a lift, the parser and a
-composition by unscaled moves alone a zero where terms merge, through the
-trusted path.  Every other ring result makes neither and is wrapped as it
-is; a product unpacks its packed result without its zeros.
+truncation the monomials above its order, and a lift and the parser a
+zero where terms merge, through the trusted path.  Every other ring
+result makes neither and is wrapped as it is; a product or a composition
+unpacks its packed result without its zeros.
 
 Mixing exact and float series is refused.  K-th roots are taken of monic
 series only: the unit part's leading coefficient must be 1, so the root is
@@ -69,6 +76,7 @@ the leading coefficient out first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -487,11 +495,23 @@ class TruncatedSeries:
         common denominator; the powers kept on ``S`` are packed; every
         inner product calls :func:`_product`, which divides out the content
         of its result, not ``__mul__``; sums add numerators over the least
-        common denominator.  The result is unpacked once and each of its
-        coefficients reduced once.  When every slot is an unscaled move, no
-        numerators are formed: each result coefficient is the outer's own,
-        or the ``+`` of the outer coefficients that land on one key.
+        common denominator.  :meth:`_compose` returns that packed result on
+        every path, and this method unpacks it once and reduces each of its
+        coefficients once.  When every slot is an unscaled move, no
+        numerators are formed: each value of the table is the outer's own
+        coefficient, or the ``+`` of the outer coefficients that land on
+        one key, and ``d`` is None.
         """
+        packed = self._compose(substitutions, box)
+        return _unpacked(substitutions[self.variables[0]].variables, packed)
+
+    def _compose(self, substitutions, box=None) -> tuple:
+        """:meth:`compose`'s result as the packed ``(layout, order, {key:
+        (re, im)}, d)``, which may hold zeros that cancelled, or the
+        coefficients with ``d`` None after unscaled moves alone: for callers
+        that go on computing with it, such as the Newton steps of
+        ``MapGerm.inverse`` and the residual of ``verify_mapping``, and
+        unpack only what they return."""
         self._check_exact()
         missing = [v for v in self.variables if v not in substitutions]
         if missing:
@@ -556,7 +576,7 @@ class TruncatedSeries:
             table = {}
             for _, key, c in kept:
                 table[key] = table[key] + c if key in table else c
-            return _trusted(variables, order, layout.unpack(table), None)
+            return layout, order, table, None
         nums, d = numerators([c for _, _, c in kept])
         # a scaled slot contributes c^e = (a + b*i)^e / dc^e; written over
         # dc^emax as (a + b*i)^e * dc^(emax - e), every leaf keeps one denominator
@@ -588,7 +608,7 @@ class TruncatedSeries:
             else:
                 node[key] = (re, im)
         if not general:  # scaled moves only: no product
-            return _series(variables, order, layout.unpack(root, d), None)
+            return layout, order, root, d
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
         pos, powers = general[-1]
         keys = powers[0].table
@@ -596,8 +616,7 @@ class TruncatedSeries:
         horner = len({mi[pos] for mi in self.coefficients}) <= len(keys) or not any(
             k % low for k in keys
         )
-        table, d = _substitute(root, d, slots, 0, order, horner, limits)
-        return _series(variables, order, layout.unpack(table, d), None)
+        return (layout, order, *_substitute(root, d, slots, 0, order, horner, limits))
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename argument slots within the same variable universe.
@@ -750,6 +769,13 @@ def _series(variables, order, clean, tolerance) -> TruncatedSeries:
     return s
 
 
+def _unpacked(variables, packed: tuple) -> TruncatedSeries:
+    """The series of a packed result ``(layout, order, table, d)``: each
+    coefficient reduced once, zeros dropped."""
+    layout, order, table, d = packed
+    return _series(variables, order, layout.unpack(table, d), None)
+
+
 class _Layout:
     """How a monomial in ``n`` variables packs into one int key.
 
@@ -793,7 +819,8 @@ class _Layout:
     def unpack(self, table, d=None) -> dict:
         """The coefficient table of a packed table over ``d``: each value
         ``(re, im)`` reduced once to its canonical ``ComplexRational``, zeros
-        dropped.  With no ``d`` the values are coefficients, kept as they are."""
+        dropped.  With no ``d`` the values are coefficients, kept as they
+        are but for zeros."""
         monomials, mask, shifts = self.monomials, self.mask, self.shifts
         out = {}
         for k, v in table.items():
@@ -802,6 +829,8 @@ class _Layout:
                 if not (x or y):
                     continue
                 v = _reduced(x, y, d)
+            elif not v:
+                continue
             mk = monomials.get(k)
             if mk is None:
                 mk = monomials[k] = tuple([k >> shift & mask for shift in shifts])
@@ -819,20 +848,23 @@ class _Packed:
     """A packed table, the right operand of :func:`_product`: its layout
     (``width`` bits per slot and the total degree in the top field, see
     :class:`_Layout`), the order through which it is exact, and ``{key:
-    (re, im)}`` with Gaussian integer values over one ``denominator``, with
-    no common content.
+    (re, im)}`` with Gaussian integer values over one ``denominator``, kept
+    in key order.
 
     A series' own packed form is kept on it, and compose keeps the powers
     of a substituted series packed on it, so Horner accumulators, power
-    lists and Newton steps pack each right operand once.
+    lists and Newton steps pack each right operand once; the residuals of
+    a Newton step are built packed (:func:`_minus_variable`).
     """
 
-    __slots__ = ("layout", "order", "table", "denominator", "partners")
+    __slots__ = ("layout", "order", "table", "denominator", "partners", "ranked")
 
     def __init__(self, layout, order, table, denominator):
         self.layout, self.order = layout, order
-        self.table, self.denominator = table, denominator
+        # in key order, so by degree first: see fitting
+        self.table, self.denominator = dict(sorted(table.items())), denominator
         self.partners = {}  # degree budget -> [(key, re, im)] that fit it
+        self.ranked = None  # every (key, re, im), in the table's order
 
     @classmethod
     def of(cls, s: TruncatedSeries) -> "_Packed":
@@ -841,10 +873,19 @@ class _Packed:
 
     def fitting(self, budget) -> list:
         """The ``(key, re, im)`` that fit ``budget``: a degree, or
-        ``(limits, degree, room in each boxed slot)``."""
+        ``(limits, degree, room in each boxed slot)``.
+
+        The degree is the top field of a key and the table is kept in key
+        order, so the terms that fit a degree are a prefix of the table, in
+        its order: the one sort made when the table was built serves every
+        degree budget.  A boxed budget filters the table."""
         top = self.layout.top
         if type(budget) is int:
-            return [(k, re, im) for k, (re, im) in self.table.items() if k >> top <= budget]
+            ranked = self.ranked
+            if ranked is None:
+                ranked = self.ranked = [(k, re, im) for k, (re, im) in self.table.items()]
+            # (k,) sorts before (k, re, im): the prefix ends at the first key of degree budget + 1
+            return ranked[: bisect_left(ranked, ((budget + 1) << top,))]
         limits, room, *rest = budget
         slot = self.layout.slot
         return [
@@ -877,9 +918,10 @@ def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]
     skips half of them.
 
     Each term of ``a`` meets only the terms of ``b`` that fit its degree
-    budget and its room in the box, listed once per budget in ``b``'s term
-    order.  The result's terms come in the order of their first products,
-    as in a schoolbook loop over ``a`` and then ``b``.
+    budget and its room in the box, listed once per budget in ``b``'s key
+    order (see :meth:`_Packed.fitting`).  The result's terms come in the
+    order of their first products, as in a schoolbook loop over ``a`` and
+    then ``b``.
     """
     top, slot, partners = b.layout.top, b.layout.slot, b.partners
     out: dict = {}  # key -> [re, im]
@@ -957,6 +999,66 @@ def _add(acc: dict, da, part: dict, dp) -> tuple[dict, int]:
         prev = acc.get(k)
         acc[k] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
     return acc, da
+
+
+def _over_one_denominator(packed: tuple) -> tuple:
+    """A packed result with numerators over one denominator: as it is, or,
+    from a composition by unscaled moves alone, whose values are
+    coefficients and ``d`` None, written over their least common one."""
+    layout, order, table, d = packed
+    if d is not None:
+        return packed
+    nums, d = numerators(list(table.values()))
+    return layout, order, dict(zip(table, nums)), d
+
+
+def _difference(a: tuple, b: tuple) -> tuple:
+    """``a - b`` of two packed results ``(layout, order, table, d)`` of one
+    layout and order, over the least common denominator; zeros that cancel
+    stay.  Both tables are taken over."""
+    layout, order, ta, da = _over_one_denominator(a)
+    if b[:2] != (layout, order):
+        raise SeriesError("packed operands of a difference must share layout and order")
+    tb, db = _over_one_denominator(b)[2:]
+    return (layout, order, *_add(ta, da, {k: (-x, -y) for k, (x, y) in tb.items()}, db))
+
+
+def _minus_variable(packed: tuple, j: int) -> _Packed:
+    """``packed - v_j``, ``v_j`` the ``j``-th variable of the layout, as a
+    right operand of :func:`_product`: the variable's key subtracted in the
+    table, and every zero dropped."""
+    layout, order, table, d = _over_one_denominator(packed)
+    key = layout.scale[j]
+    re, im = table.get(key, (0, 0))
+    table[key] = (re - d, im)
+    return _Packed(layout, order, {k: v for k, v in table.items() if v[0] or v[1]}, d)
+
+
+def _newton_update(k: TruncatedSeries, residuals: list) -> TruncatedSeries:
+    """``K - sum_j (dK/dv_j) * E_j`` through the order of the residuals
+    ``E_j`` (each a :class:`_Packed`, all in one layout), in one pass.
+
+    ``K`` is packed once in the residuals' layout; the partial derivative in
+    slot ``j`` is read off its keys, the exponent ``e`` from the slot's
+    field and the key lowered by the slot's step ``scale[j]``, its value
+    ``e`` times K's and negated.  Each partial meets its residual in one
+    :func:`_product`, the products are added to K's table by :func:`_add`,
+    and only the sum is unpacked.  Terms of ``K`` above the order are left
+    out: a partial of one has degree at least the order, and every
+    residual vanishes at 0."""
+    layout, order = residuals[0].layout, residuals[0].order
+    table, dk = layout.pack(k.coefficients.items(), order)
+    width, mask, scale = layout.width, layout.mask, layout.scale
+    partials = [{} for _ in residuals]
+    for key, (re, im) in table.items():
+        for j, partial in enumerate(partials):
+            e = key >> width * j & mask
+            if e:
+                partial[key - scale[j]] = (-e * re, -e * im)
+    parts = [_product(partial, dk, r, order) for partial, r in zip(partials, residuals)]
+    for part, dp in parts:
+        table, dk = _add(table, dk, part, dp)
+    return _unpacked(k.variables, (layout, order, table, dk))
 
 
 def _substitute(node, d, slots, level, top, horner, limits) -> tuple[dict, int]:
