@@ -10,44 +10,20 @@ import argparse
 import pathlib
 import random
 import sys
-from fractions import Fraction
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+HERE = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(HERE / "src"), str(HERE)]
 
 from crjets.hypersurface import heisenberg
-from crjets.mapjets import determination_experiment, dilation, w_mobius
-from crjets.rational import ComplexRational as CR
-
-UNITS = [
-    CR(1),
-    CR(-1),
-    CR(0, 1),
-    CR(Fraction(3, 5), Fraction(4, 5)),
-    CR(Fraction(5, 13), Fraction(-12, 13)),
-]
-LAMBDAS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(3)]
-SHEARS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(1, 3)]
+from crjets.mapjets import determination_experiment
+from perfbench.workloads import ARRANGEMENTS, LAMBDAS, SHEARS, UNITS, family_member
 
 
-def family_member(rng, order, cache):
-    key = (
-        rng.randrange(len(UNITS)),
-        rng.randrange(len(LAMBDAS)),
-        rng.randrange(len(SHEARS)),
-        rng.randrange(4),
-    )
+def draw_member(rng, order, cache):
+    """A seeded member of the quadric automorphism family, built once per key."""
+    key = tuple(rng.randrange(n) for n in (len(UNITS), len(LAMBDAS), len(SHEARS), ARRANGEMENTS))
     if key not in cache:
-        u, lam, a, arrangement = key
-        rot = dilation(UNITS[u], Fraction(1), order)
-        dil = dilation(LAMBDAS[lam], LAMBDAS[lam] ** 2, order)
-        mob = w_mobius(SHEARS[a], order)
-        parts = {
-            0: (rot, dil, mob),
-            1: (dil, rot, mob),
-            2: (mob, rot, dil),
-            3: (rot, mob, dil),
-        }[arrangement]
-        cache[key] = parts[0].compose(parts[1]).compose(parts[2])
+        cache[key] = family_member(key, order)
     return cache[key]
 
 
@@ -63,8 +39,8 @@ def main():
     cache = {}
     vacuous = coincident = 0
     for index in range(args.pairs):
-        h1 = family_member(rng, args.order, cache)
-        h2 = family_member(rng, args.order, cache)
+        h1 = draw_member(rng, args.order, cache)
+        h2 = draw_member(rng, args.order, cache)
         verdict = determination_experiment(surface, h1, h2, 2)
         if verdict.vacuous:
             vacuous += 1

@@ -263,7 +263,7 @@ class Document:
 
 
 def _split_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped:
             continue

@@ -27,16 +27,16 @@ operand, multiplies and unpacks.  A composition runs in a packed core,
 :meth:`TruncatedSeries._compose`: it packs its leaves, stays packed
 through every inner product and sum, dividing out the content after each
 product, and returns the packed table ``(layout, order, {key: (re, im)},
-d)`` (after unscaled moves alone, the outer's own coefficients with ``d``
-None).  Only public results are unpacked, each coefficient reduced once,
-so they are the canonical values term-by-term arithmetic gives:
-:meth:`TruncatedSeries.compose` unpacks the core's table, while the Newton
-steps of ``MapGerm.inverse`` and the mapping residual go on computing
-with it (:func:`_minus_variable`, :func:`_newton_update`,
-:func:`_difference`).  A packed right operand is kept on its series,
-beside the composition powers, in key order, so the terms that fit a
-degree budget are a prefix of it: Horner accumulators, power lists and
-Newton steps multiply by one series many times.
+d)`` on every path.  Only public results are unpacked, each coefficient
+reduced once, so they are the canonical values term-by-term arithmetic
+gives: :meth:`TruncatedSeries.compose` unpacks the core's table, while the
+Newton steps of ``MapGerm.inverse`` and the mapping residual go on
+computing with it (:func:`_minus_variable`, :func:`_newton_update`,
+:func:`_difference`).  A series keeps one packed cache, its powers keyed
+by order and box, the first of which is its right operand of ``*``; each
+packed table is in key order, so the terms that fit a degree budget are a
+prefix of it: Horner accumulators, power lists and Newton steps multiply
+by one series many times.
 
 Composition makes each series product its result needs once: one-term
 substitutions ``c*m`` (bare variables among them) and zero substitutions
@@ -156,11 +156,10 @@ class UnknownOrder:
 
 
 class TruncatedSeries:
-    # _powers: {(order, box limits): [S, S^2, ...]}, filled by compose when
-    # this series is substituted into a general slot
-    # _packed: this series as the right operand of _product (a _Packed),
-    # filled by its first product
-    __slots__ = ("variables", "order", "coefficients", "tolerance", "_powers", "_packed")
+    # _powers: {(order, box limits): [S, S^2, ...]} packed (see _powers_of),
+    # filled when this series is a right factor of * or substituted into a
+    # general slot of compose
+    __slots__ = ("variables", "order", "coefficients", "tolerance", "_powers")
 
     def __init__(self, variables, order, coefficients=None, tolerance=None):
         variables = tuple(variables)
@@ -193,7 +192,6 @@ class TruncatedSeries:
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "_powers", None)
-        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -290,10 +288,7 @@ class TruncatedSeries:
             return _series(self.variables, self.order, out, None)
         self._check_partner(other)
         order = min(self.order, other.order)
-        b = other._packed
-        if b is None:
-            b = _Packed.of(other)
-            object.__setattr__(other, "_packed", b)
+        b = _powers_of(other, other.order, (), other.coefficients.items())[0]
         table, d = _product(*b.layout.pack(self.coefficients.items(), order), b, order)
         return _series(self.variables, order, b.layout.unpack(table, d), None)
 
@@ -350,16 +345,12 @@ class TruncatedSeries:
         return _series(self.variables, self.order + sum(g), out, self.tolerance)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit (nonzero constant term), layer by
-        layer: ``Q_0 = 1 / U_0`` and ``Q_d = -(sum_{k>=1} U_k Q_{d-k}) / U_0``
-        (see :func:`_graded`)."""
+        """Multiplicative inverse of a unit (nonzero constant term): ``1``
+        divided by it (see :meth:`divide`)."""
         self._check_exact()
-        c0 = self.constant_term()
-        if c0.is_zero:
+        if self.constant_term().is_zero:
             raise NonmonomialLeadingForm("inverse of a non-unit")
-        inv = ComplexRational(1) / c0
-        one = TruncatedSeries.constant(1, self.variables, self.order)
-        return _graded(self, one, self.order, lambda d, k: -1, lambda d: inv)
+        return TruncatedSeries.constant(1, self.variables, self.order).divide(self)
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact quotient q with other * q == self through the certified order.
@@ -379,7 +370,7 @@ class TruncatedSeries:
                 f"zero divisor (vanishing order certified only >= {other.order + 1})"
             )
         g = other._monomial_gcd()
-        unit = other._shift_down(g)
+        unit = other._shift_down(g) if sum(g) else other
         c0 = unit.constant_term()
         if c0.is_zero:
             raise NonmonomialLeadingForm(
@@ -497,18 +488,14 @@ class TruncatedSeries:
         of its result, not ``__mul__``; sums add numerators over the least
         common denominator.  :meth:`_compose` returns that packed result on
         every path, and this method unpacks it once and reduces each of its
-        coefficients once.  When every slot is an unscaled move, no
-        numerators are formed: each value of the table is the outer's own
-        coefficient, or the ``+`` of the outer coefficients that land on
-        one key, and ``d`` is None.
+        coefficients once.
         """
         packed = self._compose(substitutions, box)
         return _unpacked(substitutions[self.variables[0]].variables, packed)
 
     def _compose(self, substitutions, box=None) -> tuple:
         """:meth:`compose`'s result as the packed ``(layout, order, {key:
-        (re, im)}, d)``, which may hold zeros that cancelled, or the
-        coefficients with ``d`` None after unscaled moves alone: for callers
+        (re, im)}, d)``, which may hold zeros that cancelled: for callers
         that go on computing with it, such as the Newton steps of
         ``MapGerm.inverse`` and the residual of ``verify_mapping``, and
         unpack only what they return."""
@@ -546,15 +533,7 @@ class TruncatedSeries:
             if not terms:  # a zero substitution: any positive exponent exceeds the order
                 weights[pos] = order + 1
             elif len(terms) > 1:
-                cache = s._powers
-                if cache is None:
-                    cache = {}
-                    object.__setattr__(s, "_powers", cache)
-                powers = cache.get((order, limits))
-                if powers is None:
-                    first = _Packed(layout, order, *layout.pack(terms, order))
-                    powers = cache[order, limits] = [first]
-                general.append((pos, powers))
+                general.append((pos, _powers_of(s, order, limits, terms)))
             else:
                 (mi, c), = terms
                 steps[pos] = sum(map(mul, mi, layout.scale))
@@ -572,11 +551,6 @@ class TruncatedSeries:
                         break
                 else:
                     kept.append((mi, key, c))
-        if not (general or scaled):  # unscaled moves only: no numerators, no product
-            table = {}
-            for _, key, c in kept:
-                table[key] = table[key] + c if key in table else c
-            return layout, order, table, None
         nums, d = numerators([c for _, _, c in kept])
         # a scaled slot contributes c^e = (a + b*i)^e / dc^e; written over
         # dc^emax as (a + b*i)^e * dc^(emax - e), every leaf keeps one denominator
@@ -607,7 +581,7 @@ class TruncatedSeries:
                 node[key] = (x + re, y + im)
             else:
                 node[key] = (re, im)
-        if not general:  # scaled moves only: no product
+        if not general:  # moves only: no product
             return layout, order, root, d
         slots = [(powers, min(k >> layout.top for k in powers[0].table)) for _, powers in general]
         pos, powers = general[-1]
@@ -765,7 +739,6 @@ def _series(variables, order, clean, tolerance) -> TruncatedSeries:
     object.__setattr__(s, "coefficients", clean)
     object.__setattr__(s, "tolerance", tolerance)
     object.__setattr__(s, "_powers", None)
-    object.__setattr__(s, "_packed", None)
     return s
 
 
@@ -816,25 +789,19 @@ class _Layout:
         nums, d = numerators(values)
         return dict(zip(keys, nums)), d
 
-    def unpack(self, table, d=None) -> dict:
+    def unpack(self, table, d) -> dict:
         """The coefficient table of a packed table over ``d``: each value
         ``(re, im)`` reduced once to its canonical ``ComplexRational``, zeros
-        dropped.  With no ``d`` the values are coefficients, kept as they
-        are but for zeros."""
+        dropped."""
         monomials, mask, shifts = self.monomials, self.mask, self.shifts
         out = {}
-        for k, v in table.items():
-            if d is not None:
-                x, y = v
-                if not (x or y):
-                    continue
-                v = _reduced(x, y, d)
-            elif not v:
+        for k, (x, y) in table.items():
+            if not (x or y):
                 continue
             mk = monomials.get(k)
             if mk is None:
                 mk = monomials[k] = tuple([k >> shift & mask for shift in shifts])
-            out[mk] = v
+            out[mk] = _reduced(x, y, d)
         return out
 
 
@@ -851,10 +818,10 @@ class _Packed:
     (re, im)}`` with Gaussian integer values over one ``denominator``, kept
     in key order.
 
-    A series' own packed form is kept on it, and compose keeps the powers
-    of a substituted series packed on it, so Horner accumulators, power
-    lists and Newton steps pack each right operand once; the residuals of
-    a Newton step are built packed (:func:`_minus_variable`).
+    A series keeps its packed powers on it (:func:`_powers_of`), the first
+    of them its right operand of ``*``, so Horner accumulators, power lists
+    and Newton steps pack each right operand once; the residuals of a
+    Newton step are built packed (:func:`_minus_variable`).
     """
 
     __slots__ = ("layout", "order", "table", "denominator", "partners", "ranked")
@@ -865,11 +832,6 @@ class _Packed:
         self.table, self.denominator = dict(sorted(table.items())), denominator
         self.partners = {}  # degree budget -> [(key, re, im)] that fit it
         self.ranked = None  # every (key, re, im), in the table's order
-
-    @classmethod
-    def of(cls, s: TruncatedSeries) -> "_Packed":
-        layout = _layout(max(s.order.bit_length(), 1), len(s.variables))
-        return cls(layout, s.order, *layout.pack(s.coefficients.items(), s.order))
 
     def fitting(self, budget) -> list:
         """The ``(key, re, im)`` that fit ``budget``: a degree, or
@@ -893,6 +855,24 @@ class _Packed:
             for k, (re, im) in self.table.items()
             if k >> top <= room and all(slot(k, j) <= r for (j, _), r in zip(limits, rest))
         ]
+
+
+def _powers_of(s: TruncatedSeries, order: int, limits: tuple, terms) -> list:
+    """The packed powers ``[S, S^2, ...]`` of ``s`` through ``order`` in the
+    box ``limits``, kept on ``s``; ``terms``, the terms of ``s`` that fit
+    both, start the list the first time.  ``__mul__`` reads ``S`` at the
+    series' own order with no box, as ``compose`` does there, so a series
+    that is multiplied and then substituted at its own order is packed
+    once."""
+    cache = s._powers
+    if cache is None:
+        cache = {}
+        object.__setattr__(s, "_powers", cache)
+    powers = cache.get((order, limits))
+    if powers is None:
+        layout = _layout(max(order.bit_length(), 1), len(s.variables))
+        powers = cache[order, limits] = [_Packed(layout, order, *layout.pack(terms, order))]
+    return powers
 
 
 def _product(a: dict, da, b: _Packed, order: int, limits=()) -> tuple[dict, int]:
@@ -1001,25 +981,14 @@ def _add(acc: dict, da, part: dict, dp) -> tuple[dict, int]:
     return acc, da
 
 
-def _over_one_denominator(packed: tuple) -> tuple:
-    """A packed result with numerators over one denominator: as it is, or,
-    from a composition by unscaled moves alone, whose values are
-    coefficients and ``d`` None, written over their least common one."""
-    layout, order, table, d = packed
-    if d is not None:
-        return packed
-    nums, d = numerators(list(table.values()))
-    return layout, order, dict(zip(table, nums)), d
-
-
 def _difference(a: tuple, b: tuple) -> tuple:
     """``a - b`` of two packed results ``(layout, order, table, d)`` of one
     layout and order, over the least common denominator; zeros that cancel
     stay.  Both tables are taken over."""
-    layout, order, ta, da = _over_one_denominator(a)
+    layout, order, ta, da = a
     if b[:2] != (layout, order):
         raise SeriesError("packed operands of a difference must share layout and order")
-    tb, db = _over_one_denominator(b)[2:]
+    tb, db = b[2:]
     return (layout, order, *_add(ta, da, {k: (-x, -y) for k, (x, y) in tb.items()}, db))
 
 
@@ -1027,7 +996,7 @@ def _minus_variable(packed: tuple, j: int) -> _Packed:
     """``packed - v_j``, ``v_j`` the ``j``-th variable of the layout, as a
     right operand of :func:`_product`: the variable's key subtracted in the
     table, and every zero dropped."""
-    layout, order, table, d = _over_one_denominator(packed)
+    layout, order, table, d = packed
     key = layout.scale[j]
     re, im = table.get(key, (0, 0))
     table[key] = (re - d, im)

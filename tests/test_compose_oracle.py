@@ -89,6 +89,17 @@ def oracle(outer, substitutions):
 SEEDS = range(4)
 
 
+def assert_packed(outer, substitutions):
+    """``_compose`` returns Gaussian-integer pairs over an int denominator,
+    and unpacked they are the public ``compose``, which equals sympy's."""
+    _, _, table, d = packed = outer._compose(substitutions)
+    assert type(d) is int and d >= 1
+    assert all(len(v) == 2 and all(type(x) is int for x in v) for v in table.values())
+    variables = next(iter(substitutions.values())).variables
+    assert series._unpacked(variables, packed) == outer.compose(substitutions)
+    assert outer.compose(substitutions) == oracle(outer, substitutions)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mixed_bare_and_general_substitutions(seed):
     rng = random.Random(seed)
@@ -100,6 +111,7 @@ def test_mixed_bare_and_general_substitutions(seed):
         "c": TS.variable("x", zx, 6),
     }
     assert outer.compose(subs) == oracle(outer, subs)
+    assert_packed(outer, subs)  # the general path
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -113,8 +125,9 @@ def test_two_bare_slots_into_one_variable(seed):
         "c": random_series(rng, zx, 5, 3, min_degree=1),
     }
     assert outer.compose(subs) == oracle(outer, subs)
-    moves = dict(subs, c=TS.variable("x", zx, 5))  # moves only: coefficients pass through
+    moves = dict(subs, c=TS.variable("x", zx, 5))  # moves only: no product
     assert outer.compose(moves) == oracle(outer, moves)
+    assert_packed(outer, moves)
     cancel = TS(("a", "b", "c"), 5, {(1, 0, 0): 1, (0, 1, 0): -1})
     assert cancel.compose(moves).coefficients == {}
 
@@ -179,6 +192,7 @@ def test_scaled_one_term_substitutions(seed):
         "c": monomial(zx, 7, (2, 1), CR(-2, Fraction(1, 3))),
     }
     assert outer.compose(subs) == oracle(outer, subs)
+    assert_packed(outer, subs)  # scaled moves only
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -436,6 +450,33 @@ def test_kept_powers_equal_fresh_compositions(seed):
         assert outer.compose(subs, box=box) == outer.compose(fresh, box=box)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_right_factor_substituted_at_its_own_order_is_packed_once(seed, monkeypatch):
+    rng = random.Random(seed)
+    zx = ("z", "x")
+    s = random_series(rng, zx, 7, 6, min_degree=1)
+    left = random_series(rng, zx, 7, 5)
+    outer = random_series(rng, ("a", "b"), 7, 10)
+    subs = {"a": s, "b": TS.variable("x", zx, 7)}
+    built = []
+    init = series._Packed.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(series._Packed, "__init__", spy)
+    product = left * s
+    first = len(built)
+    composed = outer.compose(subs)
+    # s itself, and the powers s^2, s^3, ... that the composition needs
+    powers = len(s._powers[7, ()])
+    monkeypatch.undo()
+    assert first == 1 and len(built) == powers
+    assert product == from_sympy(to_sympy(left) * to_sympy(s), zx, 7)
+    assert composed == oracle(outer, subs)
+
+
 def test_order_16_inverse_makes_few_products(monkeypatch):
     # rotation, dilation and a w-Moebius factor: 16 terms in each of F, G
     from crjets.mapjets import dilation, w_mobius
@@ -553,6 +594,28 @@ def test_series_inverse_against_sympy(seed, variables, order):
     assert inv.order == order
     (gs, e), gi = graded(s), graded(inv)[0]
     assert rs_mul(gs, gi, e, order + 1) == gs.ring.one
+    assert inv == TS.constant(1, variables, order).divide(s)
+
+
+def test_inverse_refuses_what_division_of_one_refuses():
+    zx = ("z", "x")
+    one = TS.constant(1, zx, 6)
+    # lowest-degree form not a monomial: both find no unit
+    for s in (TS(zx, 6, {(1, 0): 1, (0, 1): 2}), TS(zx, 6, {(1, 0): CR(0, 1), (0, 2): 1})):
+        for op in (s.inverse, lambda: one.divide(s)):
+            with pytest.raises(series.NonmonomialLeadingForm):
+                op()
+    # a monomial times a unit, or zero: 1 is not divisible by it, and
+    # inverse names the non-unit
+    for s in (TS(zx, 6, {(1, 0): 1, (2, 0): 3}), TS.zero(zx, 6)):
+        with pytest.raises(series.NonmonomialLeadingForm):
+            s.inverse()
+        with pytest.raises(series.DivisorOrderExceedsDividend):
+            one.divide(s)
+    unit = series.to_float(TS(zx, 6, {(0, 0): 2, (1, 0): 1}))
+    for op in (unit.inverse, lambda: series.to_float(one).divide(unit)):
+        with pytest.raises(series.BackendMismatch):
+            op()
 
 
 @pytest.mark.parametrize(

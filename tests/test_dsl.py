@@ -267,6 +267,16 @@ def test_malformed_documents_located(text):
     assert err.value.line >= 1
 
 
+@pytest.mark.parametrize("char", ["\x85", "\x0c"])
+def test_only_a_newline_ends_a_document_line(char):
+    # str.splitlines also breaks at these, which would locate the error on
+    # a fourth line of a three-line file
+    text = f"vars: z x t\norder: 4\nQ: t + 2*i*z*x{char} + $\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert str(err.value) == f"unexpected character {char!r} (line 3, column 15)"
+
+
 # ----------------------------------------------------------------------
 # digits are ASCII
 
