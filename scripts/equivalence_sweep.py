@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the engine over four seeded grids in process and print one digest each.
+"""Run the engine over five seeded grids in process and print one digest each.
 
 - calls: every subcommand over ``corpus/`` with ``--order`` unset, 2, 4, 8.
 - outcomes: ``determination_order`` and ``formal_coefficients`` on 400
@@ -13,10 +13,16 @@
 - chains: ``kernel_chain_diagnostic`` over the zero solution of 400 two-
   dimensional systems from ``tests/test_odejets.py``'s generator, gamma 1
   or 2 at order 12: each report, or the error it raises.
+- parses: 20,000 documents, each a corpus file or an ``ode`` document with
+  three theta values, after one to three random inserts, deletes or
+  replacements from ``EDITS``: the document printed back with its warnings,
+  or the ``ParseError``'s message, line and column, or the class of any
+  other exception.
 
 ``--root OTHER`` selects only the engine, ``OTHER/src``.  Every input
-(``corpus/``, ``perfbench/workloads.py``, ``tests/test_odejets.py``) comes
-from this checkout, so two checkouts whose engines agree print the same lines:
+(``corpus/``, ``perfbench/workloads.py``, ``tests/test_odejets.py``, the
+parser grid's documents and edits) comes from this checkout, so two
+checkouts whose engines agree print the same lines:
 
     python scripts/equivalence_sweep.py | diff scripts/sweep_digests.txt -
     python scripts/equivalence_sweep.py --root OTHER | diff scripts/sweep_digests.txt -
@@ -132,12 +138,49 @@ def chains():
             yield type(exc).__name__, str(exc)
 
 
+# a document with three theta values, each named in p or q
+THETA_ODE = """kind: ode
+gamma: 0
+vars: x y1 y2
+order: 6
+p: theta1*y1 + y2^2 ; theta2*y2 - theta3*y1*y2
+q: 1 + theta3*x
+theta: 1/2 -3 7/5
+"""
+# what an edit inserts or writes over one character: ASCII and other digits,
+# line and page breaks, names, operators, theta names in and out of range
+EDITS = [
+    *"0123456789", "\u00b2", "\u0663", "\u00bd", "\x85", "\x0c", *"ixyztws", *"+-*/^():;,#",
+    " ", "\t", "\n", "theta1", "theta2", "theta\u0663", "theta0", "1/0", "kind: ", "theta: ",
+]
+
+
+def parses():
+    from crjets.dsl import ParseError, parse_document
+
+    rng = random.Random(33)
+    corpus = [path.read_text(encoding="utf-8") for path in sorted((HERE / "corpus").iterdir())]
+    for _ in range(20000):
+        text = THETA_ODE if rng.random() < 0.5 else rng.choice(corpus)
+        for _ in range(rng.randint(1, 3)):
+            at, edit = rng.randrange(len(text) + 1), rng.choice(("insert", "delete", "replace"))
+            piece = "" if edit == "delete" else rng.choice(EDITS)
+            text = text[:at] + piece + text[at + (edit != "insert") :]
+        try:
+            doc = parse_document(text)
+            yield doc.print(), doc.warnings
+        except ParseError as exc:
+            yield exc.message, exc.line, exc.column
+        except Exception as exc:  # parsing raises only ParseError: a record here is a fault
+            yield type(exc).__name__
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE))
     args = parser.parse_args(argv)
     sys.path[:0] = [str(pathlib.Path(args.root).resolve() / "src"), str(HERE), str(HERE / "tests")]
-    for family in (calls, outcomes, records, chains):
+    for family in (calls, outcomes, records, chains, parses):
         digest, count = hashlib.sha256(), 0
         for record in family():
             # a corpus report names its inputs relative to this checkout

@@ -18,10 +18,7 @@ For each order it times, in one process and with the median of
   ``resonance_set`` of a planted 2x2 system x y' = A y stored at the order,
   with its resonance at order - 2 and n_target the order.
 
-It prints one line per order and writes a JSON record.  ``--pairs FILE``
-copies a JSON list of benchmark pairs (parent and change runs of
-``perfbench/run.py``) into the record unchanged, so that the sweep and the
-pairs it was measured with stay in one file.
+It prints one line per order and writes a JSON record.
 
     python3 scripts/order_sweep.py --out BENCH.json
     python3 scripts/order_sweep.py --orders 8 --repeat 1 --out /tmp/sweep.json
@@ -133,7 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("--orders", type=int, nargs="+", default=[8, 12, 16, 20])
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", required=True, help="path of the JSON record")
-    parser.add_argument("--pairs", help="JSON list of benchmark pairs to record")
     args = parser.parse_args(argv)
     if args.repeat < 1 or any(order < 3 for order in args.orders):
         parser.error("--repeat must be positive and every order at least 3")
@@ -142,8 +138,6 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "order_sweep_ms": sweep(args.orders, args.repeat),
     }
-    if args.pairs:
-        record["perfbench_pairs"] = json.loads(pathlib.Path(args.pairs).read_text())
     pathlib.Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

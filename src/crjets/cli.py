@@ -30,6 +30,7 @@ except ImportError:
 from . import odejets
 from .dsl import Document, ParseError, parse_document
 from .hypersurface import (
+    INVARIANTS,
     InfiniteUpTo,
     NormalFormSurface,
     RealGraph,
@@ -268,11 +269,8 @@ def cmd_analyze(args, report: Report) -> str:
     if not (normal.passed and reality.passed):
         return "fail"
     inv = surface.compute_invariants()
-    report.add("m0", _fmt_invariant(inv.m0))
-    report.add("alpha0", _fmt_invariant(inv.alpha0))
-    report.add("mu0", _fmt_invariant(inv.mu0))
-    report.add("ell", _fmt_invariant(inv.ell))
-    report.add("beta0", _fmt_invariant(inv.beta0))
+    for name, value in zip(INVARIANTS, inv.tuple()):
+        report.add(name, _fmt_invariant(value))
     report.add("finite_type", "true" if inv.finite_type else "false")
     report.add("levi_flat", _fmt_invariant(inv.levi_flat))
     report.add("certified_order", inv.certified_order)

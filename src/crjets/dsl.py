@@ -4,7 +4,8 @@ Grammar (everything else is a located syntax error):
 
     series ::= ['-'] term (('+'|'-') term)*
     term   ::= factor ('*' factor)*
-    factor ::= rational | 'i' | '(' coeff ')' | var ('^' nat)?
+    factor ::= rational | 'i' | '(' coeff ')' | theta | var ('^' nat)?
+    theta  ::= 'theta' nat             # the document's value nat, if it has one
     coeff  ::= ['-'] cterm (('+'|'-') cterm)*     # inside parentheses
     cterm  ::= rational ('*' 'i')? | 'i'
     rational ::= nat ('/' nat)?
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import _reduced
+from .rational import _reduced, format_fraction
 from .series import TruncatedSeries, _trusted, format_series
 
 
@@ -43,33 +44,36 @@ def _natural(text: str, line: int, column: int) -> int:
     return int(text)
 
 
+# a word that may name theta value J: ASCII digits, at most MAX_DIGITS
+_THETA = re.compile(rf"theta([0-9]{{1,{MAX_DIGITS}}})")
+
 # one token per match: an ASCII number, a word, an operator, or any other
 # character, which is an error; only space and tab are skipped
 _TOKEN = re.compile(r"[ \t]*(?:([0-9]+)|(\w+)|([-+*/^()])|([^ \t]))")
 
 
-def _tokenize(text: str, line: int, columns) -> list[tuple]:
-    """The tokens ``(kind, text, column)`` of ``text`` on ``line``, closed
-    by ``("", "", end column)``; ``columns[i]`` is the source column of
-    ``text[i]`` and ``columns[len(text)]`` that of the end.  The kind is
-    ``"0"`` for a number, ``"i"`` for the imaginary unit, ``"a"`` for any
-    other name and the character itself for an operator."""
+def _tokenize(text: str, line: int, column: int) -> list[tuple]:
+    """The tokens ``(kind, text, column)`` of ``text`` on ``line``, whose
+    first character is at source ``column``, closed by ``("", "", end
+    column)``.  The kind is ``"0"`` for a number, ``"i"`` for the imaginary
+    unit, ``"a"`` for any other name and the character itself for an
+    operator."""
     tokens = []
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         tok = m[group]
-        column = columns[m.start(group)]
+        at = column + m.start(group)
         if group == 1:
-            tokens.append(("0", tok, column))
+            tokens.append(("0", tok, at))
         elif group == 3:
-            tokens.append((tok, tok, column))
+            tokens.append((tok, tok, at))
         elif group == 2 and (tok[0].isalpha() or tok[0] == "_"):
-            tokens.append(("i" if tok == "i" else "a", tok, column))
+            tokens.append(("i" if tok == "i" else "a", tok, at))
         elif tok[0].isdigit():
-            raise ParseError(f"digits must be ASCII 0-9, found {tok[0]!r}", line, column)
+            raise ParseError(f"digits must be ASCII 0-9, found {tok[0]!r}", line, at)
         else:
-            raise ParseError(f"unexpected character {tok[0]!r}", line, column)
-    tokens.append(("", "", columns[len(text)]))
+            raise ParseError(f"unexpected character {tok[0]!r}", line, at)
+    tokens.append(("", "", column + len(text)))
     return tokens
 
 
@@ -126,15 +130,16 @@ def parse_series(
     column: int = 1,
     warnings: list[str] | None = None,
 ) -> TruncatedSeries:
-    tokens = _tokenize(text, line, range(column, column + len(text) + 1))
+    tokens = _tokenize(text, line, column)
     return _parse_tokens(tokens, tuple(variables), order, line, warnings)
 
 
-def _parse_tokens(tokens, variables, order, line, warnings) -> TruncatedSeries:
+def _parse_tokens(tokens, variables, order, line, warnings, theta=None) -> TruncatedSeries:
     """The series the tokens spell, in one pass.  Each term's coefficient
     is kept as integers ``(a + b*i) / d`` and reduced once; a term above
     ``order`` is dropped with a warning, added to ``warnings`` only if the
-    whole series parses."""
+    whole series parses.  A word ``thetaJ`` is the factor ``theta[J]``
+    when ``theta`` has that key, whatever the variables are named."""
     table: dict = {}  # every term adds here: a series sum per term would copy it each time
     dropped = []
     pos = 0
@@ -155,6 +160,10 @@ def _parse_tokens(tokens, variables, order, line, warnings) -> TruncatedSeries:
             elif kind == "i":
                 pos += 1
                 a, b = -b, a
+            elif kind == "a" and theta and (j := _THETA.fullmatch(text)) and int(j[1]) in theta:
+                pos += 1
+                t = theta[int(j[1])]
+                a, b, d = a * t.numerator, b * t.numerator, d * t.denominator
             elif kind == "a":
                 pos += 1
                 if text not in variables:
@@ -214,8 +223,6 @@ def _parse_tokens(tokens, variables, order, line, warnings) -> TruncatedSeries:
 
 DOCUMENT_KINDS = ("surface", "map", "ode")
 
-_THETA = re.compile(r"\btheta([0-9]+)\b")
-
 # in document order, so a document lacking several keys names the first
 _REQUIRED_KEYS = {
     "surface": (("vars", "order"), ("Q", "phi")),
@@ -232,28 +239,21 @@ class Document:
 
     def print(self) -> str:
         lines = [f"kind: {self.kind}"]
+        if self.kind == "ode":
+            lines.append(f"gamma: {self.body['gamma']}")
+        lines.append("vars: " + " ".join(self.body["vars"]))
+        lines.append(f"order: {self.body['order']}")
         if self.kind == "surface":
-            lines.append("vars: " + " ".join(self.body["vars"]))
-            lines.append(f"order: {self.body['order']}")
             key = "Q" if "Q" in self.body else "phi"
             lines.append(f"{key}: {format_series(self.body[key])}")
         elif self.kind == "map":
-            lines.append("vars: " + " ".join(self.body["vars"]))
-            lines.append(f"order: {self.body['order']}")
             lines.append(f"F: {format_series(self.body['F'])}")
             lines.append(f"G: {format_series(self.body['G'])}")
         else:
-            lines.append(f"gamma: {self.body['gamma']}")
-            lines.append("vars: " + " ".join(self.body["vars"]))
-            lines.append(f"order: {self.body['order']}")
             lines.append("p: " + " ; ".join(format_series(p) for p in self.body["p"]))
             lines.append(f"q: {format_series(self.body['q'])}")
             if self.body.get("theta"):
-                from .rational import format_fraction
-
-                lines.append(
-                    "theta: " + " ".join(format_fraction(t) for t in self.body["theta"])
-                )
+                lines.append("theta: " + " ".join(map(format_fraction, self.body["theta"])))
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
@@ -367,29 +367,14 @@ def parse_document(text: str) -> Document:
         line, col = positions["theta"]
         for tok in re.finditer(r"[^ \t,]+", entries["theta"]):
             theta.append(_parse_fraction_token(tok[0], line, col + tok.start()))
-        body["theta"] = theta
+    named = dict(enumerate(theta, 1))  # the word thetaJ names theta[J - 1]
 
     def series_value(key, value=None, offset=0):
-        """Parse the value of ``key`` (or the part ``value`` of it starting
-        ``offset`` characters in) with each ``thetaJ`` replaced by its value;
-        every token keeps its column in the source line."""
+        """Parse the value of ``key``, or the part ``value`` of it starting
+        ``offset`` characters in."""
         line, col = positions[key]
-        col += offset
-        source = entries[key] if value is None else value
-        pieces, columns, last = [], [], 0
-        for match in _THETA.finditer(source):
-            j = match[1]
-            if len(j) > MAX_DIGITS or not 1 <= int(j) <= len(theta):
-                continue
-            substituted = f"({theta[int(j) - 1]})"
-            pieces += [source[last : match.start()], substituted]
-            columns += range(col + last, col + match.start())
-            columns += [col + match.start()] * len(substituted)
-            last = match.end()
-        pieces.append(source[last:])
-        columns += range(col + last, col + len(source) + 1)
-        tokens = _tokenize("".join(pieces), line, columns)
-        return _parse_tokens(tokens, variables, order, line, warnings)
+        tokens = _tokenize(entries[key] if value is None else value, line, col + offset)
+        return _parse_tokens(tokens, variables, order, line, warnings, named)
 
     if kind == "surface":
         if "Q" in entries:
@@ -413,7 +398,6 @@ def parse_document(text: str) -> Document:
             starts.append(starts[-1] + len(comp) + 1)
         body["p"] = [series_value("p", comp, start) for comp, start in zip(comps, starts)]
         body["q"] = series_value("q")
-        if "theta" not in body:
-            body["theta"] = []
+        body["theta"] = theta
 
     return Document(kind, body, warnings)

@@ -19,6 +19,8 @@ from .series import TruncatedSeries, grlex_key, implicit_solve
 
 SURFACE_VARS = ("z", "x", "t")
 GRAPH_VARS = ("z", "x", "s")
+# the invariants a biholomorphism preserves, in report order
+INVARIANTS = ("m0", "alpha0", "mu0", "ell", "beta0")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class InvariantReport:
     ell_below_alpha0: bool = False  # recorded as a warning, never an error
 
     def tuple(self):
-        return (self.m0, self.alpha0, self.mu0, self.ell, self.beta0)
+        return tuple(getattr(self, name) for name in INVARIANTS)
 
 
 class NormalFormSurface:

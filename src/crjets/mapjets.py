@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .hypersurface import SURFACE_VARS, InfiniteUpTo, NormalFormSurface
+from .hypersurface import INVARIANTS, SURFACE_VARS, InfiniteUpTo, NormalFormSurface
 from .rational import ComplexRational as CR
 from .series import TruncatedSeries, UnknownOrder, kth_root, lowest_term, solve_composition
 from .series import _difference, _minus_variable, _newton_update, _series, _unpacked
@@ -233,17 +233,14 @@ def _agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
 # factories
 
 
-def identity_map(order: int = 12) -> MapGerm:
-    return MapGerm(
-        TruncatedSeries.variable("z", MAP_VARS, order),
-        TruncatedSeries.variable("w", MAP_VARS, order),
-    )
-
-
 def dilation(lam, rho, order: int = 12) -> MapGerm:
     zg = TruncatedSeries.variable("z", MAP_VARS, order)
     wg = TruncatedSeries.variable("w", MAP_VARS, order)
     return MapGerm(zg * CR.coerce(lam), wg * CR.coerce(rho))
+
+
+def identity_map(order: int = 12) -> MapGerm:
+    return dilation(1, 1, order)
 
 
 def w_mobius(a, order: int = 12) -> MapGerm:
@@ -433,9 +430,7 @@ class _Reconstruction:
                 r0.coefficient((0,)) + gain.coefficient((0,)) * ubar
                 - w_lhs.coefficient((0,))
             )
-        nu = gain.vanishing_order()
-        if isinstance(nu, UnknownOrder):
-            raise DivisibilityObstruction("unknown coefficient order at truncation")
+        nu = gain.vanishing_order()  # an int: the gain is nonzero
         low = dividend.vanishing_order()
         if not isinstance(low, UnknownOrder) and low < nu:
             raise DivisibilityObstruction(
@@ -523,13 +518,8 @@ def segre_jet_reconstruct(
 def invariant_mismatches(source: NormalFormSurface, target: NormalFormSurface) -> tuple:
     """(name, source value, target value) for every invariant that differs;
     any entry is an obstruction to a map between the two surfaces."""
-    inv = source.compute_invariants()
-    inv2 = target.compute_invariants()
-    return tuple(
-        (name, getattr(inv, name), getattr(inv2, name))
-        for name in ("m0", "alpha0", "mu0", "ell", "beta0")
-        if getattr(inv, name) != getattr(inv2, name)
-    )
+    inv, inv2 = source.compute_invariants(), target.compute_invariants()
+    return tuple((n, a, b) for n, a, b in zip(INVARIANTS, inv.tuple(), inv2.tuple()) if a != b)
 
 
 @dataclass(frozen=True)

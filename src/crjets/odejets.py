@@ -235,9 +235,7 @@ class _Evaluation:
 
     def power(self, d: tuple, c: int) -> _Aff:
         """The x^c coefficient of prod_i y_i^d_i, for d != 0."""
-        total = sum(d)
-        if c < total:  # y(0) = 0
-            return _ZERO_FORM
+        total = sum(d)  # every caller passes c >= total: below it, y(0) = 0 gives zero
         i = next(k for k, e in enumerate(d) if e)
         if total == 1:
             return self.a[c][i]
@@ -340,9 +338,7 @@ class _LinearSolver:
         """Numeric value if fully determined, else None.  When every symbol
         is pinned to a constant it is summed directly; otherwise the form
         is reduced, since the linear parts of the rows can cancel."""
-        if aff.opaque:
-            return None
-        const = aff.const
+        const = aff.const  # only table forms are read here, and those are never opaque
         for sym, c in aff.lin.items():
             row = self.pivots.get(sym)
             if row is None or row.lin:
@@ -793,7 +789,8 @@ def kernel_chain_diagnostic(
             rows.append(ChainRow(r, (0,), terminated_at=0))
             continue
         dims = [ker_dim]
-        a1_next = linalg.invert(linalg.mat_sub(_c_matrix(r + 1, gamma, n), block(1)))
+        d1 = linalg.mat_sub(_c_matrix(r + 1, gamma, n), block(1))  # C(r+1) - Q1
+        a1_next = linalg.invert(d1)
         if a1_next is None:
             rows.append(ChainRow(r, tuple(dims), None))  # step-1 matrix singular
             continue
@@ -808,10 +805,7 @@ def kernel_chain_diagnostic(
         if a1_next2 is None:
             rows.append(ChainRow(r, tuple(dims), None))  # step-2 shift singular
             continue
-        d2 = linalg.mat_sub(
-            linalg.mat_sub(_c_matrix(r + 1, gamma, n), block(1)),
-            linalg.mat_mul(linalg.mat_mul(q0, a1_next2), block(2)),
-        )
+        d2 = linalg.mat_sub(d1, linalg.mat_mul(linalg.mat_mul(q0, a1_next2), block(2)))
         a2 = linalg.invert(d2)
         if a2 is None:
             rows.append(ChainRow(r, tuple(dims), None))  # step-2 matrix singular

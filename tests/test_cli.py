@@ -195,6 +195,12 @@ def test_analyze_rejects_bad_surface(capsys, tmp_path):
     assert "normal_check: fail" in out
 
 
+def test_analyze_on_a_map_document_is_input_error(capsys):
+    code, out, err = run_err(capsys, "analyze", CORPUS / "identity.map")
+    assert (code, out) == (2, "")
+    assert err == f"input error: {CORPUS / 'identity.map'}: expected a surface document, got map\n"
+
+
 def test_verify_pass_and_fail(capsys):
     code, out = run(
         capsys,
@@ -408,6 +414,17 @@ def test_ode_solve_reports_opaque_orders(capsys, tmp_path):
     code, out = run(capsys, "ode", ode, "determine")
     assert code == 0
     assert "determination_order: 1\n" in out
+
+
+def test_ode_solve_reports_its_theta_values(capsys, tmp_path):
+    ode = tmp_path / "theta.ode"
+    ode.write_text(
+        "kind: ode\ngamma: 0\nvars: x y\norder: 6\np: theta1*y + theta2*y^2\nq: 1\n"
+        "theta: 3/2 -2\n"
+    )
+    code, out = run(capsys, "ode", ode, "solve")
+    assert code == 0
+    assert "\ngamma: 0\nn_target: 6\ntheta: 3/2 -2\norder_1: " in out
 
 
 def test_ode_chain(capsys):

@@ -242,6 +242,28 @@ def test_dropped_monomial_after_theta_has_source_column():
     ]
 
 
+def test_a_theta_name_after_a_finished_term_is_named_in_the_error():
+    text = "kind: ode\ngamma: 0\nvars: x y1\norder: 4\np: theta1*y1 theta1\nq: 1\ntheta: 1/2\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    # p: theta1*y1 theta1
+    #              ^ column 14
+    assert str(err.value) == (
+        "expected '+', '-' or end of series, found 'theta1' (line 5, column 14)"
+    )
+
+
+def test_theta_names_take_leading_zeros_and_only_values_the_document_has():
+    head = "gamma: 0\nvars: x theta2\norder: 4\nq: 1\ntheta: 1/2 -3\n"
+    doc = parse_document(head + "p: theta01*theta2 + theta002*x\n")
+    # theta2 names the value -3 before the variable of that name
+    assert doc.body["p"][0] == TS(("x", "theta2"), 4, {(0, 0): Fraction(-3, 2), (1, 0): -3})
+    for name in ("theta0", "theta3", "theta٣"):
+        with pytest.raises(ParseError) as err:
+            parse_document(head + f"p: {name}*x\n")
+        assert err.value.message.startswith(f"unknown variable {name!r}")
+
+
 def test_document_round_trip():
     for text in (SURF, MAP, ODE):
         doc = parse_document(text)
@@ -277,6 +299,19 @@ def test_only_a_newline_ends_a_document_line(char):
     assert str(err.value) == f"unexpected character {char!r} (line 3, column 15)"
 
 
+def test_an_ode_document_needs_a_dependent_variable():
+    with pytest.raises(ParseError) as err:
+        parse_document("gamma: 0\nvars: x\norder: 4\np: x\nq: 1\n")
+    assert str(err.value) == "ode needs at least 'x y1' (line 2, column 7)"
+
+
+@pytest.mark.parametrize("text,column", [("1/x*z", 3), ("z + 1/", 7), ("(1/i)*z", 4)])
+def test_a_slash_needs_a_denominator(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, ZXT, 6)
+    assert (err.value.message, err.value.column) == ("expected a denominator after '/'", column)
+
+
 # ----------------------------------------------------------------------
 # digits are ASCII
 
@@ -302,7 +337,7 @@ def test_superscript_after_a_letter_stays_part_of_the_name():
     [("theta1*y1 + x ; ", 19), ("theta1*y1 + ; theta2*y2", 16)],
 )
 def test_an_empty_p_term_after_theta_substitution_is_located(p, column):
-    # the first component keeps its trailing space through the substitution
+    # the first component keeps its trailing space
     text = f"kind: ode\ngamma: 0\nvars: x y1 y2\norder: 4\np: {p}\nq: 1\ntheta: 1/2 3\n"
     with pytest.raises(ParseError) as err:
         parse_document(text)

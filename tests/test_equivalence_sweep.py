@@ -13,7 +13,9 @@ SPEC.loader.exec_module(SWEEP)
 
 
 @pytest.mark.parametrize(
-    "family", [SWEEP.calls, SWEEP.outcomes, SWEEP.records, SWEEP.chains], ids=lambda f: f.__name__
+    "family",
+    [SWEEP.calls, SWEEP.outcomes, SWEEP.records, SWEEP.chains, SWEEP.parses],
+    ids=lambda f: f.__name__,
 )
 def test_each_family_yields_the_same_first_records_twice(family, monkeypatch):
     # the grids' generators come from this checkout, as under main()

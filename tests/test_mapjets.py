@@ -285,6 +285,14 @@ def test_reconstruct_jet_arity():
         segre_jet_reconstruct(m, m, identity_map(8).jet(1), 1)
 
 
+@pytest.mark.parametrize(
+    "k,message", [(9, "jet order 9 exceeds stored order 8"), (0, "a map jet has order at least 1")]
+)
+def test_a_jet_order_outside_one_to_the_stored_order_is_refused(k, message):
+    with pytest.raises(JetArityError, match=message):
+        identity_map(8).jet(k)
+
+
 def test_reconstruct_rejects_cross_surface_jet():
     with pytest.raises(InconsistentJet):
         segre_jet_reconstruct(
@@ -428,16 +436,13 @@ def test_order_sweep_script_writes_a_record(capsys, tmp_path):
     spec = importlib.util.spec_from_file_location("order_sweep", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    pairs = tmp_path / "pairs.json"
-    pairs.write_text('[{"seed": 1}]', encoding="utf-8")
     out = tmp_path / "sweep.json"
-    argv = ["--orders", "8", "--repeat", "1", "--out", str(out), "--pairs", str(pairs)]
+    argv = ["--orders", "8", "--repeat", "1", "--out", str(out)]
     assert script.main(argv) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record["order_sweep_ms"]) == {"8"}
     columns = {"inverse_ms", "graph_ms", "reality_ms", "segre_ms", "segre_sweep_ms", "ode_ms"}
     assert set(record["order_sweep_ms"]["8"]) == columns
-    assert record["perfbench_pairs"] == [{"seed": 1}]
     assert capsys.readouterr().out.startswith("order  8")
 
 

@@ -84,6 +84,27 @@ def test_resonant_scalar_seeded():
     assert all(r.is_zero for r in residual(ode, run))
 
 
+def test_a_seeded_quadratic_scales_forms_by_general_coefficients(monkeypatch):
+    # x y' = y + y^2 with a_1 = 2 is y = 2x / (1 - 2x), so a_s = 2^s; the
+    # products a_1 * a_(s-1) scale forms by coefficients other than 0 and 1
+    general = []
+    scale = odejets._Aff.scale
+
+    def spy(form, c):
+        if not (c.is_zero or form.opaque or c == 1):
+            general.append(c)
+        return scale(form, c)
+
+    monkeypatch.setattr(odejets._Aff, "scale", spy)
+    ode = scalar_ode(0, {(0, 1): 1, (0, 2): 1}, order=10)
+    run = formal_coefficients(ode, {1: (2,)}, 10)
+    assert general
+    assert run.fully_determined
+    assert run.coefficients[2] == (CR(4),)
+    assert all(run.coefficients[s] == (CR(2**s),) for s in range(1, 11))
+    assert all(r.is_zero for r in residual(ode, run))
+
+
 def test_gamma1_chain_forces_zero():
     # x^2 y' = y: a_0 = 0 forced, then (s-1) a_{s-1} = a_s chain gives 0
     ode = scalar_ode(1, {(0, 1): 1})
